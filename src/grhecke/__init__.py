@@ -15,8 +15,7 @@ from .coxeter import (
     partitions_of, partitions_up_to, reduced_word,
 )
 from .polyring import (
-    IntPoly, NPoly, PolyFrac, RatPoly, interpolate_in_n, solve_linear,
-    specialize_zero,
+    IntPoly, NPoly, RatPoly, interpolate_in_n, solve_linear, specialize_zero,
 )
 from .hecke import (
     HeckeElt, e_sym, group_mul, is_central, jucys_murphy, m_sym, mul,
@@ -25,10 +24,9 @@ from .hecke import (
 from .center import (
     CentralCoords, CheckReport, GammaBasis, StructTable, build_struct_table,
     class_sum_oracle, expand_in_gamma, gamma_basis, gamma_element,
-    load_or_compute_gamma_basis, m_sym_in_gamma, set_cache_dir,
-    structure_constants, verify_elementary_sums,
-    verify_gamma_characterization, verify_structure_constants,
-    verify_zero_specialization,
+    m_sym_in_gamma, set_cache_dir, structure_constants,
+    verify_elementary_sums, verify_gamma_characterization,
+    verify_structure_constants, verify_zero_specialization,
 )
 from .universal import (
     FitResult, GradedTable, OneRowMatrixReport, check_graded_associativity,

@@ -12,12 +12,17 @@ Equivalently, gamma_lam has coefficient 1 on every minimal length element
 of its own class and coefficient 0 on every minimal length element of every
 other class. Since monomial symmetric polynomials in the Jucys-Murphy
 elements span the relevant filtration layer of the center, each gamma_lam
-is found by solving, over the rational function field, for a combination of
-m_mu (|mu| <= |lam|) whose coefficients at the canonical minimal
-representatives realize the identity pattern. Any solution assembles to the
-same element; the assembled coefficients are checked to land back in Z[x],
-and the characterization is re-verified in full before an element is
-accepted.
+is found by one exact solve for a combination of m_mu (|mu| <= |lam|) whose
+coefficients at the canonical minimal representatives realize the identity
+pattern. The fraction-free solver returns numerators over Z[x] and one
+common denominator d; any solution assembles to the same element, so the
+numerators are assembled and every coefficient is divided exactly by d,
+which checks that it lands back in Z[x].
+
+Each element is verified once. `gamma_element` checks what defines it:
+centrality, the class sum at x = 0, parity, and the pattern on classes of
+size at most |lam|. `gamma_basis` adds only the pattern on the larger
+classes it materializes, and `verify_gamma_characterization` re-runs both.
 
 Structure constants come from expanding a product of two class elements in
 this basis, which only requires reading coefficients at the canonical
@@ -33,7 +38,8 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from . import coxeter, hecke
 from .coxeter import Partition, check_partition, fits_rank, min_rep
@@ -42,27 +48,30 @@ from .errors import (
     InvalidInputError, InvariantViolationError, SingularSystemError,
 )
 from .hecke import HeckeElt, group_mul, is_central, m_sym, mul
-from .polyring import IntPoly, divexact, poly_lcm, solve_linear
+from .polyring import IntPoly, divexact, solve_linear
 
 __all__ = [
     "CentralCoords", "GammaBasis", "StructTable", "CheckReport",
-    "gamma_element", "gamma_basis", "load_or_compute_gamma_basis",
-    "set_cache_dir", "expand_in_gamma", "structure_constants",
-    "m_sym_in_gamma", "class_sum_oracle", "build_struct_table",
-    "verify_structure_constants", "verify_gamma_characterization",
-    "verify_zero_specialization", "verify_elementary_sums",
-    "check_entry_clauses",
+    "gamma_element", "gamma_basis", "set_cache_dir", "expand_in_gamma",
+    "structure_constants", "m_sym_in_gamma", "class_sum_oracle",
+    "build_struct_table", "verify_structure_constants",
+    "verify_gamma_characterization", "verify_zero_specialization",
+    "verify_elementary_sums", "check_entry_clauses",
 ]
 
 _ONE = IntPoly.const(1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CentralCoords:
-    """A central element written in the class-element basis."""
+    """
+    A central element written in the class-element basis. Immutable, since
+    memoized values are shared with every caller: `coords` is a read-only
+    view of a private copy.
+    """
 
     n: int
-    coords: dict[Partition, IntPoly]
+    coords: Mapping[Partition, IntPoly]
 
     def __post_init__(self):
         for lam in self.coords:
@@ -70,6 +79,10 @@ class CentralCoords:
                 raise InvalidInputError(
                     f"class {lam} vanishes in S_{self.n} and may not carry a coordinate"
                 )
+        object.__setattr__(self, "coords", MappingProxyType(dict(self.coords)))
+
+    def __reduce__(self):
+        return (CentralCoords, (self.n, dict(self.coords)))
 
     def get(self, lam: Partition) -> IntPoly:
         return self.coords.get(lam, IntPoly())
@@ -128,9 +141,11 @@ class CheckReport:
         return not self.witnesses
 
 
-# process-wide memo of built-and-verified elements, plus optional disk cache
+# process-wide memos: the elements gamma_element built and verified, and
+# the verified bases by (n, up_to), whether built here or loaded from the
+# optional disk cache
 _gamma_memo: dict[tuple[Partition, int], HeckeElt] = {}
-_verified_bases: set[tuple[int, int]] = set()
+_verified_bases: dict[tuple[int, int], dict[Partition, HeckeElt]] = {}
 _disk_cache_dir: Optional[Path] = None
 
 
@@ -161,25 +176,21 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
     A = [[msyms[mu].coeff(reps[nu]) for mu in candidates] for nu in classes]
     b = [_ONE if nu == lam else IntPoly() for nu in classes]
     try:
-        sol = solve_linear(A, b, allow_underdetermined=True)
+        y, d = solve_linear(A, b, allow_underdetermined=True)
     except SingularSystemError as exc:
         raise ConstructionError(
             f"characterization system for gamma_{lam}(n={n}) is unsolvable: {exc}"
         ) from exc
-    # assemble over a common denominator and insist the result is in Z[x]
-    nonzero = [(mu, c) for mu, c in zip(candidates, sol) if c]
-    denom = _ONE
-    for _, c in nonzero:
-        denom = poly_lcm(denom, c.den)
     num = hecke.zero(n)
-    for mu, c in nonzero:
-        num = num + msyms[mu].scale(c.num * divexact(denom, c.den))
-    if denom == _ONE:
+    for mu, c in zip(candidates, y):
+        if c:
+            num = num + msyms[mu].scale(c)
+    if d == _ONE:
         return num
     terms = {}
     for w, c in num.terms.items():
         try:
-            terms[w] = divexact(c, denom)
+            terms[w] = divexact(c, d)
         except ExactDivisionError as exc:
             raise ConstructionError(
                 f"gamma_{lam}(n={n}): coefficient of T_{w} is not in Z[x]"
@@ -187,10 +198,11 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
     return HeckeElt._raw(n, terms)
 
 
-def _characterization_witnesses(
-    lam: Partition, n: int, elt: HeckeElt, up_to: int
-) -> tuple[list[str], int]:
-    """Check centrality, the x=0 class sum, and the minimal-element pattern."""
+def _defining_witnesses(lam: Partition, n: int, elt: HeckeElt) -> tuple[list[str], int]:
+    """
+    The checks that define gamma_lam(n): centrality, the x=0 class sum, the
+    pattern on classes of size at most |lam|, and parity.
+    """
     witnesses = []
     checks = 1
     if not is_central(elt):
@@ -199,7 +211,27 @@ def _characterization_witnesses(
     expected = {w: 1 for w in coxeter.conjugacy_class(lam, n)}
     if elt.specialize_group() != expected:
         witnesses.append(f"gamma_{lam}(n={n}) does not specialize to the class sum at x=0")
+    pattern, pattern_checks = _pattern_witnesses(lam, n, elt, -1, sum(lam))
+    witnesses.extend(pattern)
+    checks += pattern_checks
+    checks += 1
+    if elt and elt.homogeneous_parity() != sum(lam) % 2:
+        witnesses.append(f"gamma_{lam}(n={n}) is not homogeneous of parity |lam| mod 2")
+    return witnesses, checks
+
+
+def _pattern_witnesses(
+    lam: Partition, n: int, elt: HeckeElt, above: int, up_to: int
+) -> tuple[list[str], int]:
+    """
+    The minimal-element pattern on classes nu with above < |nu| <= up_to:
+    coefficient 1 on the minimal elements of lam's class, 0 on the others.
+    """
+    witnesses = []
+    checks = 0
     for nu in _candidate_classes(up_to, n):
+        if sum(nu) <= above:
+            continue
         want = _ONE if nu == lam else IntPoly()
         for w in coxeter.minimal_length_elements(nu, n):
             checks += 1
@@ -208,9 +240,6 @@ def _characterization_witnesses(
                     f"gamma_{lam}(n={n}) has coefficient {elt.coeff(w)} on the "
                     f"minimal element {w} of class {nu} (expected {want})"
                 )
-    checks += 1
-    if elt and elt.homogeneous_parity() != sum(lam) % 2:
-        witnesses.append(f"gamma_{lam}(n={n}) is not homogeneous of parity |lam| mod 2")
     return witnesses, checks
 
 
@@ -229,7 +258,7 @@ def gamma_element(lam: Partition, n: int) -> HeckeElt:
     if cached is not None:
         return cached
     elt = _solve_gamma(lam, n)
-    witnesses, _ = _characterization_witnesses(lam, n, elt, sum(lam))
+    witnesses, _ = _defining_witnesses(lam, n, elt)
     if witnesses:
         raise ConstructionError("; ".join(witnesses))
     _gamma_memo[key] = elt
@@ -309,50 +338,32 @@ def gamma_basis(n: int, up_to: int) -> GammaBasis:
     if n < 1 or up_to < 0:
         raise InvalidInputError(f"bad basis request n={n}, up_to={up_to}")
     path = _cache_path(n, up_to)
-    if (n, up_to) in _verified_bases:
-        basis = GammaBasis(n=n, up_to=up_to, gamma={
-            lam: gamma_element(lam, n)
-            for lam in coxeter.partitions_up_to(up_to)
-            if fits_rank(lam, n)
-        })
+    verified = _verified_bases.get((n, up_to))
+    if verified is not None:
+        basis = GammaBasis(n=n, up_to=up_to, gamma=dict(verified))
         if path is not None and not path.exists():
             _save_basis(basis)
         return basis
     if path is not None:
         loaded = _load_basis(path, n, up_to)
         if loaded is not None:
-            for lam, elt in loaded.gamma.items():
-                _gamma_memo.setdefault((lam, n), elt)
-            _verified_bases.add((n, up_to))
+            _verified_bases[(n, up_to)] = dict(loaded.gamma)
             return loaded
     gamma = {
         lam: gamma_element(lam, n)
         for lam in coxeter.partitions_up_to(up_to)
         if fits_rank(lam, n)
     }
-    basis = GammaBasis(n=n, up_to=up_to, gamma=gamma)
     # gamma_element verified each element against classes of its own size;
-    # re-check the identity pattern against every materialized size
+    # check the pattern on the larger classes materialized here
     for lam, elt in gamma.items():
-        witnesses, _ = _characterization_witnesses(lam, n, elt, up_to)
+        witnesses, _ = _pattern_witnesses(lam, n, elt, sum(lam), up_to)
         if witnesses:
             raise ConstructionError("; ".join(witnesses))
-    _verified_bases.add((n, up_to))
+    _verified_bases[(n, up_to)] = dict(gamma)
+    basis = GammaBasis(n=n, up_to=up_to, gamma=gamma)
     _save_basis(basis)
     return basis
-
-
-def load_or_compute_gamma_basis(n: int, up_to: int, cache_dir=None) -> GammaBasis:
-    """Convenience wrapper: temporarily point the cache at `cache_dir`."""
-    global _disk_cache_dir
-    if cache_dir is None:
-        return gamma_basis(n, up_to)
-    old = _disk_cache_dir
-    _disk_cache_dir = Path(cache_dir)
-    try:
-        return gamma_basis(n, up_to)
-    finally:
-        _disk_cache_dir = old
 
 
 def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
@@ -513,9 +524,11 @@ def verify_gamma_characterization(n: int, up_to: int) -> CheckReport:
     report = CheckReport(name=f"characterization n={n} up_to={up_to}")
     basis = gamma_basis(n, up_to)
     for lam in basis.valid_partitions():
-        witnesses, checks = _characterization_witnesses(lam, n, basis.gamma[lam], up_to)
-        report.checks += checks
-        report.witnesses.extend(witnesses)
+        elt = basis.gamma[lam]
+        for witnesses, checks in (_defining_witnesses(lam, n, elt),
+                                  _pattern_witnesses(lam, n, elt, sum(lam), up_to)):
+            report.checks += checks
+            report.witnesses.extend(witnesses)
     return report
 
 

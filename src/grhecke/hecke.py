@@ -22,6 +22,7 @@ central, which is what the center construction builds on.
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from . import coxeter
@@ -39,7 +40,11 @@ _ONE = IntPoly.const(1)
 
 
 class HeckeElt:
-    """A sparse element of H_n; zero coefficients are never stored."""
+    """
+    A sparse element of H_n; zero coefficients are never stored. Immutable,
+    since memoized elements are shared with every caller: `terms` is a
+    read-only view of a dict nobody else holds.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -51,21 +56,22 @@ class HeckeElt:
             if c:
                 clean[w] = c
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def _raw(cls, n: int, terms: dict[Perm, IntPoly]) -> "HeckeElt":
-        # caller guarantees consistency and no zero values
+        # caller guarantees consistency, no zero values, and hands over
+        # the only reference to `terms`
         h = object.__new__(cls)
         object.__setattr__(h, "n", n)
-        object.__setattr__(h, "terms", terms)
+        object.__setattr__(h, "terms", MappingProxyType(terms))
         return h
 
     def __setattr__(self, name, value):
-        raise AttributeError("HeckeElt is treated as immutable")
+        raise AttributeError("HeckeElt is immutable")
 
     def __reduce__(self):
-        return (HeckeElt, (self.n, self.terms))
+        return (HeckeElt, (self.n, self.terms.copy()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -84,7 +90,7 @@ class HeckeElt:
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
         if self.n != other.n:
             raise InvalidInputError("rank mismatch in addition")
-        out = dict(self.terms)
+        out = self.terms.copy()
         for w, c in other.terms.items():
             prev = out.get(w)
             s = c if prev is None else prev + c
@@ -97,7 +103,7 @@ class HeckeElt:
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
         if self.n != other.n:
             raise InvalidInputError("rank mismatch in subtraction")
-        out = dict(self.terms)
+        out = self.terms.copy()
         for w, c in other.terms.items():
             prev = out.get(w)
             s = -c if prev is None else prev - c

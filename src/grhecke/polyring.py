@@ -4,12 +4,13 @@ Exact polynomial arithmetic for the deformation parameter.
 `IntPoly` is Z[x] with arbitrary-precision integer coefficients stored as a
 normalized ascending tuple (the zero polynomial is the empty tuple). All
 structure constants of the engine live here. `RatPoly` is Q[x] with exact
-`Fraction` coefficients, `PolyFrac` is the fraction field Q(x) in reduced
-form, and `NPoly` is a polynomial in the discrete rank variable n whose
-coefficients are elements of Q[x].
+`Fraction` coefficients, and `NPoly` is a polynomial in the discrete rank
+variable n whose coefficients are elements of Q[x].
 
-Linear systems over Z[x] are solved by fraction-free Bareiss elimination
-with exact divisions, so no floating point ever enters.
+Linear systems and determinants over Z[x] share one fraction-free Bareiss
+elimination with exact divisions: a solution comes back as a numerator
+vector over Z[x] and one common denominator, so neither rational
+functions nor floating point ever enter.
 
 >>> (IntPoly((1, 1)) * IntPoly((1, 1))).coeffs
 (1, 2, 1)
@@ -19,15 +20,13 @@ with exact divisions, so no floating point ever enters.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ExactDivisionError, InvalidInputError, SingularSystemError
 
 __all__ = [
-    "IntPoly", "RatPoly", "PolyFrac", "NPoly",
-    "specialize_zero", "poly_gcd", "poly_lcm", "divexact",
+    "IntPoly", "RatPoly", "NPoly", "specialize_zero", "divexact",
     "solve_linear", "determinant", "interpolate_in_n",
 ]
 
@@ -288,34 +287,11 @@ class RatPoly:
 
     __rmul__ = __mul__
 
-    def divmod(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if not other:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        quo = [Fraction(0)] * max(0, len(rem) - len(den) + 1)
-        lead = den[-1]
-        for top in range(len(rem) - 1, len(den) - 2, -1):
-            factor = rem[top] / lead
-            if factor:
-                quo[top - len(den) + 1] = factor
-                for j, c in enumerate(den):
-                    rem[top - len(den) + 1 + j] -= factor * c
-        return RatPoly(quo), RatPoly(rem)
-
     def evaluate(self, x) -> Fraction:
         out = Fraction(0)
         for c in reversed(self.coeffs):
             out = out * x + c
         return out
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_intpoly(self) -> IntPoly:
-        if not self.is_integral():
-            raise ExactDivisionError(f"not an integer polynomial: {self}")
-        return IntPoly(c.numerator for c in self.coeffs)
 
     def to_json(self) -> list[list[str]]:
         return [[str(c.numerator) for c in self.coeffs],
@@ -349,13 +325,6 @@ class RatPoly:
         return f"RatPoly({self.coeffs!r})"
 
 
-def _content(p: IntPoly) -> int:
-    g = 0
-    for c in p.coeffs:
-        g = math.gcd(g, c)
-    return g
-
-
 def divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     """Divide a by b in Z[x], raising if the division is not exact."""
     if not b:
@@ -382,132 +351,24 @@ def divexact(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(quo)
 
 
-def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Greatest common divisor in Z[x], primitive with positive leading term."""
-    if not a and not b:
-        return _ZERO
-    if not a or not b:
-        p = a if a else b
-        cont = _content(p)
-        g = divexact(p, IntPoly.const(cont))
-        return -g if g.coeffs[-1] < 0 else g
-    ca, cb = _content(a), _content(b)
-    ra = RatPoly.from_intpoly(a)
-    rb = RatPoly.from_intpoly(b)
-    while rb:
-        ra, rb = rb, ra.divmod(rb)[1]
-    # scale the rational gcd to a primitive integer polynomial
-    denom = math.lcm(*(c.denominator for c in ra.coeffs))
-    ints = [int(c * denom) for c in ra.coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    prim = IntPoly(c // g for c in ints)
-    if prim.coeffs[-1] < 0:
-        prim = -prim
-    return IntPoly.const(math.gcd(ca, cb)) * prim
-
-
-def poly_lcm(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return _ZERO
-    out = divexact(a * b, poly_gcd(a, b))
-    return -out if out.coeffs[-1] < 0 else out
-
-
-class PolyFrac:
-    """A reduced fraction of IntPoly, the field Q(x)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: IntPoly, den: IntPoly = _ONE):
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            num, den = _ZERO, _ONE
-        else:
-            g = poly_gcd(num, den)
-            if g != _ONE:
-                num = divexact(num, g)
-                den = divexact(den, g)
-            if den.coeffs[-1] < 0:
-                num, den = -num, -den
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyFrac is immutable")
-
-    def __reduce__(self):
-        return (PolyFrac, (self.num, self.den))
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, PolyFrac):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, IntPoly):
-            return self.den == _ONE and self.num == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def __add__(self, other: "PolyFrac") -> "PolyFrac":
-        return PolyFrac(self.num * other.den + other.num * self.den,
-                        self.den * other.den)
-
-    def __neg__(self) -> "PolyFrac":
-        f = object.__new__(PolyFrac)
-        object.__setattr__(f, "num", -self.num)
-        object.__setattr__(f, "den", self.den)
-        return f
-
-    def __sub__(self, other: "PolyFrac") -> "PolyFrac":
-        return self + (-other)
-
-    def __mul__(self, other: "PolyFrac") -> "PolyFrac":
-        return PolyFrac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "PolyFrac") -> "PolyFrac":
-        if not other.num:
-            raise ZeroDivisionError("division by zero fraction")
-        return PolyFrac(self.num * other.den, self.den * other.num)
-
-    def is_polynomial(self) -> bool:
-        return self.den == _ONE
-
-    def as_poly(self) -> IntPoly:
-        if not self.is_polynomial():
-            raise ExactDivisionError(f"denominator did not clear: {self}")
-        return self.num
-
-    def __str__(self) -> str:
-        if self.den == _ONE:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    def __repr__(self) -> str:
-        return f"PolyFrac({self.num!r}, {self.den!r})"
-
-
-_FRAC_ZERO = PolyFrac(_ZERO)
-
-
 def _echelon(mat: list[list[IntPoly]], ncols: int):
     """
     Fraction-free Bareiss elimination in place over the first `ncols`
-    columns (any extra columns ride along as right-hand sides).
+    columns (any extra columns ride along as right-hand sides). Every
+    division is exact: after step k each remaining entry is a (k+1)-minor.
 
-    Returns (pivots, rank) where pivots is a list of (row, col).
+    Returns (pivots, sign) where pivots is a list of (row, col) and sign is
+    the parity of the row swaps made.
     """
     nrows = len(mat)
     width = len(mat[0]) if mat else 0
     pivots: list[tuple[int, int]] = []
+    sign = 1
     prev = _ONE
     pr = 0
     for pc in range(ncols):
+        if pr == nrows:
+            break
         # deterministic pivot: smallest degree, then fewest terms, then row
         best = None
         for r in range(pr, nrows):
@@ -521,20 +382,19 @@ def _echelon(mat: list[list[IntPoly]], ncols: int):
         r = best[1]
         if r != pr:
             mat[r], mat[pr] = mat[pr], mat[r]
+            sign = -sign
         piv = mat[pr][pc]
+        prow = mat[pr]
         for rr in range(pr + 1, nrows):
-            head = mat[rr][pc]
             row = mat[rr]
-            prow = mat[pr]
+            head = row[pc]
             for cc in range(pc + 1, width):
                 row[cc] = divexact(piv * row[cc] - head * prow[cc], prev)
             row[pc] = _ZERO
         pivots.append((pr, pc))
         prev = piv
         pr += 1
-        if pr == nrows:
-            break
-    return pivots, len(pivots)
+    return pivots, sign
 
 
 def solve_linear(
@@ -542,14 +402,21 @@ def solve_linear(
     b: Sequence[IntPoly],
     *,
     allow_underdetermined: bool = False,
-) -> list[PolyFrac]:
+) -> tuple[list[IntPoly], IntPoly]:
     """
-    Solve A x = b exactly over the rational function field.
+    Solve A x = b exactly, returning (y, d) with x = y / d, every y_i in
+    Z[x] and d the last Bareiss pivot (the determinant of the pivot minor
+    up to sign, or 1 when the rank is 0).
 
     Raises SingularSystemError (carrying the rank) when the system is
     inconsistent, or when the columns are rank deficient and
     `allow_underdetermined` is false. With `allow_underdetermined`, free
     variables are set to zero.
+
+    >>> one = IntPoly.const(1)
+    >>> y, d = solve_linear([[one, one], [one, -one]], [IntPoly.xi(), one])
+    >>> [v.coeffs for v in y], d.coeffs
+    ([(-1, -1), (1, -1)], (-2,))
     """
     nrows = len(A)
     if nrows != len(b):
@@ -559,48 +426,38 @@ def solve_linear(
     for row in mat:
         if len(row) != ncols + 1:
             raise InvalidInputError("ragged matrix")
-    pivots, rank = _echelon(mat, ncols)
+    pivots, _ = _echelon(mat, ncols)
+    rank = len(pivots)
     for r in range(rank, nrows):
         if mat[r][ncols]:
             raise SingularSystemError("inconsistent linear system", rank)
     if rank < ncols and not allow_underdetermined:
         raise SingularSystemError("rank-deficient linear system", rank)
-    values = [_FRAC_ZERO] * ncols
+    d = mat[pivots[-1][0]][pivots[-1][1]] if pivots else _ONE
+    # back-substitution scaled by d stays in Z[x]: by Cramer's rule on the
+    # pivot minor, d * x_pc is a polynomial, so each division is exact
+    y = [_ZERO] * ncols
     for pr, pc in reversed(pivots):
-        acc = PolyFrac(mat[pr][ncols])
+        row = mat[pr]
+        acc = d * row[ncols]
         for cc in range(pc + 1, ncols):
-            if mat[pr][cc] and values[cc]:
-                acc = acc - PolyFrac(mat[pr][cc]) * values[cc]
-        values[pc] = acc / PolyFrac(mat[pr][pc])
-    return values
+            if row[cc] and y[cc]:
+                acc = acc - row[cc] * y[cc]
+        y[pc] = divexact(acc, row[pc])
+    return y, d
 
 
 def determinant(A: Sequence[Sequence[IntPoly]]) -> IntPoly:
-    """Determinant over Z[x] by fraction-free elimination."""
+    """Determinant over Z[x]: the last Bareiss pivot, signed by the row swaps."""
     n = len(A)
     if any(len(row) != n for row in A):
         raise InvalidInputError("determinant needs a square matrix")
     if n == 0:
         return _ONE
     mat = [list(row) for row in A]
-    sign = 1
-    prev = _ONE
-    for k in range(n - 1):
-        if not mat[k][k]:
-            for r in range(k + 1, n):
-                if mat[r][k]:
-                    mat[k], mat[r] = mat[r], mat[k]
-                    sign = -sign
-                    break
-            else:
-                return _ZERO
-        piv = mat[k][k]
-        for r in range(k + 1, n):
-            head = mat[r][k]
-            for c in range(k + 1, n):
-                mat[r][c] = divexact(piv * mat[r][c] - head * mat[k][c], prev)
-            mat[r][k] = _ZERO
-        prev = piv
+    pivots, sign = _echelon(mat, n)
+    if len(pivots) < n:
+        return _ZERO
     det = mat[n - 1][n - 1]
     return det if sign == 1 else -det
 

@@ -14,7 +14,9 @@ from grhecke.center import (
     verify_structure_constants, verify_zero_specialization,
 )
 from grhecke.coxeter import fits_rank, min_rep, partitions_up_to
-from grhecke.errors import BasisIncompleteError, InvalidInputError
+from grhecke.errors import (
+    BasisIncompleteError, ConstructionError, InvalidInputError,
+)
 from grhecke.hecke import HeckeElt, e_sym, is_central, m_sym, mul, t_basis, unit
 from grhecke.polyring import IntPoly
 
@@ -37,7 +39,7 @@ def gamma_by_central_constraints(lam, n):
     """
     from itertools import permutations
 
-    from grhecke.polyring import solve_linear
+    from grhecke.polyring import divexact, solve_linear
 
     perms = [tuple(p) for p in permutations(range(1, n + 1))]
     index = {w: k for k, w in enumerate(perms)}
@@ -64,8 +66,8 @@ def gamma_by_central_constraints(lam, n):
         row[index[min_rep(nu, n)]] = ONE
         rows.append(row)
         rhs.append(ONE if nu == lam else IntPoly())
-    sol = solve_linear(rows, rhs)
-    return HeckeElt(n, {w: sol[k].as_poly() for k, w in enumerate(perms)})
+    y, d = solve_linear(rows, rhs)
+    return HeckeElt(n, {w: divexact(y[k], d) for k, w in enumerate(perms)})
 
 
 from goldens import GOLDEN
@@ -137,6 +139,48 @@ class TestGammaBasis:
     def test_characterization_report(self):
         report = verify_gamma_characterization(5, 3)
         assert report.ok and report.checks > 0
+
+    def test_larger_class_pattern_checked_by_basis(self, monkeypatch):
+        # gamma_(1) + x gamma_(2) is central, is the class sum at x = 0 and
+        # has parity 1, so only the pattern on the size-2 classes, which
+        # gamma_basis checks, tells it apart from gamma_(1)
+        bogus = gamma_element((1,), 4) + gamma_element((2,), 4).scale(XI)
+        center.clear_caches()
+        solve = center._solve_gamma
+        monkeypatch.setattr(center, "_solve_gamma",
+                            lambda lam, n: bogus if lam == (1,) else solve(lam, n))
+        try:
+            assert gamma_element((1,), 4) == bogus
+            with pytest.raises(ConstructionError):
+                gamma_basis(4, 2)
+        finally:
+            center.clear_caches()
+
+
+class TestSharedValuesReadOnly:
+    def test_structure_constants_coords(self):
+        coords = structure_constants((1,), (1,), 4)
+        with pytest.raises(AttributeError):
+            coords.coords.clear()
+        with pytest.raises(TypeError):
+            coords.coords[(1,)] = ONE
+        with pytest.raises(AttributeError):
+            coords.coords = {}
+        again = structure_constants((1,), (1,), 4)
+        assert coords_dict(again) == GOLDEN[(4, (1,), (1,))]
+
+    def test_m_sym_terms(self):
+        with pytest.raises(AttributeError):
+            m_sym((1,), 4).terms.clear()
+        with pytest.raises(TypeError):
+            m_sym((1,), 4).terms[(1, 2, 3, 4)] = ONE
+        center.clear_caches()
+        try:
+            assert gamma_element((1,), 4) == e_sym(1, 4) == sum(
+                (t_basis(w) for w in coxeter.conjugacy_class((1,), 4)), hecke.zero(4)
+            )
+        finally:
+            center.clear_caches()
 
 
 class TestExpand:
@@ -300,6 +344,18 @@ class TestDiskCache:
             center.clear_caches()
             loaded = gamma_basis(4, 2)
             assert loaded.gamma == fresh.gamma
+        finally:
+            center.set_cache_dir(None)
+            center.clear_caches()
+
+    def test_loaded_basis_then_larger_basis(self, tmp_path):
+        want = gamma_basis(4, 3).gamma
+        center.set_cache_dir(tmp_path)
+        try:
+            gamma_basis(4, 2)
+            center.clear_caches()
+            gamma_basis(4, 2)  # loaded from disk
+            assert gamma_basis(4, 3).gamma == want
         finally:
             center.set_cache_dir(None)
             center.clear_caches()

@@ -9,8 +9,8 @@ from grhecke.errors import (
     ExactDivisionError, InvalidInputError, SingularSystemError,
 )
 from grhecke.polyring import (
-    IntPoly, NPoly, PolyFrac, RatPoly, determinant, divexact,
-    interpolate_in_n, poly_gcd, poly_lcm, solve_linear, specialize_zero,
+    IntPoly, NPoly, RatPoly, determinant, divexact, interpolate_in_n,
+    solve_linear, specialize_zero,
 )
 
 ZERO = IntPoly()
@@ -123,55 +123,44 @@ class TestDivisionAndGcd:
         with pytest.raises(ExactDivisionError):
             divexact(IntPoly((1, 1, 1)), IntPoly((1, 1)))
 
-    @given(ipoly(3, 5), ipoly(3, 5))
-    def test_gcd_divides_both(self, p, q):
-        g = poly_gcd(p, q)
-        if g:
-            divexact(p, g)
-            divexact(q, g)
-        else:
-            assert not p and not q
 
-    def test_lcm(self):
-        a, b = IntPoly((1, 1)), IntPoly((0, 1))
-        assert poly_lcm(a, b) == a * b
+def assert_solves(A, b, y, d):
+    """The exact residual of a fraction-free solution: A y == d b."""
+    assert d
+    for row, rhs in zip(A, b):
+        acc = ZERO
+        for a, v in zip(row, y):
+            acc = acc + a * v
+        assert acc == d * rhs
 
 
-class TestPolyFrac:
-    def test_reduction(self):
-        f = PolyFrac(IntPoly((0, 2)), IntPoly((0, 0, 2)))
-        assert f.num == ONE and f.den == XI
+def solution(A, b, **kwargs):
+    """solve_linear's x = y / d, for systems whose solution is in Z[x]."""
+    y, d = solve_linear(A, b, **kwargs)
+    return [divexact(v, d) for v in y]
 
-    def test_polynomial_detection(self):
-        f = PolyFrac(XI * XI, XI)
-        assert f.is_polynomial() and f.as_poly() == XI
 
-    def test_arithmetic(self):
-        half = PolyFrac(ONE, IntPoly.const(2))
-        assert half + half == PolyFrac(ONE)
+def matrices(rows, cols, max_deg=2, max_coeff=3):
+    return st.lists(st.lists(ipoly(max_deg, max_coeff), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
 
 
 class TestSolveLinear:
     def test_identity_matrix(self):
         A = [[ONE, ZERO], [ZERO, ONE]]
         b = [IntPoly((1, 2)), XI]
-        assert [f.as_poly() for f in solve_linear(A, b)] == b
+        assert solution(A, b) == b
 
     def test_diagonal(self):
         A = [[XI, ZERO], [ZERO, ONE]]
         b = [IntPoly((0, 0, 1)), ONE]
-        assert [f.as_poly() for f in solve_linear(A, b)] == [XI, ONE]
+        assert solution(A, b) == [XI, ONE]
 
     def test_unitriangular_backsub(self):
         A = [[ONE, IntPoly((1, 1))], [ZERO, ONE]]
         b = [IntPoly((2, 1)), XI]
-        x = solve_linear(A, b)
-        # residual check: A x == b exactly
-        for row, rhs in zip(A, b):
-            acc = PolyFrac(ZERO)
-            for a, v in zip(row, x):
-                acc = acc + PolyFrac(a) * v
-            assert acc == PolyFrac(rhs)
+        y, d = solve_linear(A, b)
+        assert_solves(A, b, y, d)
 
     def test_singular_square_reports_rank(self):
         A = [[ONE, ONE], [ONE, ONE]]
@@ -181,8 +170,7 @@ class TestSolveLinear:
 
     def test_underdetermined_allowed(self):
         A = [[ONE, ONE]]
-        x = solve_linear(A, [XI], allow_underdetermined=True)
-        assert x[0].as_poly() == XI and not x[1]
+        assert solution(A, [XI], allow_underdetermined=True) == [XI, ZERO]
 
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3),
                     min_size=3, max_size=3))
@@ -190,14 +178,45 @@ class TestSolveLinear:
         A = [[IntPoly.const(c) for c in row] for row in rows]
         b = [ONE, XI, IntPoly((1, 1))]
         try:
-            x = solve_linear(A, b)
+            y, d = solve_linear(A, b)
         except SingularSystemError:
             return
-        for row, rhs in zip(A, b):
-            acc = PolyFrac(ZERO)
-            for a, v in zip(row, x):
-                acc = acc + PolyFrac(a) * v
-            assert acc == PolyFrac(rhs)
+        assert_solves(A, b, y, d)
+
+    @given(matrices(3, 3), st.lists(ipoly(2, 3), min_size=3, max_size=3))
+    def test_random_polynomial_systems(self, A, b):
+        try:
+            y, d = solve_linear(A, b)
+        except SingularSystemError:
+            assert determinant(A) == ZERO
+            return
+        assert_solves(A, b, y, d)
+
+    @given(st.integers(1, 3).flatmap(
+        lambda m: st.tuples(matrices(m, m + 2), st.lists(ipoly(2, 3), min_size=m, max_size=m))))
+    def test_random_underdetermined_systems(self, system):
+        A, b = system
+        try:
+            y, d = solve_linear(A, b, allow_underdetermined=True)
+        except SingularSystemError:
+            # only a rank-deficient row space can make the system inconsistent
+            assert determinant([row[:len(A)] for row in A]) == ZERO
+            return
+        assert_solves(A, b, y, d)
+        # free variables stay zero, so at most rank(A) <= m entries are nonzero
+        assert sum(1 for v in y if v) <= len(A)
+
+
+def cofactor_determinant(A):
+    """Laplace expansion along the first row; an oracle independent of Bareiss."""
+    if not A:
+        return ONE
+    out = ZERO
+    for j, a in enumerate(A[0]):
+        minor = [row[:j] + row[j + 1:] for row in A[1:]]
+        term = a * cofactor_determinant(minor)
+        out = out - term if j % 2 else out + term
+    return out
 
 
 class TestDeterminant:
@@ -208,6 +227,10 @@ class TestDeterminant:
     def test_singular(self):
         A = [[ONE, ONE], [ONE, ONE]]
         assert determinant(A) == ZERO
+
+    @given(st.integers(0, 4).flatmap(lambda k: matrices(k, k)))
+    def test_matches_cofactor_expansion(self, A):
+        assert determinant(A) == cofactor_determinant(A)
 
 
 class TestInterpolation:
