@@ -24,10 +24,18 @@ centrality, the class sum at x = 0, parity, and the pattern on classes of
 size at most |lam|. `gamma_basis` adds only the pattern on the larger
 classes it materializes, and `verify_gamma_characterization` re-runs both.
 
+The center is filtered: gamma_lam(n) does not depend on the level at which
+it is materialized, so the basis up to size k is a prefix of the basis up
+to size k + 1. One verified basis is kept per rank, the largest asked for,
+and smaller requests are served by restricting it. The optional disk cache
+likewise holds one file per rank, and a loaded file is checked at every
+minimal length element of every class it covers.
+
 Structure constants come from expanding a product of two class elements in
 this basis, which only requires reading coefficients at the canonical
 minimal representatives and confirming that the reconstruction residual is
-exactly zero.
+exactly zero. Each is computed on one memoized path, which the table
+builder and the verification suites share.
 """
 
 from __future__ import annotations
@@ -116,7 +124,7 @@ class GammaBasis:
     gamma: dict[Partition, HeckeElt]
 
     def valid_partitions(self) -> list[Partition]:
-        return [p for p in coxeter.partitions_up_to(self.up_to) if p in self.gamma]
+        return [p for p in _candidate_classes(self.up_to, self.n) if p in self.gamma]
 
 
 @dataclass
@@ -142,10 +150,10 @@ class CheckReport:
 
 
 # process-wide memos: the elements gamma_element built and verified, and
-# the verified bases by (n, up_to), whether built here or loaded from the
-# optional disk cache
+# the largest verified basis of each rank, whether built here or loaded
+# from the optional disk cache
 _gamma_memo: dict[tuple[Partition, int], HeckeElt] = {}
-_verified_bases: dict[tuple[int, int], dict[Partition, HeckeElt]] = {}
+_bases: dict[int, GammaBasis] = {}
 _disk_cache_dir: Optional[Path] = None
 
 
@@ -158,12 +166,13 @@ def set_cache_dir(path) -> None:
 def clear_caches() -> None:
     """Drop the in-process memos (used when testing the disk cache)."""
     _gamma_memo.clear()
-    _verified_bases.clear()
+    _bases.clear()
     _struct_memo.clear()
 
 
 def _candidate_classes(size: int, n: int) -> list[Partition]:
-    return [p for p in coxeter.partitions_up_to(size) if fits_rank(p, n)]
+    # no class of size n or more fits rank n, so larger sizes add nothing
+    return [p for p in coxeter.partitions_up_to(min(size, n - 1)) if fits_rank(p, n)]
 
 
 def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
@@ -176,7 +185,7 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
     A = [[msyms[mu].coeff(reps[nu]) for mu in candidates] for nu in classes]
     b = [_ONE if nu == lam else IntPoly() for nu in classes]
     try:
-        y, d = solve_linear(A, b, allow_underdetermined=True)
+        y, d = solve_linear(A, b)
     except SingularSystemError as exc:
         raise ConstructionError(
             f"characterization system for gamma_{lam}(n={n}) is unsolvable: {exc}"
@@ -265,47 +274,41 @@ def gamma_element(lam: Partition, n: int) -> HeckeElt:
     return elt
 
 
-def _cache_path(n: int, up_to: int) -> Optional[Path]:
+def _cache_path(n: int) -> Optional[Path]:
     if _disk_cache_dir is None:
         return None
-    return _disk_cache_dir / f"gamma_n{n}_upto{up_to}.json"
-
-
-def _basis_pattern_ok(basis: GammaBasis) -> bool:
-    """Cheap load-time validation: the identity pattern at canonical reps."""
-    classes = _candidate_classes(basis.up_to, basis.n)
-    reps = {nu: min_rep(nu, basis.n) for nu in classes}
-    for lam, elt in basis.gamma.items():
-        for nu, rep in reps.items():
-            want = _ONE if nu == lam else IntPoly()
-            if elt.coeff(rep) != want:
-                return False
-    return True
+    return _disk_cache_dir / f"gamma_n{n}_basis.json"
 
 
 def _load_basis(path: Path, n: int, up_to: int) -> Optional[GammaBasis]:
+    """
+    The basis stored in `path` if it is well formed, covers rank n at least
+    through size up_to, and every element has the identity pattern at every
+    minimal length element of the classes it covers; None otherwise.
+    """
     try:
         data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if data.get("format") != 1 or data.get("n") != n or data.get("up_to") != up_to:
-        return None
-    try:
+        if not isinstance(data, dict) or data.get("format") != 1 or data.get("n") != n:
+            return None
+        level = data.get("up_to")
+        if not isinstance(level, int) or level < up_to:
+            return None
         gamma = {
             tuple(int(p) for p in entry["lambda"]): HeckeElt.from_json_dict(entry["elt"])
             for entry in data["gamma"]
         }
-    except (KeyError, InvalidInputError, ValueError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, InvalidInputError):
         return None
-    basis = GammaBasis(n=n, up_to=up_to, gamma=gamma)
-    expected = {p for p in coxeter.partitions_up_to(up_to) if fits_rank(p, n)}
-    if set(gamma) != expected or not _basis_pattern_ok(basis):
+    if set(gamma) != set(_candidate_classes(level, n)):
         return None
-    return basis
+    for lam, elt in gamma.items():
+        if _pattern_witnesses(lam, n, elt, -1, level)[0]:
+            return None
+    return GammaBasis(n=n, up_to=level, gamma=gamma)
 
 
 def _save_basis(basis: GammaBasis) -> None:
-    path = _cache_path(basis.n, basis.up_to)
+    path = _cache_path(basis.n)
     if path is None:
         return
     payload = {
@@ -330,40 +333,40 @@ def _save_basis(basis: GammaBasis) -> None:
         raise
 
 
-def gamma_basis(n: int, up_to: int) -> GammaBasis:
-    """
-    Materialize the class elements for all valid lam with |lam| <= up_to,
-    asserting the full characterization for each.
-    """
-    if n < 1 or up_to < 0:
-        raise InvalidInputError(f"bad basis request n={n}, up_to={up_to}")
-    path = _cache_path(n, up_to)
-    verified = _verified_bases.get((n, up_to))
-    if verified is not None:
-        basis = GammaBasis(n=n, up_to=up_to, gamma=dict(verified))
-        if path is not None and not path.exists():
-            _save_basis(basis)
-        return basis
-    if path is not None:
-        loaded = _load_basis(path, n, up_to)
-        if loaded is not None:
-            _verified_bases[(n, up_to)] = dict(loaded.gamma)
-            return loaded
-    gamma = {
-        lam: gamma_element(lam, n)
-        for lam in coxeter.partitions_up_to(up_to)
-        if fits_rank(lam, n)
-    }
+def _build_basis(n: int, up_to: int) -> GammaBasis:
+    gamma = {lam: gamma_element(lam, n) for lam in _candidate_classes(up_to, n)}
     # gamma_element verified each element against classes of its own size;
     # check the pattern on the larger classes materialized here
     for lam, elt in gamma.items():
         witnesses, _ = _pattern_witnesses(lam, n, elt, sum(lam), up_to)
         if witnesses:
             raise ConstructionError("; ".join(witnesses))
-    _verified_bases[(n, up_to)] = dict(gamma)
-    basis = GammaBasis(n=n, up_to=up_to, gamma=gamma)
-    _save_basis(basis)
-    return basis
+    return GammaBasis(n=n, up_to=up_to, gamma=gamma)
+
+
+def gamma_basis(n: int, up_to: int) -> GammaBasis:
+    """
+    Materialize the class elements for all valid lam with |lam| <= up_to,
+    asserting the full characterization for each. Below the level already
+    verified for rank n this only restricts that basis.
+    """
+    if n < 1 or up_to < 0:
+        raise InvalidInputError(f"bad basis request n={n}, up_to={up_to}")
+    path = _cache_path(n)
+    basis = _bases.get(n)
+    if basis is None or basis.up_to < up_to:
+        # loaded elements stay out of gamma_element's memo: a later, larger
+        # request re-solves them instead of trusting them unchecked
+        basis = _load_basis(path, n, up_to) if path is not None else None
+        if basis is None:
+            basis = _build_basis(n, up_to)
+            _save_basis(basis)
+        _bases[n] = basis
+    elif path is not None and not path.exists():
+        _save_basis(basis)
+    # a restriction in a fresh dict, so callers cannot alter the memo
+    gamma = {lam: elt for lam, elt in basis.gamma.items() if sum(lam) <= up_to}
+    return GammaBasis(n=n, up_to=up_to, gamma=gamma)
 
 
 def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
@@ -493,27 +496,25 @@ def verify_structure_constants(n: int, max_size: int) -> CheckReport:
     """
     Check, for every product with |lam| + |mu| <= max_size in S_n:
     positivity, parity, the support bound |nu| <= |lam| + |mu| (via an
-    exact reconstruction residual), and commutativity of the product.
+    exact reconstruction residual), and commutativity of the product. Both
+    orders expand exactly, so equal coordinates mean equal products.
     """
     report = CheckReport(name=f"structure-constants n={n} max_size={max_size}")
     for lam, mu in _pairs_up_to(n, max_size):
-        basis = gamma_basis(n, sum(lam) + sum(mu))
-        p1 = mul(basis.gamma[lam], basis.gamma[mu])
         report.checks += 1
-        if lam != mu:
-            p2 = mul(basis.gamma[mu], basis.gamma[lam])
-            if p1 != p2:
-                report.witnesses.append(
-                    f"gamma_{lam} gamma_{mu} != gamma_{mu} gamma_{lam} at n={n}"
-                )
         try:
-            coords = expand_in_gamma(p1, basis)
+            coords = structure_constants(lam, mu, n)
+            swapped = structure_constants(mu, lam, n)
         except BasisIncompleteError as exc:
             report.witnesses.append(
                 f"support of gamma_{lam} gamma_{mu} exceeds size {sum(lam) + sum(mu)} "
                 f"at n={n}: {exc}"
             )
             continue
+        if swapped != coords:
+            report.witnesses.append(
+                f"gamma_{lam} gamma_{mu} != gamma_{mu} gamma_{lam} at n={n}"
+            )
         report.checks += 1 + len(coords.coords)
         report.witnesses.extend(check_entry_clauses(lam, mu, coords))
     return report
@@ -571,23 +572,25 @@ def _pair_worker(args: tuple[Partition, Partition, int]) -> tuple[Partition, Par
     return lam, mu, structure_constants(lam, mu, n)
 
 
-def _worker_init(cache_dir) -> None:
+def _worker_init(cache_dir, basis: GammaBasis) -> None:
     set_cache_dir(cache_dir)
+    _bases[basis.n] = basis
 
 
 def build_struct_table(n: int, max_size: int, jobs: int = 1) -> StructTable:
     """
     All products with |lam| + |mu| <= max_size (unordered pairs of nonempty
     valid partitions). With jobs > 1 the pairs are computed in a process
-    pool; results are merged in canonical order so output is identical
-    regardless of parallelism.
+    pool seeded with the parent's basis; results are merged in canonical
+    order so output is identical regardless of parallelism.
     """
     pairs = [(lam, mu) for lam, mu in _pairs_up_to(n, max_size) if lam and mu]
+    basis = gamma_basis(n, max_size)
     results: dict[tuple[Partition, Partition], CentralCoords] = {}
     if jobs > 1 and len(pairs) > 1:
-        gamma_basis(n, max_size)  # built once in the parent; forked children share it
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_worker_init, initargs=(_disk_cache_dir,)
+            max_workers=min(jobs, len(pairs)), initializer=_worker_init,
+            initargs=(_disk_cache_dir, basis),
         ) as pool:
             for lam, mu, coords in pool.map(
                 _pair_worker, [(lam, mu, n) for lam, mu in pairs]

@@ -20,7 +20,7 @@ class ExactDivisionError(ArithmeticError):
 
 
 class SingularSystemError(Exception):
-    """A linear system was singular or rank-deficient.
+    """A linear system was inconsistent.
 
     Carries the computed rank so callers can report it.
     """

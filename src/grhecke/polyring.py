@@ -302,24 +302,8 @@ class RatPoly:
         nums, dens = data
         return cls(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = abs(c)
-            if j == 0:
-                body = str(mag)
-            else:
-                var = "x" if j == 1 else f"x^{j}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            terms.append((c < 0, body))
-        out = ("-" if terms[0][0] else "") + terms[0][1]
-        for neg, body in terms[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+    # the same rendering as IntPoly, over Fraction coefficients
+    __str__ = IntPoly.to_str
 
     def __repr__(self) -> str:
         return f"RatPoly({self.coeffs!r})"
@@ -398,20 +382,15 @@ def _echelon(mat: list[list[IntPoly]], ncols: int):
 
 
 def solve_linear(
-    A: Sequence[Sequence[IntPoly]],
-    b: Sequence[IntPoly],
-    *,
-    allow_underdetermined: bool = False,
+    A: Sequence[Sequence[IntPoly]], b: Sequence[IntPoly]
 ) -> tuple[list[IntPoly], IntPoly]:
     """
     Solve A x = b exactly, returning (y, d) with x = y / d, every y_i in
     Z[x] and d the last Bareiss pivot (the determinant of the pivot minor
-    up to sign, or 1 when the rank is 0).
+    up to sign, or 1 when the rank is 0). Free variables are set to zero.
 
     Raises SingularSystemError (carrying the rank) when the system is
-    inconsistent, or when the columns are rank deficient and
-    `allow_underdetermined` is false. With `allow_underdetermined`, free
-    variables are set to zero.
+    inconsistent.
 
     >>> one = IntPoly.const(1)
     >>> y, d = solve_linear([[one, one], [one, -one]], [IntPoly.xi(), one])
@@ -431,8 +410,6 @@ def solve_linear(
     for r in range(rank, nrows):
         if mat[r][ncols]:
             raise SingularSystemError("inconsistent linear system", rank)
-    if rank < ncols and not allow_underdetermined:
-        raise SingularSystemError("rank-deficient linear system", rank)
     d = mat[pivots[-1][0]][pivots[-1][1]] if pivots else _ONE
     # back-substitution scaled by d stays in Z[x]: by Cramer's rule on the
     # pivot minor, d * x_pc is a polynomial, so each division is exact

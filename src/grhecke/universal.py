@@ -21,11 +21,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from . import coxeter
-from .center import m_sym_in_gamma, structure_constants
+from .center import _pairs_up_to, m_sym_in_gamma, structure_constants
 from .coxeter import Partition, check_partition, fits_rank, partitions_of
 from .errors import InvalidInputError, InvariantViolationError
-from .polyring import IntPoly, NPoly, determinant, interpolate_in_n
+from .polyring import IntPoly, NPoly, RatPoly, determinant, interpolate_in_n
 
 __all__ = [
     "GradedTable", "FitResult", "OneRowMatrixReport",
@@ -94,22 +93,19 @@ def graded_table(max_grade: int) -> GradedTable:
     """
     if max_grade < 0:
         raise InvalidInputError("max_grade must be nonnegative")
-    parts = [p for p in coxeter.partitions_up_to(max_grade) if p]
-    index = {p: i for i, p in enumerate(parts)}
     entries = []
-    for lam in parts:
-        for mu in parts:
-            if index[mu] < index[lam] or sum(lam) + sum(mu) > max_grade:
-                continue
-            row = graded_product(lam, mu)
-            for nu, c in row.items():
-                if not c.is_nonnegative() or c.parity() not in ("even", "zero"):
-                    raise InvariantViolationError(
-                        f"graded constant for ({lam}, {mu}) -> {nu} is {c}, "
-                        "expected nonnegative and even in x"
-                    )
-            entries.append((lam, mu, row))
-    entries.sort(key=lambda e: (sum(e[0]) + sum(e[1]), index[e[0]], index[e[1]]))
+    # every class of size at most max_grade fits rank 2 * max_grade
+    for lam, mu in _pairs_up_to(2 * max_grade, max_grade):
+        if not (lam and mu):
+            continue
+        row = graded_product(lam, mu)
+        for nu, c in row.items():
+            if not c.is_nonnegative() or c.parity() not in ("even", "zero"):
+                raise InvariantViolationError(
+                    f"graded constant for ({lam}, {mu}) -> {nu} is {c}, "
+                    "expected nonnegative and even in x"
+                )
+        entries.append((lam, mu, row))
     return GradedTable(max_grade=max_grade, entries=entries)
 
 
@@ -279,8 +275,9 @@ def _fit_points(
     for deg in range(0, min(cap, len(samples) - 2) + 1):
         window = samples[: deg + 1]
         holdout = samples[deg + 1 :]
-        fit = _const_npoly(window[0][1]) if deg == 0 else interpolate_in_n(window)
-        if all(fit.evaluate(n) == _as_ratpoly(v) for n, v in holdout):
+        fit = (NPoly([RatPoly.from_intpoly(window[0][1])]) if deg == 0
+               else interpolate_in_n(window))
+        if all(fit.evaluate(n) == RatPoly.from_intpoly(v) for n, v in holdout):
             return FitResult(
                 lam=lam, mu=mu, nu=nu, status="validated", fit=fit,
                 degree=fit.degree if fit else 0,
@@ -293,18 +290,6 @@ def _fit_points(
         degree=-1, support=[n for n, _ in samples], validated_at=[],
         samples=samples, values_nonneg_integral=values_ok,
     )
-
-
-def _const_npoly(value: IntPoly) -> NPoly:
-    from .polyring import RatPoly
-
-    return NPoly([RatPoly.from_intpoly(value)])
-
-
-def _as_ratpoly(value: IntPoly):
-    from .polyring import RatPoly
-
-    return RatPoly.from_intpoly(value)
 
 
 def fit_structure_constant(

@@ -4,6 +4,13 @@ Golden product tables live in goldens.py together with the provenance note
 for the one corrected line.
 """
 
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from grhecke import center, coxeter, hecke
@@ -71,6 +78,10 @@ def gamma_by_central_constraints(lam, n):
 
 
 from goldens import GOLDEN
+
+
+def must_not_run(*args):
+    raise AssertionError("the basis must come from memory or disk")
 
 
 class TestGammaElements:
@@ -153,6 +164,40 @@ class TestGammaBasis:
             assert gamma_element((1,), 4) == bogus
             with pytest.raises(ConstructionError):
                 gamma_basis(4, 2)
+        finally:
+            center.clear_caches()
+
+
+class TestBasisPerRank:
+    def test_restriction_builds_and_loads_nothing(self, monkeypatch):
+        want = {lam: elt for lam, elt in gamma_basis(4, 3).gamma.items() if sum(lam) <= 2}
+        monkeypatch.setattr(center, "gamma_element", must_not_run)
+        monkeypatch.setattr(center, "_load_basis", must_not_run)
+        basis = gamma_basis(4, 2)
+        assert (basis.n, basis.up_to) == (4, 2)
+        assert basis.gamma == want
+
+    def test_restriction_is_a_fresh_dict(self):
+        center.clear_caches()  # so that level 3 is the stored level
+        try:
+            want = dict(gamma_basis(4, 3).gamma)
+            for up_to in (2, 3):
+                basis = gamma_basis(4, up_to)
+                basis.gamma.clear()
+                basis.gamma[(1,)] = unit(4)
+            assert gamma_basis(4, 3).gamma == want
+            assert gamma_basis(4, 2).gamma == {
+                k: v for k, v in want.items() if sum(k) <= 2}
+        finally:
+            center.clear_caches()
+
+    def test_worker_init_seeds_the_basis(self, monkeypatch):
+        want = gamma_basis(4, 3).gamma
+        center.clear_caches()
+        try:
+            center._worker_init(None, center.GammaBasis(4, 3, dict(want)))
+            monkeypatch.setattr(center, "gamma_element", must_not_run)
+            assert gamma_basis(4, 3).gamma == want
         finally:
             center.clear_caches()
 
@@ -339,7 +384,7 @@ class TestDiskCache:
         center.set_cache_dir(tmp_path)
         try:
             fresh = gamma_basis(4, 2)
-            path = tmp_path / "gamma_n4_upto2.json"
+            path = tmp_path / "gamma_n4_basis.json"
             assert path.exists()
             center.clear_caches()
             loaded = gamma_basis(4, 2)
@@ -360,10 +405,85 @@ class TestDiskCache:
             center.set_cache_dir(None)
             center.clear_caches()
 
+    def test_file_below_request_rebuilt_and_rewritten(self, tmp_path):
+        want = gamma_basis(4, 3).gamma
+        center.clear_caches()
+        center.set_cache_dir(tmp_path)
+        try:
+            gamma_basis(4, 2)
+            path = tmp_path / "gamma_n4_basis.json"
+            assert json.loads(path.read_text())["up_to"] == 2
+            center.clear_caches()
+            assert gamma_basis(4, 3).gamma == want
+            assert json.loads(path.read_text())["up_to"] == 3
+            assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        finally:
+            center.set_cache_dir(None)
+            center.clear_caches()
+
+    def test_file_above_request_loaded(self, tmp_path, monkeypatch):
+        want = gamma_basis(4, 3).gamma
+        center.set_cache_dir(tmp_path)
+        try:
+            gamma_basis(4, 3)
+            center.clear_caches()
+            with monkeypatch.context() as m:
+                m.setattr(center, "gamma_element", must_not_run)
+                assert gamma_basis(4, 2).gamma == {
+                    k: v for k, v in want.items() if sum(k) <= 2}
+                assert gamma_basis(4, 3).gamma == want
+        finally:
+            center.set_cache_dir(None)
+            center.clear_caches()
+
+    def test_wrong_coefficient_off_canonical_rep_rejected(self, tmp_path):
+        # (1, 2, 4, 3) is the canonical minimal transposition; (2, 1, 3, 4)
+        # is another minimal element of the same class
+        assert min_rep((1,), 4) != (2, 1, 3, 4)
+        fresh = gamma_basis(4, 2).gamma
+        center.set_cache_dir(tmp_path)
+        try:
+            gamma_basis(4, 2)
+            path = tmp_path / "gamma_n4_basis.json"
+            data = json.loads(path.read_text())
+            for entry in data["gamma"]:
+                if entry["lambda"] == [1]:
+                    for term in entry["elt"]["terms"]:
+                        if term["w"] == [2, 1, 3, 4]:
+                            term["c"] = ["2"]
+            path.write_text(json.dumps(data))
+            center.clear_caches()
+            assert gamma_basis(4, 2).gamma == fresh
+        finally:
+            center.set_cache_dir(None)
+            center.clear_caches()
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: [],
+        lambda data: {**data, "gamma": 5},
+        lambda data: {**data, "gamma": [
+            {**e, "elt": {**e["elt"], "terms": [{**t, "c": 7} for t in e["elt"]["terms"]]}}
+            for e in data["gamma"]]},
+        lambda data: {**data, "gamma": [{**e, "elt": []} for e in data["gamma"]]},
+        lambda data: {**data, "gamma": [{**e, "lambda": 1} for e in data["gamma"]]},
+    ], ids=["list", "gamma-int", "coeff-int", "elt-list", "lambda-int"])
+    def test_malformed_cache_recomputed(self, tmp_path, corrupt):
+        fresh = gamma_basis(3, 1).gamma
+        center.set_cache_dir(tmp_path)
+        try:
+            gamma_basis(3, 1)
+            path = tmp_path / "gamma_n3_basis.json"
+            path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+            center.clear_caches()
+            assert gamma_basis(3, 1).gamma == fresh
+        finally:
+            center.set_cache_dir(None)
+            center.clear_caches()
+
     def test_corrupt_cache_recomputed(self, tmp_path):
         center.set_cache_dir(tmp_path)
         try:
-            path = tmp_path / "gamma_n3_upto1.json"
+            path = tmp_path / "gamma_n3_basis.json"
             path.write_text("{not json")
             basis = gamma_basis(3, 1)
             assert basis.gamma[(1,)] == m_sym((1,), 3)
@@ -384,3 +504,51 @@ class TestStructTable:
         assert [(l, m, coords_dict(c)) for l, m, c in serial.entries] == [
             (l, m, coords_dict(c)) for l, m, c in parallel.entries
         ]
+
+    def test_pool_size_bounded_by_pairs(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(center, "ProcessPoolExecutor", SerialPool)
+        pairs = len(center.build_struct_table(4, 3).entries)
+        assert pairs == 3
+        center.build_struct_table(4, 3, jobs=64)
+        center.build_struct_table(4, 3, jobs=2)
+        assert sizes == [pairs, 2]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_parallel_matches_serial_without_fork(self, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"start method {method} is unavailable")
+        script = (
+            "import multiprocessing, sys\n"
+            "from grhecke import center\n"
+            "if __name__ == '__main__':\n"
+            "    multiprocessing.set_start_method(sys.argv[1])\n"
+            "    table = center.build_struct_table(4, 3, jobs=2)\n"
+            "    print(repr([(l, m, sorted((nu, c.coeffs) for nu, c in k.coords.items()))\n"
+            "                for l, m, k in table.entries]))\n"
+        )
+        src = str(Path(center.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        env.pop("GRHECKE_CACHE", None)
+        out = subprocess.run([sys.executable, "-c", script, method], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        serial = center.build_struct_table(4, 3, jobs=1)
+        assert out.stdout.strip() == repr([
+            (l, m, sorted((nu, c.coeffs) for nu, c in k.coords.items()))
+            for l, m, k in serial.entries])

@@ -203,6 +203,12 @@ class TestCacheFlag:
         assert code == 0 and first == second
         center.clear_caches()
 
+    def test_table_writes_one_file_per_rank(self, tmp_path):
+        code, _ = run_cli("--cache", str(tmp_path), "table", "--n", "4",
+                          "--max-size", "3", "--format", "csv")
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["gamma_n4_basis.json"]
+
     def test_cache_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
         code, _ = run_cli("gamma", "--n", "3", "--lambda", "1")
