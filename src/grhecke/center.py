@@ -19,23 +19,24 @@ common denominator d; any solution assembles to the same element, so the
 numerators are assembled and every coefficient is divided exactly by d,
 which checks that it lands back in Z[x].
 
-Each element is verified once. `gamma_element` checks what defines it:
-centrality, the class sum at x = 0, parity, and the pattern on classes of
-size at most |lam|. `gamma_basis` adds only the pattern on the larger
-classes it materializes, and `verify_gamma_characterization` re-runs both.
+Each element is verified once, by the same check whether it was solved or
+read from disk: centrality, the class sum at x = 0, parity, and the pattern
+on every class up to the level it is verified at (|lam| when solved, the
+file's level when loaded).
 
 The center is filtered: gamma_lam(n) does not depend on the level at which
 it is materialized, so the basis up to size k is a prefix of the basis up
-to size k + 1. One verified basis is kept per rank, the largest asked for,
-and smaller requests are served by restricting it. The optional disk cache
-likewise holds one file per rank, and a loaded file is checked at every
-minimal length element of every class it covers.
+to size k + 1. One verified basis per rank, the largest asked for, is the
+only store of class elements: a larger request grows it, solving only the
+classes it lacks, and a smaller one restricts it. The optional disk cache
+likewise holds one file per rank.
 
 Structure constants come from expanding a product of two class elements in
 this basis, which only requires reading coefficients at the canonical
 minimal representatives and confirming that the reconstruction residual is
-exactly zero. Each is computed on one memoized path, which the table
-builder and the verification suites share.
+exactly zero, which also proves the product central. Each is computed on
+one memoized path, which the table builder and the verification suites
+share.
 """
 
 from __future__ import annotations
@@ -149,10 +150,8 @@ class CheckReport:
         return not self.witnesses
 
 
-# process-wide memos: the elements gamma_element built and verified, and
-# the largest verified basis of each rank, whether built here or loaded
-# from the optional disk cache
-_gamma_memo: dict[tuple[Partition, int], HeckeElt] = {}
+# the one store of class elements: the largest verified basis of each rank,
+# whether solved here or loaded from the optional disk cache
 _bases: dict[int, GammaBasis] = {}
 _disk_cache_dir: Optional[Path] = None
 
@@ -165,7 +164,6 @@ def set_cache_dir(path) -> None:
 
 def clear_caches() -> None:
     """Drop the in-process memos (used when testing the disk cache)."""
-    _gamma_memo.clear()
     _bases.clear()
     _struct_memo.clear()
 
@@ -207,26 +205,22 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
     return HeckeElt._raw(n, terms)
 
 
-def _defining_witnesses(lam: Partition, n: int, elt: HeckeElt) -> tuple[list[str], int]:
+def _element_witnesses(lam: Partition, n: int, elt: HeckeElt, up_to: int) -> tuple[list[str], int]:
     """
-    The checks that define gamma_lam(n): centrality, the x=0 class sum, the
-    pattern on classes of size at most |lam|, and parity.
+    The characterization of gamma_lam(n) through size up_to: centrality, the
+    x=0 class sum, parity, and the pattern on every class of size at most
+    up_to.
     """
     witnesses = []
-    checks = 1
     if not is_central(elt):
         witnesses.append(f"gamma_{lam}(n={n}) is not central")
-    checks += 1
     expected = {w: 1 for w in coxeter.conjugacy_class(lam, n)}
     if elt.specialize_group() != expected:
         witnesses.append(f"gamma_{lam}(n={n}) does not specialize to the class sum at x=0")
-    pattern, pattern_checks = _pattern_witnesses(lam, n, elt, -1, sum(lam))
-    witnesses.extend(pattern)
-    checks += pattern_checks
-    checks += 1
     if elt and elt.homogeneous_parity() != sum(lam) % 2:
         witnesses.append(f"gamma_{lam}(n={n}) is not homogeneous of parity |lam| mod 2")
-    return witnesses, checks
+    pattern, checks = _pattern_witnesses(lam, n, elt, -1, up_to)
+    return witnesses + pattern, 3 + checks
 
 
 def _pattern_witnesses(
@@ -254,44 +248,34 @@ def _pattern_witnesses(
 
 def gamma_element(lam: Partition, n: int) -> HeckeElt:
     """
-    The class element gamma_lam(n); the zero element when the class
-    vanishes in S_n. Elements are verified on first construction.
+    The class element gamma_lam(n), solved and verified through size |lam|
+    on every call; the zero element when the class vanishes in S_n.
+    `gamma_basis` keeps the elements it solves.
     """
     lam = check_partition(lam)
     if n < 1:
         raise InvalidInputError(f"rank must be positive, got {n}")
     if not fits_rank(lam, n):
         return hecke.zero(n)
-    key = (lam, n)
-    cached = _gamma_memo.get(key)
-    if cached is not None:
-        return cached
     elt = _solve_gamma(lam, n)
-    witnesses, _ = _defining_witnesses(lam, n, elt)
+    witnesses, _ = _element_witnesses(lam, n, elt, sum(lam))
     if witnesses:
         raise ConstructionError("; ".join(witnesses))
-    _gamma_memo[key] = elt
     return elt
 
 
-def _cache_path(n: int) -> Optional[Path]:
-    if _disk_cache_dir is None:
-        return None
-    return _disk_cache_dir / f"gamma_n{n}_basis.json"
-
-
-def _load_basis(path: Path, n: int, up_to: int) -> Optional[GammaBasis]:
+def _load_basis(path: Path, n: int) -> Optional[GammaBasis]:
     """
-    The basis stored in `path` if it is well formed, covers rank n at least
-    through size up_to, and every element has the identity pattern at every
-    minimal length element of the classes it covers; None otherwise.
+    The basis of rank n stored in `path` if it is well formed and every
+    element passes the check a solved element gets, at the file's level;
+    None otherwise.
     """
     try:
         data = json.loads(path.read_text())
         if not isinstance(data, dict) or data.get("format") != 1 or data.get("n") != n:
             return None
         level = data.get("up_to")
-        if not isinstance(level, int) or level < up_to:
+        if not isinstance(level, int) or level < 0:
             return None
         gamma = {
             tuple(int(p) for p in entry["lambda"]): HeckeElt.from_json_dict(entry["elt"])
@@ -302,15 +286,12 @@ def _load_basis(path: Path, n: int, up_to: int) -> Optional[GammaBasis]:
     if set(gamma) != set(_candidate_classes(level, n)):
         return None
     for lam, elt in gamma.items():
-        if _pattern_witnesses(lam, n, elt, -1, level)[0]:
+        if _element_witnesses(lam, n, elt, level)[0]:
             return None
     return GammaBasis(n=n, up_to=level, gamma=gamma)
 
 
-def _save_basis(basis: GammaBasis) -> None:
-    path = _cache_path(basis.n)
-    if path is None:
-        return
+def _save_basis(path: Path, basis: GammaBasis) -> None:
     payload = {
         "format": 1,
         "n": basis.n,
@@ -333,37 +314,46 @@ def _save_basis(basis: GammaBasis) -> None:
         raise
 
 
-def _build_basis(n: int, up_to: int) -> GammaBasis:
-    gamma = {lam: gamma_element(lam, n) for lam in _candidate_classes(up_to, n)}
-    # gamma_element verified each element against classes of its own size;
-    # check the pattern on the larger classes materialized here
-    for lam, elt in gamma.items():
+def _grow_basis(basis: Optional[GammaBasis], n: int, up_to: int) -> GammaBasis:
+    """
+    `basis` (None for the empty one) grown through size up_to: the classes
+    it lacks are solved, and the elements it holds are checked only on the
+    new classes.
+    """
+    gamma = dict(basis.gamma) if basis is not None else {}
+    above = basis.up_to if basis is not None else -1
+    for lam in _candidate_classes(up_to, n):
+        elt = gamma.get(lam)
+        # an element loaded at a lower level can pass every check there and
+        # still not be gamma_lam: one that fails on the new classes is re-solved
+        if elt is not None and not _pattern_witnesses(lam, n, elt, above, up_to)[0]:
+            continue
+        elt = gamma_element(lam, n)
         witnesses, _ = _pattern_witnesses(lam, n, elt, sum(lam), up_to)
         if witnesses:
             raise ConstructionError("; ".join(witnesses))
+        gamma[lam] = elt
     return GammaBasis(n=n, up_to=up_to, gamma=gamma)
 
 
 def gamma_basis(n: int, up_to: int) -> GammaBasis:
     """
     Materialize the class elements for all valid lam with |lam| <= up_to,
-    asserting the full characterization for each. Below the level already
-    verified for rank n this only restricts that basis.
+    asserting the full characterization for each. Below the level stored
+    for rank n this restricts that basis; above it, the basis grows.
     """
     if n < 1 or up_to < 0:
         raise InvalidInputError(f"bad basis request n={n}, up_to={up_to}")
-    path = _cache_path(n)
+    path = _disk_cache_dir / f"gamma_n{n}_basis.json" if _disk_cache_dir is not None else None
     basis = _bases.get(n)
-    if basis is None or basis.up_to < up_to:
-        # loaded elements stay out of gamma_element's memo: a later, larger
-        # request re-solves them instead of trusting them unchecked
-        basis = _load_basis(path, n, up_to) if path is not None else None
-        if basis is None:
-            basis = _build_basis(n, up_to)
-            _save_basis(basis)
-        _bases[n] = basis
-    elif path is not None and not path.exists():
-        _save_basis(basis)
+    if basis is None and path is not None:
+        basis = _load_basis(path, n)
+    grow = basis is None or basis.up_to < up_to
+    if grow:
+        basis = _grow_basis(basis, n, up_to)
+    if path is not None and (grow or not path.exists()):
+        _save_basis(path, basis)
+    _bases[n] = basis
     # a restriction in a fresh dict, so callers cannot alter the memo
     gamma = {lam: elt for lam, elt in basis.gamma.items() if sum(lam) <= up_to}
     return GammaBasis(n=n, up_to=up_to, gamma=gamma)
@@ -371,14 +361,13 @@ def gamma_basis(n: int, up_to: int) -> GammaBasis:
 
 def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
     """
-    Expand a central element in the class-element basis by reading its
-    coefficients at the canonical minimal representatives, then verifying
-    the reconstruction is exact.
+    Expand a central element in the class-element basis of `gamma_basis` by
+    reading its coefficients at the canonical minimal representatives, then
+    verifying the reconstruction is exact, which shows h central too; the
+    centrality test only tells a non-central h from an incomplete basis.
     """
     if h.n != basis.n:
         raise InvalidInputError(f"rank mismatch: element in S_{h.n}, basis for S_{basis.n}")
-    if not is_central(h):
-        raise InvalidInputError("expand_in_gamma requires a central element")
     coords: dict[Partition, IntPoly] = {}
     residual = h
     for nu in basis.valid_partitions():
@@ -387,6 +376,8 @@ def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
             coords[nu] = c
             residual = residual - basis.gamma[nu].scale(c)
     if residual:
+        if not is_central(h):
+            raise InvalidInputError("expand_in_gamma requires a central element")
         raise BasisIncompleteError(
             f"element is not in the span of the basis through size {basis.up_to} "
             f"(residual has {len(residual)} terms)"
@@ -525,11 +516,9 @@ def verify_gamma_characterization(n: int, up_to: int) -> CheckReport:
     report = CheckReport(name=f"characterization n={n} up_to={up_to}")
     basis = gamma_basis(n, up_to)
     for lam in basis.valid_partitions():
-        elt = basis.gamma[lam]
-        for witnesses, checks in (_defining_witnesses(lam, n, elt),
-                                  _pattern_witnesses(lam, n, elt, sum(lam), up_to)):
-            report.checks += checks
-            report.witnesses.extend(witnesses)
+        witnesses, checks = _element_witnesses(lam, n, basis.gamma[lam], up_to)
+        report.checks += checks
+        report.witnesses.extend(witnesses)
     return report
 
 

@@ -46,6 +46,16 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise InvalidInputError(f"cannot parse range {text!r}, expected LO:HI")
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return integer
+
+
 def _partition_str(p: Partition) -> str:
     return ",".join(str(x) for x in p)
 
@@ -272,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations in the center of the Iwahori-Hecke "
                     "algebra of the symmetric group.",
     )
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="parallelism bound for table generation")
     parser.add_argument("--cache", default=None,
                         help=f"basis cache directory (or ${CACHE_ENV})")
@@ -283,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--out", default=None, help="write output to a file")
         # accept the global flags after the subcommand too
-        p.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
+        p.add_argument("--jobs", type=_int_at_least(1), default=argparse.SUPPRESS)
         p.add_argument("--cache", default=argparse.SUPPRESS)
         return p
 
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, help="run the verification suites")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--er", type=int, default=None,
+    p.add_argument("--er", type=_int_at_least(0), default=None,
                    help="check elementary symmetric sums up to this degree")
 
     p = add("universal", _cmd_universal, help="graded products and one-row matrices")

@@ -191,6 +191,25 @@ class TestBasisPerRank:
         finally:
             center.clear_caches()
 
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_growth_solves_only_new_classes(self, tmp_path, monkeypatch, loaded):
+        want = gamma_basis(4, 3).gamma
+        center.clear_caches()
+        center.set_cache_dir(tmp_path if loaded else None)
+        try:
+            gamma_basis(4, 2)
+            if loaded:
+                center.clear_caches()  # so that level 2 is read from the file
+            solved = []
+            solve = center._solve_gamma
+            monkeypatch.setattr(center, "_solve_gamma",
+                                lambda lam, n: solved.append(lam) or solve(lam, n))
+            assert gamma_basis(4, 3).gamma == want
+            assert solved == [(3,)]
+        finally:
+            center.set_cache_dir(None)
+            center.clear_caches()
+
     def test_worker_init_seeds_the_basis(self, monkeypatch):
         want = gamma_basis(4, 3).gamma
         center.clear_caches()
@@ -458,6 +477,58 @@ class TestDiskCache:
             center.set_cache_dir(None)
             center.clear_caches()
 
+    def test_noncentral_coefficient_off_minimal_elements_rejected(self, tmp_path):
+        # 2x^2 on a T_w of even length that is not minimal in its class leaves
+        # the pattern, the class sum at x = 0 and the parity of gamma_(2) as
+        # they were, and breaks only centrality
+        fresh = gamma_basis(4, 2).gamma
+        good = fresh[(2,)]
+        w = next(w for w, _ in good.sorted_terms() if coxeter.length(w) % 2 == 0
+                 and w not in coxeter.minimal_length_elements(
+                     coxeter.modified_cycle_type(w), 4))
+        bad = HeckeElt(4, {**good.terms, w: good.coeff(w) + IntPoly.const(2) * XI * XI})
+        assert not is_central(bad)
+        assert not center._pattern_witnesses((2,), 4, bad, -1, 3)[0]
+        assert bad.specialize_group() == good.specialize_group()
+        assert bad.homogeneous_parity() == 0
+        center.set_cache_dir(tmp_path)
+        try:
+            gamma_basis(4, 2)
+            path = tmp_path / "gamma_n4_basis.json"
+            data = json.loads(path.read_text())
+            for entry in data["gamma"]:
+                if entry["lambda"] == [2]:
+                    entry["elt"] = bad.to_json_dict()
+            path.write_text(json.dumps(data))
+            center.clear_caches()
+            assert gamma_basis(4, 2).gamma == fresh
+        finally:
+            center.set_cache_dir(None)
+            center.clear_caches()
+
+    def test_level_one_file_with_a_wrong_element_grows_exactly(self, tmp_path):
+        # gamma_(1) + x gamma_(2) passes every check through size 1, so a
+        # level-1 file holding it is accepted; growing to level 2 exposes it
+        want = gamma_basis(4, 2).gamma
+        bogus = want[(1,)] + want[(2,)].scale(XI)
+        center.clear_caches()
+        center.set_cache_dir(tmp_path)
+        try:
+            gamma_basis(4, 1)
+            path = tmp_path / "gamma_n4_basis.json"
+            data = json.loads(path.read_text())
+            assert data["up_to"] == 1
+            for entry in data["gamma"]:
+                if entry["lambda"] == [1]:
+                    entry["elt"] = bogus.to_json_dict()
+            path.write_text(json.dumps(data))
+            center.clear_caches()
+            assert gamma_basis(4, 1).gamma[(1,)] == bogus
+            assert gamma_basis(4, 2).gamma == want
+        finally:
+            center.set_cache_dir(None)
+            center.clear_caches()
+
     @pytest.mark.parametrize("corrupt", [
         lambda data: [],
         lambda data: {**data, "gamma": 5},
@@ -504,6 +575,17 @@ class TestStructTable:
         assert [(l, m, coords_dict(c)) for l, m, c in serial.entries] == [
             (l, m, coords_dict(c)) for l, m, c in parallel.entries
         ]
+
+    def test_warm_basis_table_tests_no_centrality(self, monkeypatch):
+        # an exact expansion in verified central elements proves the product
+        # central, so expanding needs no centrality test
+        gamma_basis(5, 3)
+        center._struct_memo.clear()
+        calls = []
+        monkeypatch.setattr(center, "is_central",
+                            lambda h: calls.append(h) or is_central(h))
+        assert center.build_struct_table(5, 3).entries
+        assert calls == []
 
     def test_pool_size_bounded_by_pairs(self, monkeypatch):
         sizes = []

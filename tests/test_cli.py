@@ -166,6 +166,14 @@ class TestExitCodes:
         code, _ = run_cli()
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--jobs", "0", "table", "--n", "3", "--max-size", "2"),
+        ("table", "--n", "3", "--max-size", "2", "--jobs", "-1"),
+        ("verify", "--n", "3", "--max-size", "2", "--er", "-1"),
+    ], ids=["jobs-0", "jobs-negative-after-subcommand", "er-negative"])
+    def test_out_of_range_count(self, argv):
+        assert run_cli(*argv) == (2, "")
+
     def test_unwritable_destination(self, tmp_path):
         dest = tmp_path / "no" / "such" / "dir" / "out.csv"
         code, _ = run_cli("table", "--n", "3", "--max-size", "2",
