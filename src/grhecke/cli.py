@@ -163,11 +163,8 @@ def _cmd_mult(args) -> int:
     if args.format == "pretty":
         _emit(_pretty_coords(coords), args.out)
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["lambda", "mu", "nu", "k_poly"])
-        writer.writerows(_csv_rows([(args.lam, args.mu, coords)]))
-        _emit(buf.getvalue(), args.out)
+        size = sum(args.lam) + sum(args.mu)
+        export_table(StructTable(args.n, size, [(args.lam, args.mu, coords)]), "csv", args.out)
     else:
         doc = {"format": 1, "n": args.n}
         doc.update(_coords_json_entry(args.lam, args.mu, coords))

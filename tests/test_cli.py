@@ -34,6 +34,22 @@ class TestMult:
         assert ["1", "1", "", "3"] in rows
         assert ["1", "1", "2", "3 + x^2"] in rows
 
+    def test_csv_is_the_matching_table_rows(self):
+        code, table = run_cli("table", "--n", "5", "--max-size", "4", "--format", "csv")
+        assert code == 0
+        header, *rows = table.splitlines()
+        for lam, mu in [("1", "1"), ("1", "2"), ("1", "1,1"), ("2", "2"), ("1", "2,1")]:
+            code, out = run_cli("mult", "--n", "5", "--lambda", lam, "--mu", mu,
+                                "--format", "csv")
+            assert code == 0
+            want = [r for r in rows if next(csv.reader([r]))[:2] == [lam, mu]]
+            assert want, (lam, mu)
+            assert out.splitlines() == [header] + want
+        # the class of (2,1,1) is empty in S_5, so the product vanishes
+        code, out = run_cli("mult", "--n", "5", "--lambda", "2,1,1", "--mu", "1",
+                            "--format", "csv")
+        assert code == 0 and out == header + "\n"
+
     def test_vanishing_class_prints_zero(self):
         code, out = run_cli("mult", "--n", "3", "--lambda", "2,1,1", "--mu", "1",
                             "--format", "pretty")

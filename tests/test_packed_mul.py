@@ -1,0 +1,104 @@
+"""`hecke.mul` on packed coefficients against the IntPoly fold it replaced."""
+
+from itertools import permutations
+from math import factorial
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import intpoly_fold
+from grhecke import center, hecke
+from grhecke.coxeter import identity, right_gen
+from grhecke.hecke import HeckeElt, jucys_murphy, mul, t_basis, unit
+from grhecke.polyring import IntPoly
+
+XI = IntPoly.xi()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_gamma_products_match_oracle(n):
+    gamma = center.gamma_basis(n, 4).gamma
+    pairs = [(lam, mu) for lam in gamma for mu in gamma if sum(lam) + sum(mu) <= 4]
+    for lam, mu in pairs:
+        a, b = gamma[lam], gamma[mu]
+        assert mul(a, b) == intpoly_fold.mul(a, b), (lam, mu, n)
+
+
+@st.composite
+def element_pairs(draw):
+    n = draw(st.integers(1, 5))
+    perms = list(permutations(range(1, n + 1)))
+    coeffs = st.lists(st.integers(-(2 ** 100), 2 ** 100), max_size=4).map(IntPoly)
+
+    def element():
+        ws = draw(st.lists(st.sampled_from(perms), max_size=8, unique=True))
+        return HeckeElt(n, {w: draw(coeffs) for w in ws})
+
+    return element(), element()
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+def test_random_products_match_oracle(pair):
+    a, b = pair
+    assert mul(a, b) == intpoly_fold.mul(a, b)
+    assert mul(b, a) == intpoly_fold.mul(b, a)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_cancellation_leaves_exactly_the_unit(n):
+    for i in range(1, n):
+        s = t_basis(right_gen(identity(n), i))
+        h = s - unit(n).scale(XI)  # T_s - x, the inverse of T_s
+        for got in (mul(h, s), mul(s, h)):
+            assert got == unit(n)
+            assert dict(got.terms) == {identity(n): IntPoly.const(1)}
+
+
+def test_mixed_signs_beyond_64_bits():
+    big = 2 ** 70
+    a = HeckeElt(4, {
+        (2, 1, 3, 4): IntPoly((big, -3 * big, 0, 5)),
+        (1, 3, 2, 4): IntPoly((-big + 1, 0, big)),
+        (2, 3, 4, 1): IntPoly((7, -big)),
+    })
+    b = HeckeElt(4, {
+        (2, 1, 3, 4): IntPoly((2 ** 63, -(2 ** 66))),
+        (3, 2, 1, 4): IntPoly((-5, 0, 2 ** 65)),
+        (1, 2, 4, 3): IntPoly((1, 1)),
+    })
+    want = intpoly_fold.mul(a, b)
+    coeffs = [c for poly in want.terms.values() for c in poly.coeffs]
+    assert max(map(abs, coeffs)) >= 2 ** 64
+    assert min(coeffs) < 0 < max(coeffs)
+    assert mul(a, b) == want
+    assert mul(b, a) == intpoly_fold.mul(b, a)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_indices_are_lexicographic(n):
+    places = tuple(factorial(j) for j in range(n - 1, -1, -1))
+    for k, w in enumerate(permutations(range(1, n + 1))):
+        assert hecke._perm_index(w) == k
+        assert hecke._index_perm(k, places) == w
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_step_rows_follow_right_multiplication(n):
+    perms = list(permutations(range(1, n + 1)))
+    rows = hecke._step_rows(n)
+    for i in range(1, n):
+        computed = hecke._StepRow(n, i)
+        for k, w in enumerate(perms):
+            target = perms.index(right_gen(w, i))
+            want = ~target if w[i - 1] > w[i] else target
+            assert rows[i][k] == computed[k] == want, (w, i)
+
+
+def test_large_rank_steps_without_a_table():
+    n = hecke._DENSE_MAX_RANK + 1
+    assert all(isinstance(row, hecke._StepRow) for row in hecke._step_rows(n)[1:])
+    a = jucys_murphy(n, n).scale(IntPoly((3, -1)))
+    b = jucys_murphy(n - 1, n) + t_basis(right_gen(identity(n), 2))
+    assert mul(a, b) == intpoly_fold.mul(a, b)
+    assert mul(b, a) == intpoly_fold.mul(b, a)
