@@ -188,10 +188,7 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
         raise ConstructionError(
             f"characterization system for gamma_{lam}(n={n}) is unsolvable: {exc}"
         ) from exc
-    num = hecke.zero(n)
-    for mu, c in zip(candidates, y):
-        if c:
-            num = num + msyms[mu].scale(c)
+    num = hecke.linear_combination(n, [(c, msyms[mu]) for mu, c in zip(candidates, y)])
     if d == _ONE:
         return num
     terms = {}
@@ -369,12 +366,13 @@ def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
     if h.n != basis.n:
         raise InvalidInputError(f"rank mismatch: element in S_{h.n}, basis for S_{basis.n}")
     coords: dict[Partition, IntPoly] = {}
-    residual = h
     for nu in basis.valid_partitions():
         c = h.coeff(min_rep(nu, basis.n))
         if c:
             coords[nu] = c
-            residual = residual - basis.gamma[nu].scale(c)
+    residual = hecke.linear_combination(
+        h.n, [(_ONE, h)] + [(-c, basis.gamma[nu]) for nu, c in coords.items()]
+    )
     if residual:
         if not is_central(h):
             raise InvalidInputError("expand_in_gamma requires a central element")
@@ -391,6 +389,8 @@ def structure_constants(lam: Partition, mu: Partition, n: int) -> CentralCoords:
     Empty when either factor vanishes in S_n.
     """
     lam, mu = check_partition(lam), check_partition(mu)
+    if n < 1:
+        raise InvalidInputError(f"rank must be positive, got {n}")
     if not fits_rank(lam, n) or not fits_rank(mu, n):
         return CentralCoords(n=n, coords={})
     key = (lam, mu, n)
@@ -545,10 +545,8 @@ def verify_elementary_sums(n: int, r_max: int) -> CheckReport:
     for r in range(1, r_max + 1):
         report.checks += 1
         lhs = hecke.e_sym(r, n)
-        rhs = hecke.zero(n)
-        for lam in coxeter.partitions_of(r):
-            if fits_rank(lam, n):
-                rhs = rhs + basis.gamma[lam]
+        size_r = [lam for lam in coxeter.partitions_of(r) if fits_rank(lam, n)]
+        rhs = hecke.linear_combination(n, [(_ONE, basis.gamma[lam]) for lam in size_r])
         if lhs != rhs:
             report.witnesses.append(
                 f"e_{r} differs from the sum of size-{r} class elements at n={n}"

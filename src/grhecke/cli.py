@@ -180,6 +180,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     r_max = args.er if args.er is not None else min(args.max_size, args.n - 1)
+    if r_max >= args.n:
+        raise InvalidInputError(f"--er must be below n, got {r_max} for n={args.n}")
     ok = True
     ok &= _print_report(center.verify_structure_constants(args.n, args.max_size))
     ok &= _print_report(center.verify_gamma_characterization(args.n, args.max_size))

@@ -23,6 +23,11 @@ coefficients of T_u T_v are nonnegative and sum to at most 2^l(v), so no
 coefficient of a product exceeds |left|_1 * sum_v |b_v|_1 2^l(v), and
 balanced base-2^B digits read every coefficient back exactly.
 
+Sums run packed too: `linear_combination` forms every sum, difference and
+scaling, sum_i c_i h_i with c_i in Z[x], in one pass, its width bounding
+each coefficient of it and of its partial sums by sum_i |c_i|_1 max_w |h_i[w]|_1.
+Generator steps stay on `IntPoly`: relabel the terms, add x T_w on descents.
+
 Jucys-Murphy elements L_i (L_1 = 0, L_i = sum of T over transpositions
 (k, i) with k < i) commute pairwise; symmetric polynomials in them are
 central, which is what the center construction builds on.
@@ -34,7 +39,7 @@ from array import array
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import coxeter
 from .coxeter import Partition, Perm, check_partition, length, reduced_word
@@ -43,11 +48,12 @@ from .polyring import IntPoly
 
 __all__ = [
     "HeckeElt", "zero", "unit", "t_basis", "mul_gen_right", "mul_gen_left",
-    "mul", "jucys_murphy", "m_sym", "e_sym", "is_central",
+    "mul", "linear_combination", "jucys_murphy", "m_sym", "e_sym", "is_central",
     "specialize_group", "group_mul",
 ]
 
 _ONE = IntPoly.const(1)
+_MINUS_ONE = IntPoly.const(-1)
 
 
 class HeckeElt:
@@ -99,38 +105,16 @@ class HeckeElt:
         return self.terms.get(w, IntPoly())
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
-        if self.n != other.n:
-            raise InvalidInputError("rank mismatch in addition")
-        out = self.terms.copy()
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            s = c if prev is None else prev + c
-            if s:
-                out[w] = s
-            elif prev is not None:
-                del out[w]
-        return HeckeElt._raw(self.n, out)
+        return linear_combination(self.n, [(_ONE, self), (_ONE, other)])
 
     def __sub__(self, other: "HeckeElt") -> "HeckeElt":
-        if self.n != other.n:
-            raise InvalidInputError("rank mismatch in subtraction")
-        out = self.terms.copy()
-        for w, c in other.terms.items():
-            prev = out.get(w)
-            s = -c if prev is None else prev - c
-            if s:
-                out[w] = s
-            elif prev is not None:
-                del out[w]
-        return HeckeElt._raw(self.n, out)
+        return linear_combination(self.n, [(_ONE, self), (_MINUS_ONE, other)])
 
     def scale(self, c) -> "HeckeElt":
         """Multiply by a scalar in Z[x] (or an int)."""
         if isinstance(c, int):
             c = IntPoly.const(c)
-        if not c:
-            return HeckeElt._raw(self.n, {})
-        return HeckeElt._raw(self.n, {w: c * v for w, v in self.terms.items()})
+        return linear_combination(self.n, [(c, self)])
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
         return mul(self, other)
@@ -139,47 +123,34 @@ class HeckeElt:
         """Multiply by T_i on the right."""
         if not 1 <= i <= self.n - 1:
             raise InvalidInputError(f"generator index {i} out of range for n={self.n}")
-        out: dict[Perm, IntPoly] = {}
-        for w, c in self.terms.items():
-            ws = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-            prev = out.get(ws)
-            s = c if prev is None else prev + c
-            if s:
-                out[ws] = s
-            elif prev is not None:
-                del out[ws]
-            if w[i - 1] > w[i]:
-                xc = c.shift(1)
-                prev = out.get(w)
-                s = xc if prev is None else prev + xc
-                if s:
-                    out[w] = s
-                elif prev is not None:
-                    del out[w]
-        return HeckeElt._raw(self.n, out)
+        moved = {w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]: c for w, c in self.terms.items()}
+        return self._plus_x_on(moved, [w for w in self.terms if w[i - 1] > w[i]])
 
     def left_gen(self, i: int) -> "HeckeElt":
         """Multiply by T_i on the left."""
         if not 1 <= i <= self.n - 1:
             raise InvalidInputError(f"generator index {i} out of range for n={self.n}")
-        out: dict[Perm, IntPoly] = {}
-        for w, c in self.terms.items():
-            sw = tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
-            prev = out.get(sw)
-            s = c if prev is None else prev + c
+        moved = {
+            tuple(i + 1 if a == i else i if a == i + 1 else a for a in w): c
+            for w, c in self.terms.items()
+        }
+        return self._plus_x_on(moved, [w for w in self.terms if w.index(i) > w.index(i + 1)])
+
+    def _plus_x_on(self, moved: dict[Perm, IntPoly], descents: list[Perm]) -> "HeckeElt":
+        """
+        A product with T_i in its two parts: T_w T_i is T_{w s_i}, plus x T_w
+        when i is a descent of w, and likewise on the left. `moved` holds the
+        terms relabeled by the bijection w -> w s_i; x T_w is added here.
+        """
+        for w in descents:
+            xc = self.terms[w].shift(1)
+            prev = moved.get(w)
+            s = xc if prev is None else prev + xc
             if s:
-                out[sw] = s
-            elif prev is not None:
-                del out[sw]
-            if w.index(i) > w.index(i + 1):
-                xc = c.shift(1)
-                prev = out.get(w)
-                s = xc if prev is None else prev + xc
-                if s:
-                    out[w] = s
-                elif prev is not None:
-                    del out[w]
-        return HeckeElt._raw(self.n, out)
+                moved[w] = s
+            else:
+                del moved[w]
+        return HeckeElt._raw(self.n, moved)
 
     def transpose(self) -> "HeckeElt":
         """The anti-automorphism T_w -> T_{w^{-1}}."""
@@ -331,6 +302,65 @@ def _l1(c: IntPoly) -> int:
     return sum(map(abs, c.coeffs))
 
 
+def _pack(c: IntPoly, width: int) -> int:
+    """c evaluated at x = 2^width."""
+    v = 0
+    for a in reversed(c.coeffs):
+        v = (v << width) + a
+    return v
+
+
+def _unpack(v: int, width: int) -> IntPoly:
+    """
+    The balanced base-2^width digits of v: the inverse of `_pack` on
+    polynomials whose coefficients lie strictly inside ±2^(width-1).
+    """
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    digits = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        digits.append(d)
+        v = (v - d) >> width
+    return IntPoly._raw(tuple(digits))
+
+
+def linear_combination(n: int, summands: Iterable[tuple[IntPoly, HeckeElt]]) -> HeckeElt:
+    """
+    The sum of c * h over the pairs (c, h) of `summands`, each c in Z[x]
+    and each h in H_n, formed in one pass on coefficients packed at
+    x = 2^B; every sum, difference and scaling of Hecke elements is one.
+
+    As for products, evaluation at 2^B is a ring homomorphism, so only the
+    unpacking needs a bound. The coefficient of x^j in c * h[w] is at most
+    |c|_1 |h[w]|_1 in absolute value, so no coefficient of the result, nor
+    of any partial sum, exceeds M = sum_i |c_i|_1 max_w |h_i[w]|_1.
+
+    >>> s, one = t_basis((2, 1)), IntPoly.const(1)
+    >>> inverse = linear_combination(2, [(one, s), (-IntPoly.xi(), unit(2))])
+    >>> linear_combination(2, [(one, mul(inverse, s)), (-one, unit(2))]).terms
+    mappingproxy({})
+    """
+    summands = list(summands)
+    bound = 0
+    for c, h in summands:
+        if h.n != n:
+            raise InvalidInputError(f"rank mismatch: element of H_{h.n} in a sum in H_{n}")
+        if c and h.terms:
+            bound += _l1(c) * max(map(_l1, h.terms.values()))
+    width = bound.bit_length() + 2
+    acc: dict[Perm, int] = {}
+    get = acc.get
+    for c, h in summands:
+        if c:
+            pc = _pack(c, width)
+            for w, v in h.terms.items():
+                acc[w] = get(w, 0) + _pack(v, width) * pc
+    return HeckeElt._raw(n, {w: _unpack(v, width) for w, v in acc.items() if v})
+
+
 def _fold_right(left: HeckeElt, right: HeckeElt) -> HeckeElt:
     """
     left * right, expanding right along canonical reduced words, on
@@ -363,16 +393,10 @@ def _fold_right(left: HeckeElt, right: HeckeElt) -> HeckeElt:
     rows = _step_rows(n)
     acc: dict[int, int] = {}
 
-    def pack(c: IntPoly) -> int:
-        v = 0
-        for a in reversed(c.coeffs):
-            v = (v << width) + a
-        return v
-
     def visit(node: dict, vec: dict[int, int]) -> None:
         c = node.get(0)
         if c is not None:
-            c = pack(c)
+            c = _pack(c, width)
             get = acc.get
             for k, v in vec.items():
                 acc[k] = get(k, 0) + v * c
@@ -397,24 +421,14 @@ def _fold_right(left: HeckeElt, right: HeckeElt) -> HeckeElt:
                     out[j] = v
             visit(child, out)
 
-    visit(root, {_perm_index(w): pack(c) for w, c in left.terms.items()})
-    # unpack in balanced base-2^B digits, draining acc as the terms fill
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
+    visit(root, {_perm_index(w): _pack(c, width) for w, c in left.terms.items()})
+    # unpack, draining acc as the terms fill
     places = tuple(factorial(j) for j in range(n - 1, -1, -1))
     terms: dict[Perm, IntPoly] = {}
     while acc:
         k, v = acc.popitem()
-        if not v:
-            continue
-        digits = []
-        while v:
-            d = v & mask
-            if d >= half:
-                d -= mask + 1
-            digits.append(d)
-            v = (v - d) >> width
-        terms[_index_perm(k, places)] = IntPoly._raw(tuple(digits))
+        if v:
+            terms[_index_perm(k, places)] = _unpack(v, width)
     return HeckeElt._raw(n, terms)
 
 
@@ -437,12 +451,9 @@ def jucys_murphy(i: int, n: int) -> HeckeElt:
     """L_i: zero for i = 1, else the sum of T over transpositions (k, i)."""
     if not 1 <= i <= n:
         raise InvalidInputError(f"Jucys-Murphy index {i} out of range for n={n}")
-    if i == 1:
-        return zero(n)
-    out = zero(n)
-    for k in range(1, i):
-        out = out + t_basis(coxeter.transposition(n, k, i))
-    return out
+    return linear_combination(
+        n, [(_ONE, t_basis(coxeter.transposition(n, k, i))) for k in range(1, i)]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -485,14 +496,14 @@ def m_sym(lam: Partition, n: int) -> HeckeElt:
     from collections import Counter
 
     counts = sorted(Counter(lam).items(), reverse=True)
-    acc = zero(n)
+    monomials = []
     # position 1 is skipped outright: any monomial touching L_1 vanishes
     for assign in _assignments(counts, tuple(range(2, n + 1))):
         term = unit(n)
         for pos in sorted(assign):
             term = mul(term, _jm_power(pos, assign[pos], n))
-        acc = acc + term
-    return acc
+        monomials.append((_ONE, term))
+    return linear_combination(n, monomials)
 
 
 def e_sym(r: int, n: int) -> HeckeElt:

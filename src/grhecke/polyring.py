@@ -126,18 +126,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "IntPoly":
-        if e < 0:
-            raise InvalidInputError("negative power")
-        out = _ONE
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def shift(self, k: int) -> "IntPoly":
         """Multiply by x**k."""
         if not self.coeffs:

@@ -1,13 +1,60 @@
 """
-The product of Hecke elements on `IntPoly` coefficients, kept as the
-oracle for `hecke.mul`: every generator step goes through
-`HeckeElt.right_gen` and every coefficient through `IntPoly` arithmetic,
-with no packing of coefficients and no permutation indices.
+Sums, scalings and products of Hecke elements on `IntPoly` coefficients,
+kept as the oracle for `hecke.linear_combination` and `hecke.mul`: every
+coefficient goes through `IntPoly` arithmetic term by term, with no
+packing of coefficients and no permutation indices, and every generator
+step of a product through `HeckeElt.right_gen`.
 """
 
 from grhecke.coxeter import reduced_word
 from grhecke.errors import InvalidInputError
 from grhecke.hecke import HeckeElt, _letter_cost, zero
+from grhecke.polyring import IntPoly
+
+
+def add(self: HeckeElt, other: HeckeElt) -> HeckeElt:
+    if self.n != other.n:
+        raise InvalidInputError("rank mismatch in addition")
+    out = self.terms.copy()
+    for w, c in other.terms.items():
+        prev = out.get(w)
+        s = c if prev is None else prev + c
+        if s:
+            out[w] = s
+        elif prev is not None:
+            del out[w]
+    return HeckeElt._raw(self.n, out)
+
+
+def sub(self: HeckeElt, other: HeckeElt) -> HeckeElt:
+    if self.n != other.n:
+        raise InvalidInputError("rank mismatch in subtraction")
+    out = self.terms.copy()
+    for w, c in other.terms.items():
+        prev = out.get(w)
+        s = -c if prev is None else prev - c
+        if s:
+            out[w] = s
+        elif prev is not None:
+            del out[w]
+    return HeckeElt._raw(self.n, out)
+
+
+def scale(self: HeckeElt, c) -> HeckeElt:
+    """Multiply by a scalar in Z[x] (or an int)."""
+    if isinstance(c, int):
+        c = IntPoly.const(c)
+    if not c:
+        return HeckeElt._raw(self.n, {})
+    return HeckeElt._raw(self.n, {w: c * v for w, v in self.terms.items()})
+
+
+def linear_combination(n: int, summands) -> HeckeElt:
+    """The sum of c * h over the pairs (c, h), one summand at a time."""
+    out = zero(n)
+    for c, h in summands:
+        out = add(out, scale(h, c))
+    return out
 
 
 def _fold_right(left: HeckeElt, right: HeckeElt) -> HeckeElt:

@@ -186,7 +186,11 @@ class TestExitCodes:
         ("--jobs", "0", "table", "--n", "3", "--max-size", "2"),
         ("table", "--n", "3", "--max-size", "2", "--jobs", "-1"),
         ("verify", "--n", "3", "--max-size", "2", "--er", "-1"),
-    ], ids=["jobs-0", "jobs-negative-after-subcommand", "er-negative"])
+        ("verify", "--n", "4", "--max-size", "2", "--er", "4"),
+        ("mult", "--n", "0", "--lambda", "1", "--mu", "1"),
+        ("mult", "--n", "-2", "--lambda", "1", "--mu", "1"),
+    ], ids=["jobs-0", "jobs-negative-after-subcommand", "er-negative", "er-at-rank",
+            "mult-rank-0", "mult-rank-negative"])
     def test_out_of_range_count(self, argv):
         assert run_cli(*argv) == (2, "")
 

@@ -1,6 +1,6 @@
 import doctest
 
-from grhecke import coxeter, polyring
+from grhecke import coxeter, hecke, polyring
 
 
 def test_coxeter_doctests():
@@ -10,4 +10,9 @@ def test_coxeter_doctests():
 
 def test_polyring_doctests():
     failed, attempted = doctest.testmod(polyring)
+    assert attempted and not failed
+
+
+def test_hecke_doctests():
+    failed, attempted = doctest.testmod(hecke)
     assert attempted and not failed

@@ -60,10 +60,6 @@ class TestArithmetic:
         assert (2 * p).coeffs == (6, 0, 2)
         assert (p * 0) == ZERO
 
-    def test_power(self):
-        assert (IntPoly((1, 1)) ** 3).coeffs == (1, 3, 3, 1)
-        assert (XI ** 0) == ONE
-
 
 class TestSpecializeZero:
     def test_constant_term(self):
