@@ -179,6 +179,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n < 1:
+        raise InvalidInputError(f"--n must be at least 1, got {args.n}")
     r_max = args.er if args.er is not None else min(args.max_size, args.n - 1)
     if r_max >= args.n:
         raise InvalidInputError(f"--er must be below n, got {r_max} for n={args.n}")

@@ -30,7 +30,11 @@ Generator steps stay on `IntPoly`: relabel the terms, add x T_w on descents.
 
 Jucys-Murphy elements L_i (L_1 = 0, L_i = sum of T over transpositions
 (k, i) with k < i) commute pairwise; symmetric polynomials in them are
-central, which is what the center construction builds on.
+central, which is what the center construction builds on. The monomial
+symmetric m_lam(L_2, ..., L_k) is built by one recurrence on the last
+variable: it is 1 for lam = (), 0 when lam has k or more parts, and
+otherwise m_lam(L_2, ..., L_{k-1}) + sum over the distinct parts p of lam
+of m_{lam - p}(L_2, ..., L_{k-1}) L_k^p.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from array import array
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from . import coxeter
 from .coxeter import Partition, Perm, check_partition, length, reduced_word
@@ -463,47 +467,31 @@ def _jm_power(i: int, e: int, n: int) -> HeckeElt:
     return mul(_jm_power(i, e - 1, n), jucys_murphy(i, n))
 
 
-def _assignments(
-    values: list[tuple[int, int]], positions: tuple[int, ...]
-) -> Iterator[dict[int, int]]:
-    """All ways to give each exponent value its multiplicity of positions."""
-    if not values:
-        yield {}
-        return
-    from itertools import combinations
-
-    val, count = values[0]
-    for chosen in combinations(positions, count):
-        remaining = tuple(p for p in positions if p not in chosen)
-        for rest in _assignments(values[1:], remaining):
-            out = {p: val for p in chosen}
-            out.update(rest)
-            yield out
-
-
 @lru_cache(maxsize=None)
+def _m_sym_upto(lam: Partition, k: int, n: int) -> HeckeElt:
+    """m_lam(L_2, ..., L_k) in H_n, by the recurrence on L_k."""
+    if not lam:
+        return unit(n)
+    if len(lam) >= k:
+        return zero(n)
+    summands = [(_ONE, _m_sym_upto(lam, k - 1, n))]
+    for p in sorted(set(lam)):
+        i = lam.index(p)
+        rest = _m_sym_upto(lam[:i] + lam[i + 1 :], k - 1, n)
+        summands.append((_ONE, mul(rest, _jm_power(k, p, n))))
+    return linear_combination(n, summands)
+
+
 def m_sym(lam: Partition, n: int) -> HeckeElt:
     """
     The monomial symmetric polynomial m_lam evaluated at the Jucys-Murphy
     elements L_1, ..., L_n. Vanishes when lam has more parts than can avoid
     L_1 = 0; the empty partition gives the unit.
-    """
-    lam = check_partition(lam)
-    if len(lam) > n:
-        return zero(n)
-    if not lam:
-        return unit(n)
-    from collections import Counter
 
-    counts = sorted(Counter(lam).items(), reverse=True)
-    monomials = []
-    # position 1 is skipped outright: any monomial touching L_1 vanishes
-    for assign in _assignments(counts, tuple(range(2, n + 1))):
-        term = unit(n)
-        for pos in sorted(assign):
-            term = mul(term, _jm_power(pos, assign[pos], n))
-        monomials.append((_ONE, term))
-    return linear_combination(n, monomials)
+    >>> m_sym((1, 1), 3) == mul(jucys_murphy(2, 3), jucys_murphy(3, 3))
+    True
+    """
+    return _m_sym_upto(check_partition(lam), n, n)
 
 
 def e_sym(r: int, n: int) -> HeckeElt:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Iterable, Optional
 
 from .center import _pairs_up_to, m_sym_in_gamma, structure_constants
 from .coxeter import Partition, check_partition, fits_rank, partitions_of
@@ -109,12 +109,13 @@ def graded_table(max_grade: int) -> GradedTable:
     return GradedTable(max_grade=max_grade, entries=entries)
 
 
-def _graded_multiply(
-    state: dict[Partition, IntPoly], mu: Partition
+def _weighted_rows(
+    pairs: Iterable[tuple[IntPoly, dict[Partition, IntPoly]]]
 ) -> dict[Partition, IntPoly]:
+    """The sum of c * row over the pairs (c, row) of graded rows, zeros dropped."""
     out: dict[Partition, IntPoly] = {}
-    for sigma, c in state.items():
-        for nu, k in graded_product(sigma, mu).items():
+    for c, row in pairs:
+        for nu, k in row.items():
             prev = out.get(nu)
             add = c * k
             out[nu] = add if prev is None else prev + add
@@ -184,7 +185,9 @@ def one_row_product_matrix(k: int) -> OneRowMatrixReport:
     for lam in order:
         state: dict[Partition, IntPoly] = {(lam[0],): IntPoly.const(1)}
         for part in lam[1:]:
-            state = _graded_multiply(state, (part,))
+            state = _weighted_rows(
+                (c, graded_product(sigma, (part,))) for sigma, c in state.items()
+            )
         rows.append([state.get(nu, IntPoly()) for nu in order])
     det = determinant(rows)
     if not det:
@@ -223,15 +226,12 @@ def one_row_product_matrix(k: int) -> OneRowMatrixReport:
 
 def check_graded_associativity(lam: Partition, mu: Partition, nu: Partition) -> bool:
     """(gamma_lam gamma_mu) gamma_nu == gamma_lam (gamma_mu gamma_nu) in the graded algebra."""
-    left = _graded_multiply(graded_product(lam, mu), nu)
-    right_inner = graded_product(mu, nu)
-    right: dict[Partition, IntPoly] = {}
-    for sigma, c in right_inner.items():
-        for tau, k in graded_product(lam, sigma).items():
-            prev = right.get(tau)
-            add = c * k
-            right[tau] = add if prev is None else prev + add
-    right = {t: c for t, c in right.items() if c}
+    left = _weighted_rows(
+        (c, graded_product(sigma, nu)) for sigma, c in graded_product(lam, mu).items()
+    )
+    right = _weighted_rows(
+        (c, graded_product(lam, sigma)) for sigma, c in graded_product(mu, nu).items()
+    )
     return left == right
 
 

@@ -187,10 +187,12 @@ class TestExitCodes:
         ("table", "--n", "3", "--max-size", "2", "--jobs", "-1"),
         ("verify", "--n", "3", "--max-size", "2", "--er", "-1"),
         ("verify", "--n", "4", "--max-size", "2", "--er", "4"),
+        ("verify", "--n", "0", "--max-size", "1"),
+        ("verify", "--n", "-1", "--max-size", "1"),
         ("mult", "--n", "0", "--lambda", "1", "--mu", "1"),
         ("mult", "--n", "-2", "--lambda", "1", "--mu", "1"),
     ], ids=["jobs-0", "jobs-negative-after-subcommand", "er-negative", "er-at-rank",
-            "mult-rank-0", "mult-rank-negative"])
+            "verify-rank-0", "verify-rank-negative", "mult-rank-0", "mult-rank-negative"])
     def test_out_of_range_count(self, argv):
         assert run_cli(*argv) == (2, "")
 
