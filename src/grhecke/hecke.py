@@ -17,16 +17,31 @@ always happen on the lighter side.
 The expansion runs on Python integers (Kronecker substitution). Each
 coefficient is packed once as its value at x = 2^B, so sums, shifts by x
 and products of coefficients become single integer operations, and each
-permutation as its index in lexicographic order, stepped by s_i through a
-table built once per rank. The width B comes from a proven bound: the
-coefficients of T_u T_v are nonnegative and sum to at most 2^l(v), so no
-coefficient of a product exceeds |left|_1 * sum_v |b_v|_1 2^l(v), and
-balanced base-2^B digits read every coefficient back exactly.
+permutation as its index in lexicographic order. Three tables per rank,
+built on first use, turn permutations into table lookups: s_i steps every
+index, the permutations themselves in lexicographic order (unpacking is a
+lookup, and the unpacked terms share the table's tuples), and the index of
+each inverse (the transpose T_w -> T_{w^{-1}} is a relabeling of indices,
+and the reduced words of w^{-1} are those of w reversed). The width B comes
+from a proven bound: the coefficients of T_u T_v are nonnegative and sum
+to at most 2^l(v), so no coefficient of a product exceeds
+|left|_1 * sum_v |b_v|_1 2^l(v), and balanced base-2^B digits read every
+coefficient back exactly.
 
 Sums run packed too: `linear_combination` forms every sum, difference and
 scaling, sum_i c_i h_i with c_i in Z[x], in one pass, its width bounding
 each coefficient of it and of its partial sums by sum_i |c_i|_1 max_w |h_i[w]|_1.
-Generator steps stay on `IntPoly`: relabel the terms, add x T_w on descents.
+`HeckeElt.right_gen`/`left_gen` stay on `IntPoly`: relabel the terms, add
+x T_w on descents.
+
+Centrality runs packed as well: `is_central` packs h once and compares
+h T_i with T_i h = (h^t T_i)^t for each i, h^t being h read through the
+inverse table. With M = max_w |h[w]|_1, the coefficient of T_w in h T_i is
+h[w s_i], plus x h[w] on a descent, so each of its integer coefficients is
+at most 2M in absolute value, and likewise for T_i h. Their difference r
+then has every coefficient within 4M < 2^B for B = (2M).bit_length() + 2,
+and a nonzero such r has r(2^B) != 0: its lowest nonzero coefficient is not
+divisible by 2^B. So the packed values are equal exactly when h T_i = T_i h.
 
 Jucys-Murphy elements L_i (L_1 = 0, L_i = sum of T over transpositions
 (k, i) with k < i) commute pairwise; symmetric polynomials in them are
@@ -41,6 +56,7 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
+from itertools import permutations
 from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -72,8 +88,8 @@ class HeckeElt:
     def __init__(self, n: int, terms: Mapping[Perm, IntPoly] = ()):
         clean: dict[Perm, IntPoly] = {}
         for w, c in dict(terms).items():
-            if len(w) != n:
-                raise InvalidInputError(f"term {w} does not live in S_{n}")
+            if len(w) != n or not coxeter.is_permutation(w):
+                raise InvalidInputError(f"term {w} is not a permutation in S_{n}")
             if c:
                 clean[w] = c
         object.__setattr__(self, "n", n)
@@ -201,14 +217,15 @@ class HeckeElt:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HeckeElt":
+        """
+        The inverse of `to_json_dict`. The constructor checks the terms;
+        they are then keyed by the rank's shared permutation tuples, as the
+        terms of every product are.
+        """
         n = int(data["n"])
-        terms = {}
-        for t in data["terms"]:
-            w = tuple(int(x) for x in t["w"])
-            if not coxeter.is_permutation(w) or len(w) != n:
-                raise InvalidInputError(f"bad permutation in serialized element: {t['w']}")
-            terms[w] = IntPoly.from_json(t["c"])
-        return cls(n, terms)
+        h = cls(n, {tuple(map(int, t["w"])): IntPoly.from_json(t["c"]) for t in data["terms"]})
+        perms = _perm_tables(n)[0]
+        return cls._raw(n, {perms[_perm_index(w)]: c for w, c in h.terms.items()})
 
     def __repr__(self) -> str:
         parts = [f"({c!s})*T{list(w)}" for w, c in self.sorted_terms()]
@@ -248,8 +265,11 @@ def _letter_cost(h: HeckeElt) -> int:
 # the factorial-base number of their Lehmer code L (L[j] counts the k > j
 # with w[k] < w[j]). Right multiplication by s_i changes only the digits
 # (a, c) = (L[i-1], L[i]); i is a right descent exactly when a > c, and
-# then w s_i has digits (c, a - 1), otherwise (c + 1, a).
-_DENSE_MAX_RANK = 9  # tables of n! (n - 1) int32: 11.6 MB at n = 9, 131 MB at n = 10
+# then w s_i has digits (c, a - 1), otherwise (c + 1, a). Each rank has
+# three kinds of table over indices: the step rows, the permutations, and
+# the index of each inverse. Up to `_DENSE_MAX_RANK` they are stored;
+# above it each entry is computed when asked for.
+_DENSE_MAX_RANK = 9  # n! tuples and n! n int32: 57 MB at n = 9; the rows alone, 131 MB at n = 10
 
 
 def _perm_index(w: Perm) -> int:
@@ -300,6 +320,41 @@ def _step_rows(n: int) -> tuple:
     if n <= _DENSE_MAX_RANK:
         rows = [array("i", map(row.__getitem__, range(factorial(n)))) for row in rows]
     return (None, *rows)
+
+
+class _PermRow:
+    """The permutation of index k, computed when asked for."""
+
+    __slots__ = ("places",)
+
+    def __init__(self, n: int):
+        self.places = tuple(factorial(j) for j in range(n - 1, -1, -1))
+
+    def __getitem__(self, k: int) -> Perm:
+        return _index_perm(k, self.places)
+
+
+class _InverseRow(_PermRow):
+    """The index of the inverse of the permutation of index k."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k: int) -> int:
+        return _perm_index(coxeter.inverse(_index_perm(k, self.places)))
+
+
+@lru_cache(maxsize=None)
+def _perm_tables(n: int) -> tuple:
+    """
+    (perms, inverse): perms[k] is the permutation of index k, and
+    inverse[k] the index of its inverse. Up to `_DENSE_MAX_RANK` perms is
+    a tuple, whose entries serve as the keys of every unpacked product,
+    and inverse an int32 array.
+    """
+    if n > _DENSE_MAX_RANK:
+        return _PermRow(n), _InverseRow(n)
+    perms = tuple(permutations(range(1, n + 1)))
+    return perms, array("i", map(_perm_index, map(coxeter.inverse, perms)))
 
 
 def _l1(c: IntPoly) -> int:
@@ -365,10 +420,37 @@ def linear_combination(n: int, summands: Iterable[tuple[IntPoly, HeckeElt]]) -> 
     return HeckeElt._raw(n, {w: _unpack(v, width) for w, v in acc.items() if v})
 
 
-def _fold_right(left: HeckeElt, right: HeckeElt) -> HeckeElt:
+def _step(vec: dict[int, int], row, width: int) -> dict[int, int]:
+    """
+    vec * T_i for a packed element vec (index -> value at x = 2^width),
+    row being `_step_rows(n)[i]`: T_w T_i = T_{w s_i}, plus x T_w when i
+    is a right descent of w. A descent k settles both k and its partner
+    k s_i; an ascent is settled here only when its partner is absent.
+    """
+    get = vec.get
+    out: dict[int, int] = {}
+    for k, v in vec.items():
+        j = row[k]
+        if j < 0:
+            j = ~j
+            out[j] = v
+            s = (v << width) + get(j, 0)
+            if s:
+                out[k] = s
+        elif j not in vec:
+            out[j] = v
+    return out
+
+
+def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
     """
     left * right, expanding right along canonical reduced words, on
-    coefficients packed as their values at x = 2^B.
+    coefficients packed as their values at x = 2^B; with `flip`, the
+    product (left^t right^t)^t = right * left instead, where ^t is the
+    anti-automorphism T_w -> T_{w^{-1}}. The flip is index bookkeeping:
+    left^t is left read through the inverse table, the reduced words of
+    right^t are those of right reversed, and the result is read back
+    through the inverse table.
 
     Evaluation at 2^B is a ring homomorphism Z[x] -> Z, so every sum,
     shift by x and product below is exact whatever B is. B matters only
@@ -382,6 +464,7 @@ def _fold_right(left: HeckeElt, right: HeckeElt) -> HeckeElt:
     digits are unique, so unpacking recovers it exactly.
     """
     n = left.n
+    perms, inverse = _perm_tables(n)
     # prefix tree of the reduced words of right's support; key 0 marks a
     # terminal and holds the coefficient
     root: dict = {}
@@ -389,7 +472,7 @@ def _fold_right(left: HeckeElt, right: HeckeElt) -> HeckeElt:
     for w, c in right.terms.items():
         node = root
         word = reduced_word(w)
-        for i in word:
+        for i in reversed(word) if flip else word:
             node = node.setdefault(i, {})
         node[0] = c
         bound += _l1(c) << len(word)
@@ -405,34 +488,17 @@ def _fold_right(left: HeckeElt, right: HeckeElt) -> HeckeElt:
             for k, v in vec.items():
                 acc[k] = get(k, 0) + v * c
         for i, child in node.items():
-            if not i:
-                continue
-            # T_w T_i = T_{w s_i}, plus x T_w when i is a right descent
-            # of w. A descent k settles both k and its partner k s_i; an
-            # ascent is settled here only when its partner is absent
-            row = rows[i]
-            get = vec.get
-            out: dict[int, int] = {}
-            for k, v in vec.items():
-                j = row[k]
-                if j < 0:
-                    j = ~j
-                    out[j] = v
-                    s = (v << width) + get(j, 0)
-                    if s:
-                        out[k] = s
-                elif j not in vec:
-                    out[j] = v
-            visit(child, out)
+            if i:
+                visit(child, _step(vec, rows[i], width))
 
-    visit(root, {_perm_index(w): _pack(c, width) for w, c in left.terms.items()})
+    vec = {_perm_index(w): _pack(c, width) for w, c in left.terms.items()}
+    visit(root, {inverse[k]: v for k, v in vec.items()} if flip else vec)
     # unpack, draining acc as the terms fill
-    places = tuple(factorial(j) for j in range(n - 1, -1, -1))
     terms: dict[Perm, IntPoly] = {}
     while acc:
         k, v = acc.popitem()
         if v:
-            terms[_index_perm(k, places)] = _unpack(v, width)
+            terms[perms[inverse[k] if flip else k]] = _unpack(v, width)
     return HeckeElt._raw(n, terms)
 
 
@@ -446,8 +512,8 @@ def mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
     if not h1.terms or not h2.terms:
         return zero(h1.n)
     if _letter_cost(h2) <= _letter_cost(h1):
-        return _fold_right(h1, h2)
-    return _fold_right(h2.transpose(), h1.transpose()).transpose()
+        return _fold_right(h1, h2, False)
+    return _fold_right(h2, h1, True)
 
 
 @lru_cache(maxsize=None)
@@ -502,8 +568,27 @@ def e_sym(r: int, n: int) -> HeckeElt:
 
 
 def is_central(h: HeckeElt) -> bool:
-    """Whether h commutes with every generator T_i."""
-    return all(h.right_gen(i) == h.left_gen(i) for i in range(1, h.n))
+    """
+    Whether h commutes with every generator T_i, decided on packed
+    indices: h T_i against T_i h = (h^t T_i)^t, stopping at the first
+    generator that does not commute.
+
+    >>> is_central(e_sym(2, 4)), is_central(jucys_murphy(2, 3))
+    (True, False)
+    """
+    n = h.n
+    if not h.terms:
+        return True
+    inverse = _perm_tables(n)[1]
+    rows = _step_rows(n)
+    width = (2 * max(map(_l1, h.terms.values()))).bit_length() + 2
+    vec = {_perm_index(w): _pack(c, width) for w, c in h.terms.items()}
+    flipped = {inverse[k]: v for k, v in vec.items()}
+    for i in range(1, n):
+        left = _step(flipped, rows[i], width)
+        if _step(vec, rows[i], width) != {inverse[k]: v for k, v in left.items()}:
+            return False
+    return True
 
 
 def specialize_group(h: HeckeElt) -> dict[Perm, int]:

@@ -1,9 +1,10 @@
 """
-Sums, scalings and products of Hecke elements on `IntPoly` coefficients,
-kept as the oracle for `hecke.linear_combination` and `hecke.mul`: every
-coefficient goes through `IntPoly` arithmetic term by term, with no
-packing of coefficients and no permutation indices, and every generator
-step of a product through `HeckeElt.right_gen`.
+Sums, scalings, products and the centrality test of Hecke elements on
+`IntPoly` coefficients, kept as the oracle for `hecke.linear_combination`,
+`hecke.mul` and `hecke.is_central`: every coefficient goes through
+`IntPoly` arithmetic term by term, with no packing of coefficients and no
+permutation indices, and every generator step through
+`HeckeElt.right_gen`/`left_gen`.
 """
 
 from grhecke.coxeter import reduced_word
@@ -98,3 +99,8 @@ def mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
     if _letter_cost(h2) <= _letter_cost(h1):
         return _fold_right(h1, h2)
     return _fold_right(h2.transpose(), h1.transpose()).transpose()
+
+
+def is_central(h: HeckeElt) -> bool:
+    """Whether h commutes with every generator T_i."""
+    return all(h.right_gen(i) == h.left_gen(i) for i in range(1, h.n))

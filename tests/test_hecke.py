@@ -243,3 +243,24 @@ class TestSerialization:
     def test_rejects_bad_permutation(self):
         with pytest.raises(InvalidInputError):
             HeckeElt.from_json_dict({"n": 3, "terms": [{"w": [1, 1, 2], "c": ["1"]}]})
+
+    @pytest.mark.parametrize("w", [(1, 1, 1), (0, 1, 2), (1, 2, 4), (2, 3, 3), (1, 2)])
+    def test_constructor_rejects_non_permutations(self, w):
+        with pytest.raises(InvalidInputError):
+            HeckeElt(3, {w: ONE})
+
+    def test_loaded_terms_share_the_rank_tuples(self):
+        h = unit(3) + t_basis(S1) - t_basis(W0)
+        perms = hecke._perm_tables(3)[0]
+        loaded = HeckeElt.from_json_dict(h.to_json_dict())
+        assert loaded == h
+        assert all(w is perms[hecke._perm_index(w)] for w in loaded.terms)
+
+    def test_serialized_terms_checked_once(self, monkeypatch):
+        h = unit(3) + t_basis(S1) + t_basis(W0)
+        data = h.to_json_dict()
+        calls = []
+        check = coxeter.is_permutation
+        monkeypatch.setattr(coxeter, "is_permutation", lambda w: calls.append(w) or check(w))
+        assert HeckeElt.from_json_dict(data) == h
+        assert sorted(calls) == sorted(h.terms)

@@ -1,5 +1,6 @@
 """`hecke.mul` on packed coefficients against the IntPoly fold it replaced."""
 
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import intpoly_fold
-from grhecke import center, hecke
+from grhecke import center, coxeter, hecke
 from grhecke.coxeter import identity, right_gen
-from grhecke.hecke import HeckeElt, jucys_murphy, mul, t_basis, unit
+from grhecke.hecke import HeckeElt, e_sym, is_central, jucys_murphy, mul, t_basis, unit
 from grhecke.polyring import IntPoly
 
 XI = IntPoly.xi()
@@ -95,10 +96,51 @@ def test_step_rows_follow_right_multiplication(n):
             assert rows[i][k] == computed[k] == want, (w, i)
 
 
-def test_large_rank_steps_without_a_table():
+@pytest.mark.parametrize("n", range(1, 7))
+def test_perm_tables_follow_lexicographic_order_and_inverse(n):
+    places = tuple(factorial(j) for j in range(n - 1, -1, -1))
+    perms, inverse = hecke._perm_tables(n)
+    assert len(perms) == len(inverse) == factorial(n)
+    for k in range(factorial(n)):
+        assert perms[k] == hecke._index_perm(k, places)
+        assert perms[inverse[k]] == coxeter.inverse(perms[k])
+
+
+def test_product_terms_share_the_rank_tuples():
+    perms = hecke._perm_tables(4)[0]
+    light, heavy = t_basis((2, 1, 3, 4)), jucys_murphy(4, 4) + t_basis((4, 3, 2, 1))
+    for got in (mul(heavy, light), mul(light, heavy)):
+        assert all(w is perms[hecke._perm_index(w)] for w in got.terms)
+
+
+def test_large_rank_tables_are_per_entry():
+    n = hecke._DENSE_MAX_RANK + 1
+    places = tuple(factorial(j) for j in range(n - 1, -1, -1))
+    perms, inverse = hecke._perm_tables(n)
+    assert isinstance(perms, hecke._PermRow) and isinstance(inverse, hecke._InverseRow)
+    for k in (0, 1, 2, 1234567, factorial(n) - 1):
+        assert perms[k] == hecke._index_perm(k, places)
+        assert perms[inverse[k]] == coxeter.inverse(perms[k])
+    a, b = e_sym(1, n), jucys_murphy(n, n)
+    tracemalloc.start()
+    try:
+        mul(a, b), mul(b, a), is_central(a), is_central(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a table of n! entries would take at least n! bytes; this is a quarter
+    assert peak < factorial(n) // 4
+
+
+def test_large_rank_steps_without_a_table(monkeypatch):
     n = hecke._DENSE_MAX_RANK + 1
     assert all(isinstance(row, hecke._StepRow) for row in hecke._step_rows(n)[1:])
     a = jucys_murphy(n, n).scale(IntPoly((3, -1)))
     b = jucys_murphy(n - 1, n) + t_basis(right_gen(identity(n), 2))
+    flips = []
+    fold = hecke._fold_right
+    monkeypatch.setattr(hecke, "_fold_right",
+                        lambda left, right, flip: flips.append(flip) or fold(left, right, flip))
     assert mul(a, b) == intpoly_fold.mul(a, b)
     assert mul(b, a) == intpoly_fold.mul(b, a)
+    assert flips == [False, True]  # both orientations of the fold
