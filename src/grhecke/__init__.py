@@ -19,7 +19,7 @@ from .polyring import (
 )
 from .hecke import (
     HeckeElt, e_sym, group_mul, is_central, jucys_murphy, m_sym, mul,
-    mul_gen_left, mul_gen_right, specialize_group, t_basis, unit, zero,
+    specialize_group, t_basis, unit, zero,
 )
 from .center import (
     CentralCoords, CheckReport, GammaBasis, StructTable, build_struct_table,

@@ -423,6 +423,8 @@ def class_sum_oracle(lam: Partition, mu: Partition, n: int) -> dict[Partition, i
     off class-indicator coefficients. Entirely independent of the Hecke
     code path; this is the x = 0 oracle.
     """
+    if n < 1:
+        raise InvalidInputError(f"rank must be positive, got {n}")
     a = {w: 1 for w in coxeter.conjugacy_class(lam, n)}
     b = {w: 1 for w in coxeter.conjugacy_class(mu, n)}
     product = group_mul(a, b)

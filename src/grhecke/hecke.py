@@ -31,8 +31,8 @@ coefficient back exactly.
 Sums run packed too: `linear_combination` forms every sum, difference and
 scaling, sum_i c_i h_i with c_i in Z[x], in one pass, its width bounding
 each coefficient of it and of its partial sums by sum_i |c_i|_1 max_w |h_i[w]|_1.
-`HeckeElt.right_gen`/`left_gen` stay on `IntPoly`: relabel the terms, add
-x T_w on descents.
+Every generator step runs on `_step`, the packed form of the rule above:
+`HeckeElt.right_gen`/`left_gen` are products with T_i.
 
 Centrality runs packed as well: `is_central` packs h once and compares
 h T_i with T_i h = (h^t T_i)^t for each i, h^t being h read through the
@@ -67,9 +67,8 @@ from .errors import InvalidInputError
 from .polyring import IntPoly
 
 __all__ = [
-    "HeckeElt", "zero", "unit", "t_basis", "mul_gen_right", "mul_gen_left",
-    "mul", "linear_combination", "jucys_murphy", "m_sym", "e_sym", "is_central",
-    "specialize_group", "group_mul",
+    "HeckeElt", "zero", "unit", "t_basis", "mul", "linear_combination",
+    "jucys_murphy", "m_sym", "e_sym", "is_central", "specialize_group", "group_mul",
 ]
 
 _ONE = IntPoly.const(1)
@@ -141,36 +140,11 @@ class HeckeElt:
 
     def right_gen(self, i: int) -> "HeckeElt":
         """Multiply by T_i on the right."""
-        if not 1 <= i <= self.n - 1:
-            raise InvalidInputError(f"generator index {i} out of range for n={self.n}")
-        moved = {w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]: c for w, c in self.terms.items()}
-        return self._plus_x_on(moved, [w for w in self.terms if w[i - 1] > w[i]])
+        return mul(self, _generator(self.n, i))
 
     def left_gen(self, i: int) -> "HeckeElt":
         """Multiply by T_i on the left."""
-        if not 1 <= i <= self.n - 1:
-            raise InvalidInputError(f"generator index {i} out of range for n={self.n}")
-        moved = {
-            tuple(i + 1 if a == i else i if a == i + 1 else a for a in w): c
-            for w, c in self.terms.items()
-        }
-        return self._plus_x_on(moved, [w for w in self.terms if w.index(i) > w.index(i + 1)])
-
-    def _plus_x_on(self, moved: dict[Perm, IntPoly], descents: list[Perm]) -> "HeckeElt":
-        """
-        A product with T_i in its two parts: T_w T_i is T_{w s_i}, plus x T_w
-        when i is a descent of w, and likewise on the left. `moved` holds the
-        terms relabeled by the bijection w -> w s_i; x T_w is added here.
-        """
-        for w in descents:
-            xc = self.terms[w].shift(1)
-            prev = moved.get(w)
-            s = xc if prev is None else prev + xc
-            if s:
-                moved[w] = s
-            else:
-                del moved[w]
-        return HeckeElt._raw(self.n, moved)
+        return mul(_generator(self.n, i), self)
 
     def transpose(self) -> "HeckeElt":
         """The anti-automorphism T_w -> T_{w^{-1}}."""
@@ -247,14 +221,9 @@ def t_basis(w: Perm) -> HeckeElt:
     return HeckeElt._raw(len(w), {w: _ONE})
 
 
-def mul_gen_right(h: HeckeElt, i: int) -> HeckeElt:
-    """h * T_i."""
-    return h.right_gen(i)
-
-
-def mul_gen_left(h: HeckeElt, i: int) -> HeckeElt:
-    """T_i * h."""
-    return h.left_gen(i)
+def _generator(n: int, i: int) -> HeckeElt:
+    """T_i in H_n, for 1 <= i < n."""
+    return t_basis(coxeter.right_gen(coxeter.identity(n), i))
 
 
 def _letter_cost(h: HeckeElt) -> int:

@@ -57,10 +57,6 @@ class IntPoly:
     def xi(cls) -> "IntPoly":
         return cls._raw((0, 1))
 
-    @classmethod
-    def monomial(cls, c: int, power: int) -> "IntPoly":
-        return cls._raw((0,) * power + (c,)) if c else cls._raw(())
-
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
 
@@ -126,12 +122,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by x**k."""
-        if not self.coeffs:
-            return self
-        return IntPoly._raw((0,) * k + self.coeffs)
-
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
@@ -147,12 +137,6 @@ class IntPoly:
 
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
-
-    def evaluate(self, x):
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
@@ -274,12 +258,6 @@ class RatPoly:
         return RatPoly(out)
 
     __rmul__ = __mul__
-
-    def evaluate(self, x) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
     def to_json(self) -> list[list[str]]:
         return [[str(c.numerator) for c in self.coeffs],

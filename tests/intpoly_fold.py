@@ -1,16 +1,54 @@
 """
-Sums, scalings, products and the centrality test of Hecke elements on
-`IntPoly` coefficients, kept as the oracle for `hecke.linear_combination`,
-`hecke.mul` and `hecke.is_central`: every coefficient goes through
-`IntPoly` arithmetic term by term, with no packing of coefficients and no
-permutation indices, and every generator step through
-`HeckeElt.right_gen`/`left_gen`.
+Generator steps, sums, scalings, products and the centrality test of Hecke
+elements on `IntPoly` coefficients, kept as the oracle for
+`HeckeElt.right_gen`/`left_gen`, `hecke.linear_combination`, `hecke.mul`
+and `hecke.is_central`: every coefficient goes through `IntPoly`
+arithmetic term by term, with no packing of coefficients and no
+permutation indices. The generator steps are this module's own `right_gen`
+and `left_gen`, which relabel the terms and add x T_w on descents, so the
+oracle shares no arithmetic with the packed kernels of `hecke`.
 """
 
 from grhecke.coxeter import reduced_word
 from grhecke.errors import InvalidInputError
 from grhecke.hecke import HeckeElt, _letter_cost, zero
 from grhecke.polyring import IntPoly
+
+
+def right_gen(h: HeckeElt, i: int) -> HeckeElt:
+    """Multiply by T_i on the right."""
+    if not 1 <= i <= h.n - 1:
+        raise InvalidInputError(f"generator index {i} out of range for n={h.n}")
+    moved = {w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]: c for w, c in h.terms.items()}
+    return _plus_x_on(h, moved, [w for w in h.terms if w[i - 1] > w[i]])
+
+
+def left_gen(h: HeckeElt, i: int) -> HeckeElt:
+    """Multiply by T_i on the left."""
+    if not 1 <= i <= h.n - 1:
+        raise InvalidInputError(f"generator index {i} out of range for n={h.n}")
+    moved = {
+        tuple(i + 1 if a == i else i if a == i + 1 else a for a in w): c
+        for w, c in h.terms.items()
+    }
+    return _plus_x_on(h, moved, [w for w in h.terms if w.index(i) > w.index(i + 1)])
+
+
+def _plus_x_on(h: HeckeElt, moved: dict, descents: list) -> HeckeElt:
+    """
+    A product with T_i in its two parts: T_w T_i is T_{w s_i}, plus x T_w
+    when i is a descent of w, and likewise on the left. `moved` holds the
+    terms relabeled by the bijection w -> w s_i; x T_w is added here.
+    """
+    for w in descents:
+        xc = IntPoly._raw((0,) + h.terms[w].coeffs)
+        prev = moved.get(w)
+        s = xc if prev is None else prev + xc
+        if s:
+            moved[w] = s
+        else:
+            del moved[w]
+    return HeckeElt._raw(h.n, moved)
 
 
 def add(self: HeckeElt, other: HeckeElt) -> HeckeElt:
@@ -84,7 +122,7 @@ def _fold_right(left: HeckeElt, right: HeckeElt) -> HeckeElt:
                     del acc[w]
         for i, child in node.items():
             if i:
-                visit(child, elt.right_gen(i))
+                visit(child, right_gen(elt, i))
 
     visit(root, left)
     return HeckeElt._raw(n, acc)
@@ -103,4 +141,4 @@ def mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
 
 def is_central(h: HeckeElt) -> bool:
     """Whether h commutes with every generator T_i."""
-    return all(h.right_gen(i) == h.left_gen(i) for i in range(1, h.n))
+    return all(right_gen(h, i) == left_gen(h, i) for i in range(1, h.n))

@@ -191,8 +191,10 @@ class TestExitCodes:
         ("verify", "--n", "-1", "--max-size", "1"),
         ("mult", "--n", "0", "--lambda", "1", "--mu", "1"),
         ("mult", "--n", "-2", "--lambda", "1", "--mu", "1"),
+        ("oracle", "--n", "0", "--lambda", "", "--mu", ""),
     ], ids=["jobs-0", "jobs-negative-after-subcommand", "er-negative", "er-at-rank",
-            "verify-rank-0", "verify-rank-negative", "mult-rank-0", "mult-rank-negative"])
+            "verify-rank-0", "verify-rank-negative", "mult-rank-0", "mult-rank-negative",
+            "oracle-rank-0"])
     def test_out_of_range_count(self, argv):
         assert run_cli(*argv) == (2, "")
 

@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+import intpoly_fold
 from grhecke import coxeter, hecke
 from grhecke.coxeter import (
     from_word, identity, length, partitions_up_to, reduced_word, right_gen,
@@ -12,7 +13,7 @@ from grhecke.coxeter import (
 from grhecke.errors import InvalidInputError
 from grhecke.hecke import (
     HeckeElt, e_sym, group_mul, is_central, jucys_murphy, m_sym, mul,
-    mul_gen_right, specialize_group, t_basis, unit, zero,
+    specialize_group, t_basis, unit, zero,
 )
 from grhecke.polyring import IntPoly
 
@@ -55,16 +56,19 @@ class TestBasisAndRelations:
         assert t_basis(W0).terms == {W0: ONE}
 
     def test_quadratic_relation(self):
-        got = mul_gen_right(t_basis(S1), 1)
+        got = intpoly_fold.right_gen(t_basis(S1), 1)
         assert got == HeckeElt(3, {identity(3): ONE, S1: XI})
 
     def test_length_increasing(self):
-        assert mul_gen_right(unit(3), 1) == t_basis(S1)
-        assert mul_gen_right(t_basis(S2), 1) == t_basis(coxeter.right_gen(S2, 1))
+        assert intpoly_fold.right_gen(unit(3), 1) == t_basis(S1)
+        assert intpoly_fold.right_gen(t_basis(S2), 1) == t_basis(coxeter.right_gen(S2, 1))
 
     def test_generator_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            mul_gen_right(unit(3), 3)
+        for i in (0, 3):
+            with pytest.raises(InvalidInputError):
+                unit(3).right_gen(i)
+            with pytest.raises(InvalidInputError):
+                unit(3).left_gen(i)
 
 
 class TestMul:
@@ -91,7 +95,7 @@ class TestMul:
             for word in words:
                 acc = unit(4)
                 for i in word:
-                    acc = mul_gen_right(acc, i)
+                    acc = intpoly_fold.right_gen(acc, i)
                 results.add(tuple(sorted((u, c.coeffs) for u, c in acc.terms.items())))
             assert len(results) == 1
 
@@ -108,7 +112,7 @@ class TestMul:
         direct = mul(heavy, light)
         acc = heavy
         for i in reduced_word((2, 1, 3, 4)):
-            acc = mul_gen_right(acc, i)
+            acc = intpoly_fold.right_gen(acc, i)
         assert direct == acc
 
 
