@@ -48,8 +48,16 @@ Jucys-Murphy elements L_i (L_1 = 0, L_i = sum of T over transpositions
 central, which is what the center construction builds on. The monomial
 symmetric m_lam(L_2, ..., L_k) is built by one recurrence on the last
 variable: it is 1 for lam = (), 0 when lam has k or more parts, and
-otherwise m_lam(L_2, ..., L_{k-1}) + sum over the distinct parts p of lam
-of m_{lam - p}(L_2, ..., L_{k-1}) L_k^p.
+otherwise prev + sum over the distinct parts p of lam of rest_p L_k^p,
+where prev = m_lam(L_2, ..., L_{k-1}), rest_p = m_{lam-p}(L_2, ..., L_{k-1}).
+Each state packs these once, applies L_k by Horner's rule, and unpacks
+once. As (j, k) = s_{k-1} (j, k-1) s_{k-1} is two longer than (j, k-1),
+L_2 = T_1 and L_k = T_{k-1} L_{k-1} T_{k-1} + T_{k-1}: h L_k is 2k - 3
+generator steps. By the rule above a step at most doubles |h|_1, the sum
+of the absolute values of all integer coefficients of h, so |h L_k|_1 <=
+G_k |h|_1 for G_2 = 2, G_k = 4 G_{k-1} + 2 = sum_{j<k} 2^(2(k-j)-1). No
+coefficient of the state exceeds M = |prev|_1 + sum_p |rest_p|_1 G_k^p,
+and B = M.bit_length() + 2 reads it back exactly.
 """
 
 from __future__ import annotations
@@ -338,6 +346,11 @@ def _pack(c: IntPoly, width: int) -> int:
     return v
 
 
+def _packed(h: HeckeElt, width: int) -> dict[int, int]:
+    """h packed: the index of each w -> h[w] at x = 2^width."""
+    return {_perm_index(w): _pack(c, width) for w, c in h.terms.items()}
+
+
 def _unpack(v: int, width: int) -> IntPoly:
     """
     The balanced base-2^width digits of v: the inverse of `_pack` on
@@ -460,7 +473,7 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
             if i:
                 visit(child, _step(vec, rows[i], width))
 
-    vec = {_perm_index(w): _pack(c, width) for w, c in left.terms.items()}
+    vec = _packed(left, width)
     visit(root, {inverse[k]: v for k, v in vec.items()} if flip else vec)
     # unpack, draining acc as the terms fill
     terms: dict[Perm, IntPoly] = {}
@@ -495,11 +508,16 @@ def jucys_murphy(i: int, n: int) -> HeckeElt:
     )
 
 
-@lru_cache(maxsize=None)
-def _jm_power(i: int, e: int, n: int) -> HeckeElt:
-    if e == 0:
-        return unit(n)
-    return mul(_jm_power(i, e - 1, n), jucys_murphy(i, n))
+def _times_jm(vec: dict[int, int], k: int, rows, width: int) -> dict[int, int]:
+    """vec * L_k for packed vec, k >= 2, on generator steps; zero sums are kept."""
+    out = _step(vec, rows[k - 1], width)
+    if k == 2:
+        return out
+    acc = _step(_times_jm(out, k - 1, rows, width), rows[k - 1], width)
+    get = acc.get
+    for j, v in out.items():
+        acc[j] = get(j, 0) + v
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -509,19 +527,30 @@ def _m_sym_upto(lam: Partition, k: int, n: int) -> HeckeElt:
         return unit(n)
     if len(lam) >= k:
         return zero(n)
-    summands = [(_ONE, _m_sym_upto(lam, k - 1, n))]
-    for p in sorted(set(lam)):
-        i = lam.index(p)
-        rest = _m_sym_upto(lam[:i] + lam[i + 1 :], k - 1, n)
-        summands.append((_ONE, mul(rest, _jm_power(k, p, n))))
-    return linear_combination(n, summands)
+    # the state is sum_p terms[p] L_k^p, with terms[0] = prev
+    terms = {p: _m_sym_upto(lam[:i] + lam[i + 1 :], k - 1, n) for i, p in enumerate(lam)}
+    terms[0] = _m_sym_upto(lam, k - 1, n)
+    g = (2 ** (2 * k - 1) - 2) // 3  # G_k
+    width = sum(sum(map(_l1, h.terms.values())) * g**p for p, h in terms.items()).bit_length() + 2
+    rows = _step_rows(n)
+    acc: dict[int, int] = {}
+    for p in range(lam[0], -1, -1):
+        if p in terms:
+            get = acc.get
+            for j, v in _packed(terms[p], width).items():
+                acc[j] = get(j, 0) + v
+        if p:
+            acc = _times_jm(acc, k, rows, width)
+    perms = _perm_tables(n)[0]
+    return HeckeElt._raw(n, {perms[j]: _unpack(v, width) for j, v in acc.items() if v})
 
 
 def m_sym(lam: Partition, n: int) -> HeckeElt:
     """
     The monomial symmetric polynomial m_lam evaluated at the Jucys-Murphy
     elements L_1, ..., L_n. Vanishes when lam has more parts than can avoid
-    L_1 = 0; the empty partition gives the unit.
+    L_1 = 0; the empty partition gives the unit. Built by the recurrence on
+    L_k in the module docstring, on packed generator steps alone.
 
     >>> m_sym((1, 1), 3) == mul(jucys_murphy(2, 3), jucys_murphy(3, 3))
     True
@@ -551,7 +580,7 @@ def is_central(h: HeckeElt) -> bool:
     inverse = _perm_tables(n)[1]
     rows = _step_rows(n)
     width = (2 * max(map(_l1, h.terms.values()))).bit_length() + 2
-    vec = {_perm_index(w): _pack(c, width) for w, c in h.terms.items()}
+    vec = _packed(h, width)
     flipped = {inverse[k]: v for k, v in vec.items()}
     for i in range(1, n):
         left = _step(flipped, rows[i], width)

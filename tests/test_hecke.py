@@ -88,16 +88,22 @@ class TestMul:
             mul(unit(3), unit(4))
 
     def test_braid_independence(self):
-        # multiply along every reduced word of every element of S_4
-        for w in permutations(range(1, 5)):
-            words = list(all_reduced_words(tuple(w)))
-            results = set()
-            for word in words:
-                acc = unit(4)
-                for i in word:
-                    acc = intpoly_fold.right_gen(acc, i)
-                results.add(tuple(sorted((u, c.coeffs) for u, c in acc.terms.items())))
-            assert len(results) == 1
+        # multiply along every reduced word of every element of S_4, from
+        # T_{w0} and from a random element, so that steps hit descents;
+        # without the x T_w term the steps are the group algebra's, which
+        # agree along all reduced words too, so the value is also checked
+        # against mul
+        starts = [t_basis((4, 3, 2, 1)), random_element(4, random.Random(4), nterms=6)]
+        for start in starts:
+            for w in permutations(range(1, 5)):
+                results = set()
+                for word in all_reduced_words(tuple(w)):
+                    acc = start
+                    for i in word:
+                        acc = intpoly_fold.right_gen(acc, i)
+                    results.add(tuple(sorted((u, c.coeffs) for u, c in acc.terms.items())))
+                assert len(results) == 1
+                assert acc == mul(start, t_basis(tuple(w))), (start, w)
 
     def test_associativity_random(self):
         rng = random.Random(20240803)
