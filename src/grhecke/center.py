@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
@@ -289,21 +288,20 @@ def _load_basis(path: Path, n: int) -> Optional[GammaBasis]:
 
 
 def _save_basis(path: Path, basis: GammaBasis) -> None:
-    payload = {
-        "format": 1,
-        "n": basis.n,
-        "up_to": basis.up_to,
-        "gamma": [
-            {"lambda": list(lam), "elt": basis.gamma[lam].to_json_dict()}
-            for lam in basis.valid_partitions()
-        ],
-    }
+    """
+    The bytes of ``json.dumps(payload) + "\\n"`` for the whole basis,
+    encoded one class element at a time through a temporary file.
+    """
+    header = json.dumps({"format": 1, "n": basis.n, "up_to": basis.up_to})
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+            fh.write(header[:-1] + ', "gamma": [')
+            for k, lam in enumerate(basis.valid_partitions()):
+                entry = {"lambda": list(lam), "elt": basis.gamma[lam].to_json_dict()}
+                fh.write((", " if k else "") + json.dumps(entry))
+            fh.write("]}\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -577,6 +575,9 @@ def build_struct_table(n: int, max_size: int, jobs: int = 1) -> StructTable:
     basis = gamma_basis(n, max_size)
     results: dict[tuple[Partition, Partition], CentralCoords] = {}
     if jobs > 1 and len(pairs) > 1:
+        # imported here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(pairs)), initializer=_worker_init,
             initargs=(_disk_cache_dir, basis),

@@ -10,9 +10,10 @@ T_i and a basis element T_w,
     T_w T_i = T_{w s_i} + x T_w      otherwise,
 
 and symmetrically on the left. Products of general elements expand the
-cheaper factor along canonical reduced words, sharing work through a prefix
-tree; the transpose anti-automorphism T_w -> T_{w^{-1}} lets the expansion
-always happen on the lighter side.
+cheaper factor along canonical reduced words, grouped from their last
+letter in a trie and evaluated by Horner's rule, so that most generator
+steps act on small partial sums; the transpose anti-automorphism
+T_w -> T_{w^{-1}} lets the expansion always happen on the lighter side.
 
 The expansion runs on Python integers (Kronecker substitution). Each
 coefficient is packed once as its value at x = 2^B, so sums, shifts by x
@@ -23,15 +24,21 @@ index, the permutations themselves in lexicographic order (unpacking is a
 lookup, and the unpacked terms share the table's tuples), and the index of
 each inverse (the transpose T_w -> T_{w^{-1}} is a relabeling of indices,
 and the reduced words of w^{-1} are those of w reversed). The width B comes
-from a proven bound: the coefficients of T_u T_v are nonnegative and sum
-to at most 2^l(v), so no coefficient of a product exceeds
-|left|_1 * sum_v |b_v|_1 2^l(v), and balanced base-2^B digits read every
-coefficient back exactly.
+from a proven bound. A generator step at most doubles |h|_1, the sum of
+the absolute values of all integer coefficients of h. The Horner value at
+a trie node y is R(y) = sum c_w A T_{w y^{-1}} over the words w ending in
+y, with A = left, and stepping a child's value R(s_i y) by T_i gives terms
+within |c_w|_1 |A|_1 2^(l(w y^{-1} s_i) + 1), where
+l(w y^{-1} s_i) + 1 = l(w y^{-1}) <= l(w). So no coefficient of a product,
+nor of any partial sum formed on the way, exceeds
+M = |left|_1 * sum_w |c_w|_1 2^l(w), and balanced base-2^B digits read
+every coefficient back exactly.
 
 Sums run packed too: `linear_combination` forms every sum, difference and
 scaling, sum_i c_i h_i with c_i in Z[x], in one pass, its width bounding
 each coefficient of it and of its partial sums by sum_i |c_i|_1 max_w |h_i[w]|_1.
-Every generator step runs on `_step`, the packed form of the rule above:
+Every generator step runs on `_step`, the packed form of the rule above,
+or on `_step_add`, which adds c vec T_i into a packed sum in place:
 `HeckeElt.right_gen`/`left_gen` are products with T_i.
 
 Centrality runs packed as well: `is_central` packs h once and compares
@@ -424,6 +431,18 @@ def _step(vec: dict[int, int], row, width: int) -> dict[int, int]:
     return out
 
 
+def _step_add(acc: dict[int, int], vec: dict[int, int], row, width: int, c: int) -> None:
+    """acc += c * vec * T_i, in place, for packed acc, vec and c; zero sums are kept."""
+    get = acc.get
+    for k, v in vec.items():
+        j = row[k]
+        v *= c
+        if j < 0:
+            j = ~j
+            acc[k] = get(k, 0) + (v << width)
+        acc[j] = get(j, 0) + v
+
+
 def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
     """
     left * right, expanding right along canonical reduced words, on
@@ -434,47 +453,72 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
     right^t are those of right reversed, and the result is read back
     through the inverse table.
 
+    The words are grouped from their last letter, in a trie of reversed
+    reduced words, and the trie is evaluated by Horner's rule. With
+    A = left, a node y (the suffix read from the root) stands for
+    R(y) = sum c_w A T_{w y^{-1}} over the words w = (w y^{-1}) y below
+    it, and R(y) = c_y A + sum over the children s_i y of R(s_i y) T_i;
+    the product is R(1). So most generator steps act on the small partial
+    sums near the leaves, not on prefix products A T_u that fill up.
+
     Evaluation at 2^B is a ring homomorphism Z[x] -> Z, so every sum,
     shift by x and product below is exact whatever B is. B matters only
-    for reading the result back. T_u T_v has nonnegative coefficients
-    summing at x = 1 to at most 2^l(v), since each generator step at most
-    doubles the sum; so every coefficient of left * right, and of each
-    partial sum of it, is at most M = |left|_1 * sum_v |b_v|_1 2^l(v) in
-    absolute value, |.|_1 being the sum of the absolute values of the
-    integer coefficients. With B = M.bit_length() + 2 every coefficient
-    lies strictly inside (-2^(B-1), 2^(B-1)), where balanced base-2^B
-    digits are unique, so unpacking recovers it exactly.
+    for reading the result back. A generator step at most doubles |.|_1,
+    the sum of the absolute values of the integer coefficients. So
+    |c_w A T_u|_1 <= |c_w|_1 |A|_1 2^l(u), and stepping R(s_i y), whose
+    terms have l(w y^{-1} s_i) + 1 = l(w y^{-1}) <= l(w), gives terms
+    within |c_w|_1 |A|_1 2^l(w). Every partial sum formed is a sum of
+    such terms over distinct w, so each of its coefficients, like each
+    coefficient of left * right, is at most
+    M = |left|_1 * sum_w |c_w|_1 2^l(w) in absolute value. With
+    B = M.bit_length() + 2 every coefficient lies strictly inside
+    (-2^(B-1), 2^(B-1)), where balanced base-2^B digits are unique, so
+    unpacking recovers it exactly.
     """
     n = left.n
     perms, inverse = _perm_tables(n)
-    # prefix tree of the reduced words of right's support; key 0 marks a
-    # terminal and holds the coefficient
+    # trie of the reduced words of right's support read from the last
+    # letter; key 0 marks a terminal and holds the coefficient
     root: dict = {}
     bound = 0
     for w, c in right.terms.items():
         node = root
         word = reduced_word(w)
-        for i in reversed(word) if flip else word:
+        for i in word if flip else reversed(word):
             node = node.setdefault(i, {})
         node[0] = c
         bound += _l1(c) << len(word)
     width = (bound * sum(map(_l1, left.terms.values()))).bit_length() + 2
     rows = _step_rows(n)
-    acc: dict[int, int] = {}
+    vec = _packed(left, width)
+    if flip:
+        vec = {inverse[k]: v for k, v in vec.items()}
 
-    def visit(node: dict, vec: dict[int, int]) -> None:
+    def horner(node: dict) -> dict[int, int]:
+        # R(node) in a fresh dict: the first child that is not a bare
+        # terminal (a leaf c T_i, folded as c A T_i) is stepped into it
+        acc: dict[int, int] = {}
+        leaves = []
+        for i, child in node.items():
+            if not i:
+                continue
+            if len(child) == 1 and 0 in child:
+                leaves.append((i, child[0]))
+            elif acc:
+                _step_add(acc, horner(child), rows[i], width, 1)
+            else:
+                acc = _step(horner(child), rows[i], width)
+        for i, c in leaves:
+            _step_add(acc, vec, rows[i], width, _pack(c, width))
         c = node.get(0)
         if c is not None:
             c = _pack(c, width)
             get = acc.get
             for k, v in vec.items():
                 acc[k] = get(k, 0) + v * c
-        for i, child in node.items():
-            if i:
-                visit(child, _step(vec, rows[i], width))
+        return acc
 
-    vec = _packed(left, width)
-    visit(root, {inverse[k]: v for k, v in vec.items()} if flip else vec)
+    acc = horner(root)
     # unpack, draining acc as the terms fill
     terms: dict[Perm, IntPoly] = {}
     while acc:

@@ -412,6 +412,20 @@ class TestDiskCache:
             center.set_cache_dir(None)
             center.clear_caches()
 
+    @pytest.mark.parametrize("n, up_to", [(1, 0), (5, 3)])
+    def test_file_bytes_are_one_json_dump(self, tmp_path, n, up_to):
+        # the streamed file equals the single dump of the whole payload
+        basis = gamma_basis(n, up_to)
+        path = tmp_path / "basis.json"
+        center._save_basis(path, basis)
+        payload = {
+            "format": 1, "n": n, "up_to": up_to,
+            "gamma": [{"lambda": list(lam), "elt": basis.gamma[lam].to_json_dict()}
+                      for lam in basis.valid_partitions()],
+        }
+        assert path.read_bytes() == (json.dumps(payload) + "\n").encode()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_loaded_basis_then_larger_basis(self, tmp_path):
         want = gamma_basis(4, 3).gamma
         center.set_cache_dir(tmp_path)
@@ -604,7 +618,7 @@ class TestStructTable:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(center, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         pairs = len(center.build_struct_table(4, 3).entries)
         assert pairs == 3
         center.build_struct_table(4, 3, jobs=64)

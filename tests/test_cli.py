@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +251,18 @@ class TestCacheFlag:
         assert code == 0
         assert list(tmp_path.glob("gamma_n3_*.json"))
         center.clear_caches()
+
+
+def test_import_loads_no_process_pool():
+    # the pool is imported only by a table run with --jobs above 1
+    script = (
+        "import sys, grhecke.cli\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

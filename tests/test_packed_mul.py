@@ -1,5 +1,6 @@
 """`hecke.mul` on packed coefficients against the IntPoly fold it replaced."""
 
+import random
 import tracemalloc
 from itertools import permutations
 from math import factorial
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import intpoly_fold
 from grhecke import center, coxeter, hecke
-from grhecke.coxeter import identity, right_gen
+from grhecke.coxeter import identity, reduced_word, right_gen
 from grhecke.hecke import HeckeElt, e_sym, is_central, jucys_murphy, mul, t_basis, unit
 from grhecke.polyring import IntPoly
 
@@ -144,3 +145,66 @@ def test_large_rank_steps_without_a_table(monkeypatch):
     assert mul(a, b) == intpoly_fold.mul(a, b)
     assert mul(b, a) == intpoly_fold.mul(b, a)
     assert flips == [False, True]  # both orientations of the fold
+
+
+BIG = 2 ** 70
+
+
+def _word_elt(words, n=4):
+    """sum_k c_k T_{w_k}, w_k the product of the k-th word's generators, with
+    mixed-sign coefficients beyond 2^70; each word must be w_k's reduced word."""
+    terms = {}
+    for k, word in enumerate(words):
+        w = identity(n)
+        for i in word:
+            w = right_gen(w, i)
+        assert reduced_word(w) == tuple(word)
+        terms[w] = IntPoly(((-1) ** k * (BIG + k), 3 - k, -(BIG << k)))
+    return HeckeElt(n, terms)
+
+
+# Reduced words of the right factor; read from the last letter they form the
+# Horner trie of the unflipped product.
+TRIES = {
+    # node 1 is a terminal with a child: T_{s1} + T_{s2 s1}
+    "terminal-with-child": [(1,), (2, 1)],
+    # nodes 3 and 2 carry no coefficient: T_{s1 s2 s3}
+    "coefficient-free-chain": [(1, 2, 3)],
+    # three bare terminals under the root, the root a terminal too
+    "bare-leaves": [(), (1,), (2,), (3,)],
+    # a bare leaf first, then a terminal with two children, then a chain
+    "several-root-children": [(1,), (2,), (1, 2), (3, 2), (2, 3), (1, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("name", TRIES)
+def test_horner_tries_match_oracle_in_both_orientations(name):
+    right = _word_elt(TRIES[name])
+    # the transpose has the words reversed: flipped, it makes the same trie
+    flipped = right.transpose()
+    assert all(reduced_word(w) == reduced_word(coxeter.inverse(w))[::-1] for w in flipped.terms)
+    left = _word_elt([(1, 2, 3, 2, 1), (2, 1), (3,), (3, 1, 2)])
+    left = left + t_basis((4, 3, 2, 1)).scale(IntPoly((-BIG, 0, 7)))
+    assert hecke._fold_right(left, right, False) == intpoly_fold.mul(left, right)
+    assert hecke._fold_right(left, flipped, True) == intpoly_fold.mul(flipped, left)
+
+
+@pytest.mark.parametrize("c", [-3, 5 << 80, -(1 << 90) + 1], ids=["-3", "5*2^80", "1-2^90"])
+def test_step_add_is_a_scaled_step_plus_a_sum(c):
+    n, width = 4, 96
+    rows = hecke._step_rows(n)
+    rng = random.Random(c)
+    vec = {k: rng.randint(-BIG, BIG) for k in rng.sample(range(24), 12)}
+    start = {k: rng.randint(-BIG, BIG) for k in rng.sample(range(24), 12)}
+    for i in range(1, n):
+        stepped = hecke._step(vec, rows[i], width)
+        want = dict(start)
+        for k, v in stepped.items():
+            want[k] = want.get(k, 0) + c * v
+        got = dict(start)
+        hecke._step_add(got, vec, rows[i], width, c)
+        assert got == want
+        # c vec T_i added to its negative cancels exactly
+        cancel = {k: -c * v for k, v in stepped.items()}
+        hecke._step_add(cancel, vec, rows[i], width, c)
+        assert set(cancel) == set(stepped) and not any(cancel.values())
