@@ -191,13 +191,17 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
     if d == _ONE:
         return num
     terms = {}
+    quotients: dict[tuple, IntPoly] = {}  # each distinct coefficient divided once
     for w, c in num.terms.items():
-        try:
-            terms[w] = divexact(c, d)
-        except ExactDivisionError as exc:
-            raise ConstructionError(
-                f"gamma_{lam}(n={n}): coefficient of T_{w} is not in Z[x]"
-            ) from exc
+        q = quotients.get(c.coeffs)
+        if q is None:
+            try:
+                q = quotients[c.coeffs] = divexact(c, d)
+            except ExactDivisionError as exc:
+                raise ConstructionError(
+                    f"gamma_{lam}(n={n}): coefficient of T_{w} is not in Z[x]"
+                ) from exc
+        terms[w] = q
     return HeckeElt._raw(n, terms)
 
 

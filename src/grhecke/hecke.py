@@ -41,6 +41,19 @@ Every generator step runs on `_step`, the packed form of the rule above,
 or on `_step_add`, which adds c vec T_i into a packed sum in place:
 `HeckeElt.right_gen`/`left_gen` are products with T_i.
 
+Each packed routine memoizes, for one call at its one width B, the
+coefficients it handles (`_Memo`): every distinct coefficient is packed
+once, every distinct packed value is unpacked once and its `IntPoly` handed
+to each term that has it, and the max-norm bounds read each distinct
+coefficient once. This is exact: balanced base-2^B digits are unique, so at
+one width equal packed values are equal polynomials, and `IntPoly` is
+immutable, so a shared coefficient changes no result and no caller can
+alter another's element. It pays because the elements are central: the
+coefficient of T_w in a class element, in a product of two or in m_lam is
+a combination of class polynomials f_{w,C}, and these repeat across the
+terms. The nine products of the n = 7 table have 26,747 terms and 1,396
+distinct coefficients.
+
 Centrality runs packed as well: `is_central` packs h once and compares
 h T_i with T_i h = (h^t T_i)^t for each i, h^t being h read through the
 inverse table. With M = max_w |h[w]|_1, the coefficient of T_w in h T_i is
@@ -209,12 +222,21 @@ class HeckeElt:
         """
         The inverse of `to_json_dict`. The constructor checks the terms;
         they are then keyed by the rank's shared permutation tuples, as the
-        terms of every product are.
+        terms of every product are, and equal serialized coefficients share
+        one `IntPoly`, as equal coefficients of a product do.
         """
         n = int(data["n"])
-        h = cls(n, {tuple(map(int, t["w"])): IntPoly.from_json(t["c"]) for t in data["terms"]})
-        perms = _perm_tables(n)[0]
-        return cls._raw(n, {perms[_perm_index(w)]: c for w, c in h.terms.items()})
+        memo: dict[tuple, IntPoly] = {}
+        terms = {}
+        for t in data["terms"]:
+            key = tuple(t["c"])
+            c = memo.get(key)
+            if c is None:
+                c = memo[key] = IntPoly.from_json(key)
+            terms[tuple(map(int, t["w"]))] = c
+        h = cls(n, terms)
+        perms, _, index = _perm_tables(n)
+        return cls._raw(n, {perms[index[w]]: c for w, c in h.terms.items()})
 
     def __repr__(self) -> str:
         parts = [f"({c!s})*T{list(w)}" for w, c in self.sorted_terms()]
@@ -250,10 +272,11 @@ def _letter_cost(h: HeckeElt) -> int:
 # with w[k] < w[j]). Right multiplication by s_i changes only the digits
 # (a, c) = (L[i-1], L[i]); i is a right descent exactly when a > c, and
 # then w s_i has digits (c, a - 1), otherwise (c + 1, a). Each rank has
-# three kinds of table over indices: the step rows, the permutations, and
-# the index of each inverse. Up to `_DENSE_MAX_RANK` they are stored;
-# above it each entry is computed when asked for.
-_DENSE_MAX_RANK = 9  # n! tuples and n! n int32: 57 MB at n = 9; the rows alone, 131 MB at n = 10
+# four kinds of table over indices: the step rows, the permutations, the
+# index of each inverse, and the index of each permutation. Up to
+# `_DENSE_MAX_RANK` they are stored; above it each entry is computed when
+# asked for.
+_DENSE_MAX_RANK = 9  # all four: 88 MB at n = 9; the rows alone, 131 MB at n = 10
 
 
 def _perm_index(w: Perm) -> int:
@@ -327,35 +350,68 @@ class _InverseRow(_PermRow):
         return _perm_index(coxeter.inverse(_index_perm(k, self.places)))
 
 
+class _IndexRow:
+    """The index of the permutation w, computed when asked for."""
+
+    __slots__ = ()
+
+    def __getitem__(self, w: Perm) -> int:
+        return _perm_index(w)
+
+
 @lru_cache(maxsize=None)
 def _perm_tables(n: int) -> tuple:
     """
-    (perms, inverse): perms[k] is the permutation of index k, and
-    inverse[k] the index of its inverse. Up to `_DENSE_MAX_RANK` perms is
-    a tuple, whose entries serve as the keys of every unpacked product,
-    and inverse an int32 array.
+    (perms, inverse, index): perms[k] is the permutation of index k,
+    inverse[k] the index of its inverse, and index[w] the index of w. Up to
+    `_DENSE_MAX_RANK` perms is a tuple, whose entries serve as the keys of
+    every unpacked product, inverse an int32 array, and index a dict.
     """
     if n > _DENSE_MAX_RANK:
-        return _PermRow(n), _InverseRow(n)
+        return _PermRow(n), _InverseRow(n), _IndexRow()
     perms = tuple(permutations(range(1, n + 1)))
-    return perms, array("i", map(_perm_index, map(coxeter.inverse, perms)))
+    index = dict(zip(perms, range(len(perms))))
+    return perms, array("i", map(index.__getitem__, map(coxeter.inverse, perms))), index
 
 
 def _l1(c: IntPoly) -> int:
     return sum(map(abs, c.coeffs))
 
 
-def _pack(c: IntPoly, width: int) -> int:
-    """c evaluated at x = 2^width."""
+def _max_l1(h: HeckeElt) -> int:
+    """max_w |h[w]|_1 for nonzero h, reading each distinct coefficient once."""
+    return max(sum(map(abs, cs)) for cs in {c.coeffs for c in h.terms.values()})
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """The polynomial with these coefficients evaluated at x = 2^width."""
     v = 0
-    for a in reversed(c.coeffs):
+    for a in reversed(coeffs):
         v = (v << width) + a
     return v
 
 
-def _packed(h: HeckeElt, width: int) -> dict[int, int]:
-    """h packed: the index of each w -> h[w] at x = 2^width."""
-    return {_perm_index(w): _pack(c, width) for w, c in h.terms.items()}
+class _Memo(dict):
+    """
+    fn(key, width) for each distinct key, computed once and then shared:
+    the per-call memo of one packed routine at its one width. With `_pack`
+    it is keyed by coefficient tuples, with `_unpack` by packed values.
+    """
+
+    __slots__ = ("fn", "width")
+
+    def __init__(self, fn, width: int):
+        self.fn, self.width = fn, width
+
+    def __missing__(self, key):
+        v = self[key] = self.fn(key, self.width)
+        return v
+
+
+def _packed(h: HeckeElt, pack: _Memo) -> dict[int, int]:
+    """h packed: the index of each w -> h[w] at x = 2^width, through `pack`."""
+    index = _perm_tables(h.n)[2]
+    return {index[w]: pack[c.coeffs] for w, c in h.terms.items()}
 
 
 def _unpack(v: int, width: int) -> IntPoly:
@@ -397,16 +453,22 @@ def linear_combination(n: int, summands: Iterable[tuple[IntPoly, HeckeElt]]) -> 
         if h.n != n:
             raise InvalidInputError(f"rank mismatch: element of H_{h.n} in a sum in H_{n}")
         if c and h.terms:
-            bound += _l1(c) * max(map(_l1, h.terms.values()))
+            bound += _l1(c) * _max_l1(h)
     width = bound.bit_length() + 2
+    pack = _Memo(_pack, width)
     acc: dict[Perm, int] = {}
     get = acc.get
     for c, h in summands:
         if c:
-            pc = _pack(c, width)
+            pc = pack[c.coeffs]
+            scaled: dict[tuple, int] = {}  # c * h[w] packed, for this summand only
             for w, v in h.terms.items():
-                acc[w] = get(w, 0) + _pack(v, width) * pc
-    return HeckeElt._raw(n, {w: _unpack(v, width) for w, v in acc.items() if v})
+                s = scaled.get(v.coeffs)
+                if s is None:
+                    s = scaled[v.coeffs] = pack[v.coeffs] * pc
+                acc[w] = get(w, 0) + s
+    unpack = _Memo(_unpack, width)
+    return HeckeElt._raw(n, {w: unpack[v] for w, v in acc.items() if v})
 
 
 def _step(vec: dict[int, int], row, width: int) -> dict[int, int]:
@@ -476,7 +538,7 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
     unpacking recovers it exactly.
     """
     n = left.n
-    perms, inverse = _perm_tables(n)
+    perms, inverse, _ = _perm_tables(n)
     # trie of the reduced words of right's support read from the last
     # letter; key 0 marks a terminal and holds the coefficient
     root: dict = {}
@@ -490,7 +552,8 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
         bound += _l1(c) << len(word)
     width = (bound * sum(map(_l1, left.terms.values()))).bit_length() + 2
     rows = _step_rows(n)
-    vec = _packed(left, width)
+    pack = _Memo(_pack, width)
+    vec = _packed(left, pack)
     if flip:
         vec = {inverse[k]: v for k, v in vec.items()}
 
@@ -509,10 +572,10 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
             else:
                 acc = _step(horner(child), rows[i], width)
         for i, c in leaves:
-            _step_add(acc, vec, rows[i], width, _pack(c, width))
+            _step_add(acc, vec, rows[i], width, pack[c.coeffs])
         c = node.get(0)
         if c is not None:
-            c = _pack(c, width)
+            c = pack[c.coeffs]
             get = acc.get
             for k, v in vec.items():
                 acc[k] = get(k, 0) + v * c
@@ -520,11 +583,12 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
 
     acc = horner(root)
     # unpack, draining acc as the terms fill
+    unpack = _Memo(_unpack, width)
     terms: dict[Perm, IntPoly] = {}
     while acc:
         k, v = acc.popitem()
         if v:
-            terms[perms[inverse[k] if flip else k]] = _unpack(v, width)
+            terms[perms[inverse[k] if flip else k]] = unpack[v]
     return HeckeElt._raw(n, terms)
 
 
@@ -577,16 +641,18 @@ def _m_sym_upto(lam: Partition, k: int, n: int) -> HeckeElt:
     g = (2 ** (2 * k - 1) - 2) // 3  # G_k
     width = sum(sum(map(_l1, h.terms.values())) * g**p for p, h in terms.items()).bit_length() + 2
     rows = _step_rows(n)
+    pack = _Memo(_pack, width)
     acc: dict[int, int] = {}
     for p in range(lam[0], -1, -1):
         if p in terms:
             get = acc.get
-            for j, v in _packed(terms[p], width).items():
+            for j, v in _packed(terms[p], pack).items():
                 acc[j] = get(j, 0) + v
         if p:
             acc = _times_jm(acc, k, rows, width)
     perms = _perm_tables(n)[0]
-    return HeckeElt._raw(n, {perms[j]: _unpack(v, width) for j, v in acc.items() if v})
+    unpack = _Memo(_unpack, width)
+    return HeckeElt._raw(n, {perms[j]: unpack[v] for j, v in acc.items() if v})
 
 
 def m_sym(lam: Partition, n: int) -> HeckeElt:
@@ -623,8 +689,8 @@ def is_central(h: HeckeElt) -> bool:
         return True
     inverse = _perm_tables(n)[1]
     rows = _step_rows(n)
-    width = (2 * max(map(_l1, h.terms.values()))).bit_length() + 2
-    vec = _packed(h, width)
+    width = (2 * _max_l1(h)).bit_length() + 2
+    vec = _packed(h, _Memo(_pack, width))
     flipped = {inverse[k]: v for k, v in vec.items()}
     for i in range(1, n):
         left = _step(flipped, rows[i], width)

@@ -398,6 +398,13 @@ class TestCenterCommutativity:
                 )
 
 
+def _with_coeffs(data, change):
+    """The cache payload with every coefficient c replaced by change(c)."""
+    return {**data, "gamma": [
+        {**e, "elt": {**e["elt"], "terms": [{**t, "c": change(t["c"])} for t in e["elt"]["terms"]]}}
+        for e in data["gamma"]]}
+
+
 class TestDiskCache:
     def test_round_trip(self, tmp_path):
         center.set_cache_dir(tmp_path)
@@ -551,7 +558,12 @@ class TestDiskCache:
             for e in data["gamma"]]},
         lambda data: {**data, "gamma": [{**e, "elt": []} for e in data["gamma"]]},
         lambda data: {**data, "gamma": [{**e, "lambda": 1} for e in data["gamma"]]},
-    ], ids=["list", "gamma-int", "coeff-int", "elt-list", "lambda-int"])
+        # coefficients that reach the memo key of HeckeElt.from_json_dict
+        lambda data: _with_coeffs(data, lambda c: [c]),
+        lambda data: _with_coeffs(data, lambda c: {"coeffs": c}),
+        lambda data: _with_coeffs(data, lambda c: "x"),
+    ], ids=["list", "gamma-int", "coeff-int", "elt-list", "lambda-int",
+            "coeff-nested-list", "coeff-object", "coeff-non-digits"])
     def test_malformed_cache_recomputed(self, tmp_path, corrupt):
         fresh = gamma_basis(3, 1).gamma
         center.set_cache_dir(tmp_path)
@@ -559,6 +571,7 @@ class TestDiskCache:
             gamma_basis(3, 1)
             path = tmp_path / "gamma_n3_basis.json"
             path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+            assert center._load_basis(path, 3) is None
             center.clear_caches()
             assert gamma_basis(3, 1).gamma == fresh
         finally:

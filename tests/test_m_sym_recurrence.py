@@ -78,7 +78,8 @@ def _norm(h):
 def _times_jm(h, k):
     """h L_k through the packed kernel, at the width the bound G_k gives."""
     width = (_norm(h) * _g(k)).bit_length() + 2
-    vec = hecke._times_jm(hecke._packed(h, width), k, hecke._step_rows(h.n), width)
+    vec = hecke._packed(h, hecke._Memo(hecke._pack, width))
+    vec = hecke._times_jm(vec, k, hecke._step_rows(h.n), width)
     perms = hecke._perm_tables(h.n)[0]
     return HeckeElt(h.n, {perms[j]: hecke._unpack(v, width) for j, v in vec.items()})
 

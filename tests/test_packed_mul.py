@@ -100,11 +100,12 @@ def test_step_rows_follow_right_multiplication(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_perm_tables_follow_lexicographic_order_and_inverse(n):
     places = tuple(factorial(j) for j in range(n - 1, -1, -1))
-    perms, inverse = hecke._perm_tables(n)
-    assert len(perms) == len(inverse) == factorial(n)
+    perms, inverse, index = hecke._perm_tables(n)
+    assert len(perms) == len(inverse) == len(index) == factorial(n)
     for k in range(factorial(n)):
         assert perms[k] == hecke._index_perm(k, places)
         assert perms[inverse[k]] == coxeter.inverse(perms[k])
+        assert index[perms[k]] == hecke._perm_index(perms[k]) == k
 
 
 def test_product_terms_share_the_rank_tuples():
@@ -117,11 +118,13 @@ def test_product_terms_share_the_rank_tuples():
 def test_large_rank_tables_are_per_entry():
     n = hecke._DENSE_MAX_RANK + 1
     places = tuple(factorial(j) for j in range(n - 1, -1, -1))
-    perms, inverse = hecke._perm_tables(n)
+    perms, inverse, index = hecke._perm_tables(n)
     assert isinstance(perms, hecke._PermRow) and isinstance(inverse, hecke._InverseRow)
+    assert isinstance(index, hecke._IndexRow)
     for k in (0, 1, 2, 1234567, factorial(n) - 1):
         assert perms[k] == hecke._index_perm(k, places)
         assert perms[inverse[k]] == coxeter.inverse(perms[k])
+        assert index[perms[k]] == k
     a, b = e_sym(1, n), jucys_murphy(n, n)
     tracemalloc.start()
     try:
