@@ -44,10 +44,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import coxeter, hecke
 from .coxeter import Partition, check_partition, fits_rank, min_rep
@@ -70,7 +69,6 @@ __all__ = [
 _ONE = IntPoly.const(1)
 
 
-@dataclass(frozen=True)
 class CentralCoords:
     """
     A central element written in the class-element basis. Immutable, since
@@ -78,19 +76,28 @@ class CentralCoords:
     view of a private copy.
     """
 
-    n: int
-    coords: Mapping[Partition, IntPoly]
+    __slots__ = ("n", "coords")
 
-    def __post_init__(self):
-        for lam in self.coords:
-            if not fits_rank(lam, self.n):
+    def __init__(self, n: int, coords: Mapping[Partition, IntPoly]):
+        for lam in coords:
+            if not fits_rank(lam, n):
                 raise InvalidInputError(
-                    f"class {lam} vanishes in S_{self.n} and may not carry a coordinate"
+                    f"class {lam} vanishes in S_{n} and may not carry a coordinate"
                 )
-        object.__setattr__(self, "coords", MappingProxyType(dict(self.coords)))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "coords", MappingProxyType(dict(coords)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CentralCoords is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CentralCoords is immutable")
 
     def __reduce__(self):
         return (CentralCoords, (self.n, dict(self.coords)))
+
+    def __repr__(self) -> str:
+        return f"CentralCoords(n={self.n}, coords={dict(self.coords)!r})"
 
     def get(self, lam: Partition) -> IntPoly:
         return self.coords.get(lam, IntPoly())
@@ -115,8 +122,7 @@ class CentralCoords:
         return NotImplemented
 
 
-@dataclass
-class GammaBasis:
+class GammaBasis(NamedTuple):
     """Class elements gamma_lam(n) for all valid lam with |lam| <= up_to."""
 
     n: int
@@ -127,8 +133,7 @@ class GammaBasis:
         return [p for p in _candidate_classes(self.up_to, self.n) if p in self.gamma]
 
 
-@dataclass
-class StructTable:
+class StructTable(NamedTuple):
     """All products gamma_lam * gamma_mu with |lam| + |mu| <= max_size."""
 
     n: int
@@ -136,13 +141,14 @@ class StructTable:
     entries: list[tuple[Partition, Partition, CentralCoords]]
 
 
-@dataclass
 class CheckReport:
     """Outcome of one verification suite."""
 
-    name: str
-    checks: int = 0
-    witnesses: list[str] = field(default_factory=list)
+    __slots__ = ("name", "checks", "witnesses")
+
+    def __init__(self, name: str, checks: int = 0, witnesses: Optional[list[str]] = None):
+        self.name, self.checks = name, checks
+        self.witnesses = [] if witnesses is None else witnesses
 
     @property
     def ok(self) -> bool:
@@ -264,24 +270,56 @@ def gamma_element(lam: Partition, n: int) -> HeckeElt:
     return elt
 
 
+# The cache file is the bytes of json.dumps(payload) + "\n" for the payload
+# {"format": 1, "n": n, "up_to": level, "gamma": [entry, ...]}, with one
+# entry {"lambda": lam, "elt": {"n": n, "terms": [{"w": w, "c": c}, ...]}}
+# per class element. The writer emits these bytes term by term, and the
+# reader accepts this layout alone, one entry at a time; the final newline
+# may be missing, as it is from json.dumps of the parsed file.
+_decode = json.JSONDecoder().raw_decode
+
+
+def _expect(text: str, pos: int, literal: str) -> int:
+    """The position after `literal`, which must stand at pos in text."""
+    if not text.startswith(literal, pos):
+        raise ValueError(f"expected {literal!r} at offset {pos}")
+    return pos + len(literal)
+
+
+def _read_entry(text: str, pos: int, n: int) -> tuple[Partition, HeckeElt, int]:
+    """
+    The class element whose entry starts at pos, and the position after
+    it. Its rank is read before its terms, and the terms' parse tree is
+    dropped on return.
+    """
+    lam, pos = _decode(text, _expect(text, pos, '{"lambda": '))
+    lam = tuple(int(p) for p in lam)
+    terms, pos = _decode(text, _expect(text, pos, f', "elt": {{"n": {n}, "terms": '))
+    return lam, HeckeElt.from_json_dict({"n": n, "terms": terms}), _expect(text, pos, "}}")
+
+
 def _load_basis(path: Path, n: int) -> Optional[GammaBasis]:
     """
-    The basis of rank n stored in `path` if it is well formed and every
-    element passes the check a solved element gets, at the file's level;
-    None otherwise.
+    The basis of rank n stored in `path` if it is in the writer's layout
+    and every element passes the check a solved element gets, at the
+    file's level; None otherwise.
     """
     try:
-        data = json.loads(path.read_text())
-        if not isinstance(data, dict) or data.get("format") != 1 or data.get("n") != n:
+        text = path.read_text()
+        level, pos = _decode(text, _expect(text, 0, f'{{"format": 1, "n": {n}, "up_to": '))
+        if type(level) is not int or level < 0:
             return None
-        level = data.get("up_to")
-        if not isinstance(level, int) or level < 0:
+        pos = _expect(text, pos, ', "gamma": [')
+        gamma = {}
+        while not text.startswith("]}", pos):
+            if gamma:
+                pos = _expect(text, pos, ", ")
+            lam, elt, pos = _read_entry(text, pos, n)
+            gamma[lam] = elt
+        if text[pos + 2:] not in ("", "\n"):
             return None
-        gamma = {
-            tuple(int(p) for p in entry["lambda"]): HeckeElt.from_json_dict(entry["elt"])
-            for entry in data["gamma"]
-        }
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, InvalidInputError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, InvalidInputError,
+            RecursionError):  # the decoder's answer to deeply nested arrays
         return None
     if set(gamma) != set(_candidate_classes(level, n)):
         return None
@@ -294,23 +332,37 @@ def _load_basis(path: Path, n: int) -> Optional[GammaBasis]:
 def _save_basis(path: Path, basis: GammaBasis) -> None:
     """
     The bytes of ``json.dumps(payload) + "\\n"`` for the whole basis,
-    encoded one class element at a time through a temporary file.
+    written term by term through a temporary file, each distinct
+    coefficient encoded once; no element's `to_json_dict` tree is built.
     """
-    header = json.dumps({"format": 1, "n": basis.n, "up_to": basis.up_to})
+    n = basis.n
+    encoded: dict[tuple, str] = {}
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(header[:-1] + ', "gamma": [')
+            write = fh.write
+            write(f'{{"format": 1, "n": {n}, "up_to": {basis.up_to}, "gamma": [')
             for k, lam in enumerate(basis.valid_partitions()):
-                entry = {"lambda": list(lam), "elt": basis.gamma[lam].to_json_dict()}
-                fh.write((", " if k else "") + json.dumps(entry))
-            fh.write("]}\n")
+                write(f'{", " if k else ""}{{"lambda": {_json_ints(lam)}, '
+                      f'"elt": {{"n": {n}, "terms": [')
+                for j, (w, c) in enumerate(basis.gamma[lam].sorted_terms()):
+                    s = encoded.get(c.coeffs)
+                    if s is None:
+                        s = encoded[c.coeffs] = json.dumps(c.to_json())
+                    write(f'{", " if j else ""}{{"w": {_json_ints(w)}, "c": {s}}}')
+                write("]}}")
+            write("]}\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _json_ints(seq: tuple[int, ...]) -> str:
+    """json.dumps(list(seq)) for a tuple of ints."""
+    return "[" + ", ".join(map(str, seq)) + "]"
 
 
 def _grow_basis(basis: Optional[GammaBasis], n: int, up_to: int) -> GammaBasis:

@@ -220,23 +220,41 @@ class HeckeElt:
     @classmethod
     def from_json_dict(cls, data: dict) -> "HeckeElt":
         """
-        The inverse of `to_json_dict`. The constructor checks the terms;
-        they are then keyed by the rank's shared permutation tuples, as the
-        terms of every product are, and equal serialized coefficients share
-        one `IntPoly`, as equal coefficients of a product do.
+        The inverse of `to_json_dict`. Up to `_DENSE_MAX_RANK` each term is
+        checked once, by its lookup in the rank's index table, and keyed by
+        the rank's shared permutation tuple, as the terms of every product
+        are; above it the constructor checks the terms. Equal serialized
+        coefficients share one `IntPoly`, as equal coefficients of a
+        product do.
         """
-        n = int(data["n"])
         memo: dict[tuple, IntPoly] = {}
-        terms = {}
-        for t in data["terms"]:
-            key = tuple(t["c"])
+
+        def coeff(raw) -> IntPoly:
+            # only a list keys the memo: tuple() of a string or an object
+            # could equal the key of a list
+            if type(raw) is not list:
+                raise InvalidInputError(f"coefficient {raw!r:.40} is not a list")
+            key = tuple(raw)
             c = memo.get(key)
             if c is None:
-                c = memo[key] = IntPoly.from_json(key)
-            terms[tuple(map(int, t["w"]))] = c
-        h = cls(n, terms)
+                c = memo[key] = IntPoly.from_json(raw)
+            return c
+
+        n = int(data["n"])
+        if n > _DENSE_MAX_RANK:
+            return cls(n, {tuple(map(int, t["w"])): coeff(t["c"]) for t in data["terms"]})
         perms, _, index = _perm_tables(n)
-        return cls._raw(n, {perms[index[w]]: c for w, c in h.terms.items()})
+        terms = {}
+        for t in data["terms"]:
+            w = t["w"]
+            try:
+                w = perms[index[tuple(w)]]
+            except (KeyError, TypeError):
+                raise InvalidInputError(f"term {w!r:.40} is not a permutation in S_{n}") from None
+            c = coeff(t["c"])
+            if c:
+                terms[w] = c
+        return cls._raw(n, terms)
 
     def __repr__(self) -> str:
         parts = [f"({c!s})*T{list(w)}" for w, c in self.sorted_terms()]

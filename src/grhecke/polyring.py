@@ -20,6 +20,7 @@ functions nor floating point ever enter.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -29,6 +30,9 @@ __all__ = [
     "IntPoly", "RatPoly", "NPoly", "specialize_zero", "divexact",
     "solve_linear", "determinant", "interpolate_in_n",
 ]
+
+
+_DECIMAL = re.compile("-?[0-9]+")
 
 
 class IntPoly:
@@ -142,8 +146,13 @@ class IntPoly:
         return [str(c) for c in self.coeffs]
 
     @classmethod
-    def from_json(cls, data: Sequence[str]) -> "IntPoly":
-        return cls(int(c) for c in data)
+    def from_json(cls, data: list[str]) -> "IntPoly":
+        """The inverse of `to_json`: a list of strings matching -?[0-9]+."""
+        if type(data) is not list or not all(
+            type(c) is str and _DECIMAL.fullmatch(c) for c in data
+        ):
+            raise InvalidInputError(f"not a list of decimal strings: {data!r:.40}")
+        return cls(map(int, data))
 
     def to_str(self, *, ascending: bool = True, compact: bool = False) -> str:
         """

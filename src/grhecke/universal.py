@@ -17,9 +17,8 @@ ranks, never a claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .center import _pairs_up_to, m_sym_in_gamma, structure_constants
 from .coxeter import Partition, check_partition, fits_rank, partitions_of
@@ -78,8 +77,7 @@ def graded_product(lam: Partition, mu: Partition) -> dict[Partition, IntPoly]:
     return dict(_universal_row(lam, mu))
 
 
-@dataclass
-class GradedTable:
+class GradedTable(NamedTuple):
     """Top-degree products for all pairs with |lam| + |mu| <= max_grade."""
 
     max_grade: int
@@ -147,8 +145,7 @@ def dominance_compare(a: Partition, b: Partition) -> Optional[str]:
     return None
 
 
-@dataclass
-class OneRowMatrixReport:
+class OneRowMatrixReport(NamedTuple):
     """
     Expansion of the products gamma_{lam_1} gamma_{lam_2} ... of one-row
     symbols over the partitions of k, with invertibility and triangularity
@@ -164,7 +161,7 @@ class OneRowMatrixReport:
     zero_diagonal: list[int]
     dominance_triangular_at_zero: bool
     dominance_triangular_generic: bool
-    offending_entries: list[tuple[Partition, Partition, str]] = field(default_factory=list)
+    offending_entries: Sequence[tuple[Partition, Partition, str]] = ()
 
     @property
     def invertible(self) -> bool:
@@ -235,8 +232,7 @@ def check_graded_associativity(lam: Partition, mu: Partition, nu: Partition) -> 
     return left == right
 
 
-@dataclass
-class FitResult:
+class FitResult(NamedTuple):
     """
     An exact polynomial-in-n fit of a structure constant (or of a monomial
     expansion coefficient when nu is None), with its support and held-out

@@ -398,6 +398,16 @@ class TestCenterCommutativity:
                 )
 
 
+def _one_dump(basis):
+    """The cache file of `basis` as the single dump of its whole payload."""
+    payload = {
+        "format": 1, "n": basis.n, "up_to": basis.up_to,
+        "gamma": [{"lambda": list(lam), "elt": basis.gamma[lam].to_json_dict()}
+                  for lam in basis.valid_partitions()],
+    }
+    return (json.dumps(payload) + "\n").encode()
+
+
 def _with_coeffs(data, change):
     """The cache payload with every coefficient c replaced by change(c)."""
     return {**data, "gamma": [
@@ -419,19 +429,23 @@ class TestDiskCache:
             center.set_cache_dir(None)
             center.clear_caches()
 
-    @pytest.mark.parametrize("n, up_to", [(1, 0), (5, 3)])
+    @pytest.mark.parametrize("n, up_to", [(1, 0), (5, 3), (6, 4)])
     def test_file_bytes_are_one_json_dump(self, tmp_path, n, up_to):
         # the streamed file equals the single dump of the whole payload
         basis = gamma_basis(n, up_to)
         path = tmp_path / "basis.json"
         center._save_basis(path, basis)
-        payload = {
-            "format": 1, "n": n, "up_to": up_to,
-            "gamma": [{"lambda": list(lam), "elt": basis.gamma[lam].to_json_dict()}
-                      for lam in basis.valid_partitions()],
-        }
-        assert path.read_bytes() == (json.dumps(payload) + "\n").encode()
+        assert path.read_bytes() == _one_dump(basis)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_save_builds_no_json_tree(self, tmp_path, monkeypatch):
+        # the terms are written one by one, never as to_json_dict trees
+        basis = gamma_basis(5, 3)
+        want = _one_dump(basis)
+        monkeypatch.setattr(HeckeElt, "to_json_dict", must_not_run)
+        path = tmp_path / "basis.json"
+        center._save_basis(path, basis)
+        assert path.read_bytes() == want
 
     def test_loaded_basis_then_larger_basis(self, tmp_path):
         want = gamma_basis(4, 3).gamma
@@ -562,8 +576,11 @@ class TestDiskCache:
         lambda data: _with_coeffs(data, lambda c: [c]),
         lambda data: _with_coeffs(data, lambda c: {"coeffs": c}),
         lambda data: _with_coeffs(data, lambda c: "x"),
+        lambda data: _with_coeffs(data, lambda c: {"1": 5}),
+        lambda data: _with_coeffs(data, lambda c: "12"),
     ], ids=["list", "gamma-int", "coeff-int", "elt-list", "lambda-int",
-            "coeff-nested-list", "coeff-object", "coeff-non-digits"])
+            "coeff-nested-list", "coeff-object", "coeff-non-digits",
+            "coeff-digit-object", "coeff-digit-string"])
     def test_malformed_cache_recomputed(self, tmp_path, corrupt):
         fresh = gamma_basis(3, 1).gamma
         center.set_cache_dir(tmp_path)
@@ -574,6 +591,73 @@ class TestDiskCache:
             assert center._load_basis(path, 3) is None
             center.clear_caches()
             assert gamma_basis(3, 1).gamma == fresh
+        finally:
+            center.set_cache_dir(None)
+            center.clear_caches()
+
+    @pytest.mark.parametrize("depart", [
+        lambda text: text[:text.index(', {"lambda": ')],
+        lambda text: text + "[]",
+        lambda text: text.replace('}}, {"lambda": ', '}}{"lambda": '),
+        lambda text: text.replace('}}, {"lambda": ', '}},{"lambda": '),
+        lambda text: json.dumps({k: v for k, v in sorted(json.loads(text).items())}),
+        lambda text: text.replace('"terms": [', '"terms": ' + "[" * 100_000, 1),
+    ], ids=["truncated-after-one-element", "bytes-after-end", "no-separator",
+            "compact-separator", "reordered-header-keys", "deeply-nested-terms"])
+    def test_other_layout_recomputed(self, tmp_path, depart):
+        # the reader takes the writer's layout alone, even where the text
+        # is still one valid JSON document
+        fresh = gamma_basis(3, 1).gamma
+        center.set_cache_dir(tmp_path)
+        try:
+            gamma_basis(3, 1)
+            path = tmp_path / "gamma_n3_basis.json"
+            text = path.read_text()
+            assert text.count('{"lambda": ') == 2
+            path.write_text(depart(text))
+            assert center._load_basis(path, 3) is None
+            center.clear_caches()
+            assert gamma_basis(3, 1).gamma == fresh
+            assert path.read_text() == text
+        finally:
+            center.set_cache_dir(None)
+            center.clear_caches()
+
+    def test_redumped_file_loads(self, tmp_path, monkeypatch):
+        # json.dumps of the parsed file keeps the layout and drops only the
+        # final newline, as the corruption tests above rely on
+        fresh = gamma_basis(4, 2).gamma
+        center.set_cache_dir(tmp_path)
+        try:
+            gamma_basis(4, 2)
+            path = tmp_path / "gamma_n4_basis.json"
+            path.write_text(json.dumps(json.loads(path.read_text())))
+            center.clear_caches()
+            monkeypatch.setattr(center, "gamma_element", must_not_run)
+            assert center._load_basis(path, 4).gamma == fresh
+            assert gamma_basis(4, 2).gamma == fresh
+        finally:
+            center.set_cache_dir(None)
+            center.clear_caches()
+
+    def test_element_of_another_rank_rejected_before_its_tables(self, tmp_path, monkeypatch):
+        # an element stating a rank that is not the file's builds no tables
+        # for that rank: the file is rejected first
+        center.set_cache_dir(tmp_path)
+        try:
+            gamma_basis(3, 1)
+            path = tmp_path / "gamma_n3_basis.json"
+            data = json.loads(path.read_text())
+            data["gamma"][1]["elt"] = {"n": 6000, "terms": []}
+            path.write_text(json.dumps(data))
+            tables = hecke._perm_tables
+
+            def rank_three_only(n):
+                assert n == 3, f"tables built for rank {n}"
+                return tables(n)
+
+            monkeypatch.setattr(hecke, "_perm_tables", rank_three_only)
+            assert center._load_basis(path, 3) is None
         finally:
             center.set_cache_dir(None)
             center.clear_caches()

@@ -266,3 +266,19 @@ def test_import_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses would pull in inspect, ast, dis and tokenize at start-up
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import grhecke.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -267,10 +267,46 @@ class TestSerialization:
         assert all(w is perms[hecke._perm_index(w)] for w in loaded.terms)
 
     def test_serialized_terms_checked_once(self, monkeypatch):
+        # the lookup in the rank's index table is the one check of a term
         h = unit(3) + t_basis(S1) + t_basis(W0)
+        data = h.to_json_dict()
+        perms, inverse, index = hecke._perm_tables(3)
+        lookups = []
+
+        class Index(dict):
+            def __getitem__(self, w):
+                lookups.append(w)
+                return dict.__getitem__(self, w)
+
+        monkeypatch.setattr(hecke, "_perm_tables", lambda n: (perms, inverse, Index(index)))
+        monkeypatch.setattr(coxeter, "is_permutation", lambda w: pytest.fail("checked twice"))
+        assert HeckeElt.from_json_dict(data) == h
+        assert sorted(lookups) == sorted(h.terms)
+
+    def test_serialized_terms_above_dense_rank_checked_by_constructor(self, monkeypatch):
+        w = (2, 1, 3, 4, 5, 6, 7, 8, 10, 9)
+        h = unit(10) + t_basis(w).scale(IntPoly((0, 3)))
         data = h.to_json_dict()
         calls = []
         check = coxeter.is_permutation
         monkeypatch.setattr(coxeter, "is_permutation", lambda w: calls.append(w) or check(w))
+        monkeypatch.setattr(hecke, "_perm_tables", lambda n: pytest.fail("tables built"))
         assert HeckeElt.from_json_dict(data) == h
         assert sorted(calls) == sorted(h.terms)
+        data["terms"][1]["w"] = [1] * 10
+        with pytest.raises(InvalidInputError):
+            HeckeElt.from_json_dict(data)
+
+    @pytest.mark.parametrize("term", [
+        {"w": [1, 2, 4], "c": ["1"]},
+        {"w": [1, 2], "c": ["1"]},
+        {"w": ["1", "2", "3"], "c": ["1"]},
+        {"w": [[1], 2, 3], "c": ["1"]},
+        {"w": [1, 2, 3], "c": "1"},
+        {"w": [1, 2, 3], "c": {"1": 5}},
+        {"w": [1, 2, 3], "c": ["1", 2]},
+    ], ids=["not-a-permutation", "short", "digit-strings", "unhashable",
+            "coeff-string", "coeff-object", "coeff-int-digit"])
+    def test_rejects_malformed_terms(self, term):
+        with pytest.raises(InvalidInputError):
+            HeckeElt.from_json_dict({"n": 3, "terms": [{"w": [2, 1, 3], "c": ["1"]}, term]})

@@ -286,3 +286,18 @@ class TestRendering:
     def test_json_round_trip(self):
         p = IntPoly((-3, 0, 12345678901234567890))
         assert IntPoly.from_json(p.to_json()) == p
+
+    def test_json_reads_decimal_strings(self):
+        assert IntPoly.from_json(["-3", "0", "007", "-0"]) == IntPoly((-3, 0, 7))
+        assert IntPoly.from_json([]) == IntPoly()
+
+    @pytest.mark.parametrize("data", [
+        {"1": 5}, "12", ("1",), ["1_0"], [" 1"], ["1 "], ["1\n"], ["+1"], ["1.0"],
+        ["-"], [""], ["\u0661"], [1], [["1"]], None,
+    ], ids=["object", "string", "tuple", "underscore", "leading-space",
+            "trailing-space", "trailing-newline", "plus-sign", "decimal-point",
+            "bare-minus", "empty-string", "arabic-indic-digit", "int", "nested-list",
+            "null"])
+    def test_json_rejects_anything_else(self, data):
+        with pytest.raises(InvalidInputError):
+            IntPoly.from_json(data)
