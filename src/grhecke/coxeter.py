@@ -17,12 +17,23 @@ A partition `lam` labels a nonempty class of S_n exactly when
 2
 >>> modified_cycle_type((2, 3, 1))
 (2,)
+
+Permutations of S_n are also addressed by their index in lexicographic
+order, the factorial-base number of their Lehmer code L (L[j] counts the
+k > j with w[k] < w[j]). Right multiplication by s_i changes only the digits
+(a, c) = (L[i-1], L[i]); i is a right descent exactly when a > c, and then
+w s_i has digits (c, a - 1), otherwise (c + 1, a). The length of w is the
+sum of its Lehmer digits. Each rank has tables over indices: step rows,
+permutations, inverses, indices and lengths, stored up to `_DENSE_MAX_RANK`
+and computed per entry above it. Conjugacy classes are walked on them.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from functools import lru_cache
+from itertools import permutations
+from math import factorial
 from typing import Iterable, Sequence
 
 from .errors import EmptyClassError, InvalidInputError
@@ -220,30 +231,34 @@ def class_representative(lam: Partition, n: int) -> Perm:
 def conjugacy_class(lam: Partition, n: int) -> frozenset[Perm]:
     """
     All w in S_n of modified type lam, by closing one representative under
-    conjugation by the adjacent transpositions.
+    conjugation by the adjacent transpositions, on indices.
 
     >>> sorted(conjugacy_class((1,), 3))
     [(1, 3, 2), (2, 1, 3), (3, 2, 1)]
     """
     rep = class_representative(lam, n)
-    seen = {rep}
-    queue = deque([rep])
-    while queue:
-        w = queue.popleft()
-        for i in range(1, n):
-            c = left_gen(right_gen(w, i), i)
-            if c not in seen:
-                seen.add(c)
-                queue.append(c)
-    return frozenset(seen)
+    perms, inverse, index = _perm_tables(n)
+    rows = _step_rows(n)[1:]
+    queue = [index[rep]]
+    seen = set(queue)
+    for k in queue:
+        for row in rows:
+            j = row[k]  # w s_i
+            j = row[inverse[j if j >= 0 else ~j]]  # (s_i w s_i)^{-1}
+            j = inverse[j if j >= 0 else ~j]
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return frozenset(map(perms.__getitem__, seen))
 
 
 @lru_cache(maxsize=None)
 def minimal_length_elements(lam: Partition, n: int) -> frozenset[Perm]:
     """The elements of minimal Coxeter length within the class of lam."""
-    cls = conjugacy_class(lam, n)
-    best = min(length(w) for w in cls)
-    return frozenset(w for w in cls if length(w) == best)
+    index, lengths = _perm_tables(n)[2], _lengths(n)
+    by_w = {w: lengths[index[w]] for w in conjugacy_class(lam, n)}
+    best = min(by_w.values())
+    return frozenset(w for w, m in by_w.items() if m == best)
 
 
 @lru_cache(maxsize=None)
@@ -258,6 +273,148 @@ def min_rep(lam: Partition, n: int) -> Perm:
     (2, 3, 1)
     """
     return min(minimal_length_elements(lam, n))
+
+
+_DENSE_MAX_RANK = 9  # the tables: 88 MB at n = 9; the step rows alone, 131 MB at n = 10
+
+
+def _perm_index(w: Perm) -> int:
+    rest = sorted(w)
+    k = 0
+    for a in w:
+        d = rest.index(a)
+        k = k * len(rest) + d
+        del rest[d]
+    return k
+
+
+def _index_perm(k: int, places: tuple[int, ...]) -> Perm:
+    """The permutation of index k; places are (n-1)!, ..., 1!, 0!."""
+    rest = list(range(1, len(places) + 1))
+    out = []
+    for f in places:
+        d, k = divmod(k, f)
+        out.append(rest.pop(d))
+    return tuple(out)
+
+
+class _StepRow:
+    """
+    Right multiplication by s_i on indices: ``row[k]`` is the index of
+    w s_i, or its bitwise complement (a negative number) when i is a right
+    descent of w. Up to `_DENSE_MAX_RANK` it is tabulated as int32.
+    """
+
+    __slots__ = ("f1", "f0", "ra", "rc")
+
+    def __init__(self, n: int, i: int):
+        self.f1, self.f0 = factorial(n - i), factorial(n - i - 1)
+        self.ra, self.rc = n - i + 1, n - i
+
+    def __getitem__(self, k: int) -> int:
+        a = k // self.f1 % self.ra
+        c = k // self.f0 % self.rc
+        if a <= c:
+            return k + (c + 1 - a) * self.f1 + (a - c) * self.f0
+        return ~(k + (c - a) * self.f1 + (a - 1 - c) * self.f0)
+
+
+def _tabulate(row: _StepRow, size: int) -> array:
+    """
+    `row` as int32. The indices with one value of the digits (a, c) form a
+    grid, f0 consecutive ones in each block of ra f1, on which row[k] - k (or
+    ~row[k] + k) is constant: each line along its longer side is one range.
+    """
+    period = row.f1 * row.ra
+    blocks = size // period
+    if row.f0 >= blocks:
+        stride, count, starts = 1, row.f0, range(0, size, period)
+    else:
+        stride, count, starts = period, blocks, range(row.f0)
+    out = array("i", [0]) * size
+    for a in range(row.ra):
+        for c in range(row.rc):
+            for s in starts:
+                k = a * row.f1 + c * row.f0 + s
+                v = row[k]
+                d = stride if v >= 0 else -stride
+                out[k : k + stride * count : stride] = array("i", range(v, v + d * count, d))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _step_rows(n: int) -> tuple:
+    """Row i (1 <= i < n) steps every index of S_n by s_i; row 0 is unused."""
+    rows = [_StepRow(n, i) for i in range(1, n)]
+    if n <= _DENSE_MAX_RANK:
+        rows = [_tabulate(row, factorial(n)) for row in rows]
+    return (None, *rows)
+
+
+class _PermRow:
+    """The permutation of index k, computed when asked for."""
+
+    __slots__ = ("places",)
+
+    def __init__(self, n: int):
+        self.places = tuple(factorial(j) for j in range(n - 1, -1, -1))
+
+    def __getitem__(self, k: int) -> Perm:
+        return _index_perm(k, self.places)
+
+
+class _InverseRow(_PermRow):
+    """The index of the inverse of the permutation of index k."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k: int) -> int:
+        return _perm_index(inverse(_index_perm(k, self.places)))
+
+
+class _LengthRow(_PermRow):
+    """The length of the permutation of index k."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k: int) -> int:
+        return length(_index_perm(k, self.places))
+
+
+class _IndexRow:
+    """The index of the permutation w, computed when asked for."""
+
+    __slots__ = ()
+
+    def __getitem__(self, w: Perm) -> int:
+        return _perm_index(w)
+
+
+@lru_cache(maxsize=None)
+def _perm_tables(n: int) -> tuple:
+    """
+    (perms, inverse, index): perms[k] is the permutation of index k,
+    inverse[k] the index of its inverse, and index[w] the index of w. Up to
+    `_DENSE_MAX_RANK` perms is a tuple, whose entries serve as the keys of
+    every unpacked product, inverse an int32 array, and index a dict.
+    """
+    if n > _DENSE_MAX_RANK:
+        return _PermRow(n), _InverseRow(n), _IndexRow()
+    perms = tuple(permutations(range(1, n + 1)))
+    index = dict(zip(perms, range(len(perms))))
+    return perms, array("i", map(index.__getitem__, map(inverse, perms))), index
+
+
+@lru_cache(maxsize=None)
+def _lengths(n: int):
+    """lengths[k] is the length of the permutation of index k: up to
+    `_DENSE_MAX_RANK`, bytes, S_{m-1}'s table plus each first digit d < m."""
+    if n > _DENSE_MAX_RANK:
+        return _LengthRow(n)
+    table = b"\0"
+    for m in range(2, n + 1):
+        table = b"".join(table.translate(bytes(range(d, 256)) + bytes(d)) for d in range(m))
+    return table
 
 
 def _partitions_rec(total: int, max_part: int) -> Iterable[Partition]:

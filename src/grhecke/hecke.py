@@ -18,12 +18,10 @@ T_w -> T_{w^{-1}} lets the expansion always happen on the lighter side.
 The expansion runs on Python integers (Kronecker substitution). Each
 coefficient is packed once as its value at x = 2^B, so sums, shifts by x
 and products of coefficients become single integer operations, and each
-permutation as its index in lexicographic order. Three tables per rank,
-built on first use, turn permutations into table lookups: s_i steps every
-index, the permutations themselves in lexicographic order (unpacking is a
-lookup, and the unpacked terms share the table's tuples), and the index of
-each inverse (the transpose T_w -> T_{w^{-1}} is a relabeling of indices,
-and the reduced words of w^{-1} are those of w reversed). The width B comes
+permutation as its index in lexicographic order, stepped through the
+tables of `coxeter`: unpacking is a lookup, so the unpacked terms share the
+table's tuples, and the transpose T_w -> T_{w^{-1}} is a relabeling of
+indices (the reduced words of w^{-1} are those of w reversed). The width B comes
 from a proven bound. A generator step at most doubles |h|_1, the sum of
 the absolute values of all integer coefficients of h. The Horner value at
 a trie node y is R(y) = sum c_w A T_{w y^{-1}} over the words w ending in
@@ -55,13 +53,20 @@ terms. The nine products of the n = 7 table have 26,747 terms and 1,396
 distinct coefficients.
 
 Centrality runs packed as well: `is_central` packs h once and compares
-h T_i with T_i h = (h^t T_i)^t for each i, h^t being h read through the
-inverse table. With M = max_w |h[w]|_1, the coefficient of T_w in h T_i is
-h[w s_i], plus x h[w] on a descent, so each of its integer coefficients is
-at most 2M in absolute value, and likewise for T_i h. Their difference r
-then has every coefficient within 4M < 2^B for B = (2M).bit_length() + 2,
-and a nonzero such r has r(2^B) != 0: its lowest nonzero coefficient is not
-divisible by 2^B. So the packed values are equal exactly when h T_i = T_i h.
+h T_i with T_i h = (h^t T_i)^t, h^t being h read through the inverse table.
+Two symmetries fix every class element and are checked first, each by one
+relabeling; without one the full comparison runs. If h^t = h, then
+T_i h = (h T_i)^t: one step per generator. If h is fixed by
+T_w -> T_{w0 w w0}, which maps T_i to T_{n-i}, the generators i <= n/2
+suffice; w -> w0 w reverses lexicographic order, so w0 w w0 =
+w0 (w0 w^{-1})^{-1} has index n! - 1 - inverse[n! - 1 - inverse[k]]. With
+M = max_w |h[w]|_1, the coefficient of T_w in h T_i is h[w s_i], plus
+x h[w] on a descent, so each of its integer coefficients is at most 2M in
+absolute value, and likewise for T_i h and either transpose. Their
+difference r then has every coefficient within 4M < 2^B for
+B = (2M).bit_length() + 2, and a nonzero such r has r(2^B) != 0: its lowest
+nonzero coefficient is not divisible by 2^B. So the packed values are equal
+exactly when h T_i = T_i h.
 
 Jucys-Murphy elements L_i (L_1 = 0, L_i = sum of T over transpositions
 (k, i) with k < i) commute pairwise; symmetric polynomials in them are
@@ -82,15 +87,14 @@ and B = M.bit_length() + 2 reads it back exactly.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
-from itertools import permutations
 from math import factorial
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import coxeter
 from .coxeter import Partition, Perm, check_partition, length, reduced_word
+from .coxeter import _DENSE_MAX_RANK, _perm_tables, _step_rows
 from .errors import InvalidInputError
 from .polyring import IntPoly
 
@@ -283,113 +287,6 @@ def _generator(n: int, i: int) -> HeckeElt:
 
 def _letter_cost(h: HeckeElt) -> int:
     return sum(length(w) for w in h.terms)
-
-
-# Permutations of S_n are addressed by their index in lexicographic order,
-# the factorial-base number of their Lehmer code L (L[j] counts the k > j
-# with w[k] < w[j]). Right multiplication by s_i changes only the digits
-# (a, c) = (L[i-1], L[i]); i is a right descent exactly when a > c, and
-# then w s_i has digits (c, a - 1), otherwise (c + 1, a). Each rank has
-# four kinds of table over indices: the step rows, the permutations, the
-# index of each inverse, and the index of each permutation. Up to
-# `_DENSE_MAX_RANK` they are stored; above it each entry is computed when
-# asked for.
-_DENSE_MAX_RANK = 9  # all four: 88 MB at n = 9; the rows alone, 131 MB at n = 10
-
-
-def _perm_index(w: Perm) -> int:
-    rest = sorted(w)
-    k = 0
-    for a in w:
-        d = rest.index(a)
-        k = k * len(rest) + d
-        del rest[d]
-    return k
-
-
-def _index_perm(k: int, places: tuple[int, ...]) -> Perm:
-    """The permutation of index k; places are (n-1)!, ..., 1!, 0!."""
-    rest = list(range(1, len(places) + 1))
-    out = []
-    for f in places:
-        d, k = divmod(k, f)
-        out.append(rest.pop(d))
-    return tuple(out)
-
-
-class _StepRow:
-    """
-    Right multiplication by s_i on indices: ``row[k]`` is the index of
-    w s_i, or its bitwise complement (a negative number) when i is a right
-    descent of w. Up to `_DENSE_MAX_RANK` it is tabulated as int32.
-    """
-
-    __slots__ = ("f1", "f0", "ra", "rc")
-
-    def __init__(self, n: int, i: int):
-        self.f1, self.f0 = factorial(n - i), factorial(n - i - 1)
-        self.ra, self.rc = n - i + 1, n - i
-
-    def __getitem__(self, k: int) -> int:
-        a = k // self.f1 % self.ra
-        c = k // self.f0 % self.rc
-        if a <= c:
-            return k + (c + 1 - a) * self.f1 + (a - c) * self.f0
-        return ~(k + (c - a) * self.f1 + (a - 1 - c) * self.f0)
-
-
-@lru_cache(maxsize=None)
-def _step_rows(n: int) -> tuple:
-    """Row i (1 <= i < n) steps every index of S_n by s_i; row 0 is unused."""
-    rows = [_StepRow(n, i) for i in range(1, n)]
-    if n <= _DENSE_MAX_RANK:
-        rows = [array("i", map(row.__getitem__, range(factorial(n)))) for row in rows]
-    return (None, *rows)
-
-
-class _PermRow:
-    """The permutation of index k, computed when asked for."""
-
-    __slots__ = ("places",)
-
-    def __init__(self, n: int):
-        self.places = tuple(factorial(j) for j in range(n - 1, -1, -1))
-
-    def __getitem__(self, k: int) -> Perm:
-        return _index_perm(k, self.places)
-
-
-class _InverseRow(_PermRow):
-    """The index of the inverse of the permutation of index k."""
-
-    __slots__ = ()
-
-    def __getitem__(self, k: int) -> int:
-        return _perm_index(coxeter.inverse(_index_perm(k, self.places)))
-
-
-class _IndexRow:
-    """The index of the permutation w, computed when asked for."""
-
-    __slots__ = ()
-
-    def __getitem__(self, w: Perm) -> int:
-        return _perm_index(w)
-
-
-@lru_cache(maxsize=None)
-def _perm_tables(n: int) -> tuple:
-    """
-    (perms, inverse, index): perms[k] is the permutation of index k,
-    inverse[k] the index of its inverse, and index[w] the index of w. Up to
-    `_DENSE_MAX_RANK` perms is a tuple, whose entries serve as the keys of
-    every unpacked product, inverse an int32 array, and index a dict.
-    """
-    if n > _DENSE_MAX_RANK:
-        return _PermRow(n), _InverseRow(n), _IndexRow()
-    perms = tuple(permutations(range(1, n + 1)))
-    index = dict(zip(perms, range(len(perms))))
-    return perms, array("i", map(index.__getitem__, map(coxeter.inverse, perms))), index
 
 
 def _l1(c: IntPoly) -> int:
@@ -697,7 +594,8 @@ def is_central(h: HeckeElt) -> bool:
     """
     Whether h commutes with every generator T_i, decided on packed
     indices: h T_i against T_i h = (h^t T_i)^t, stopping at the first
-    generator that does not commute.
+    generator that does not commute; shorter for a symmetric h (see the
+    module docstring).
 
     >>> is_central(e_sym(2, 4)), is_central(jucys_murphy(2, 3))
     (True, False)
@@ -710,9 +608,13 @@ def is_central(h: HeckeElt) -> bool:
     width = (2 * _max_l1(h)).bit_length() + 2
     vec = _packed(h, _Memo(_pack, width))
     flipped = {inverse[k]: v for k, v in vec.items()}
-    for i in range(1, n):
-        left = _step(flipped, rows[i], width)
-        if _step(vec, rows[i], width) != {inverse[k]: v for k, v in left.items()}:
+    self_transpose = flipped == vec
+    top = factorial(n) - 1
+    mirrored = {top - inverse[top - inverse[k]]: v for k, v in vec.items()}
+    for i in range(1, n // 2 + 1 if mirrored == vec else n):
+        right = _step(vec, rows[i], width)
+        left = right if self_transpose else _step(flipped, rows[i], width)
+        if right != {inverse[k]: v for k, v in left.items()}:
             return False
     return True
 

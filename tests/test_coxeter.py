@@ -1,16 +1,22 @@
 """Symmetric group combinatorics, checked against brute-force enumeration."""
 
 import math
+import os
+import random
+import subprocess
+import sys
+from collections import deque
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from grhecke import coxeter
 from grhecke.coxeter import (
-    compose, conjugacy_class, fits_rank, from_word, identity, inverse, length,
-    min_rep, minimal_length_elements, modified_cycle_type, partitions_of,
-    partitions_up_to, reduced_word, right_gen,
+    class_representative, compose, conjugacy_class, fits_rank, from_word, identity,
+    inverse, left_gen, length, min_rep, minimal_length_elements, modified_cycle_type,
+    partitions_of, partitions_up_to, reduced_word, right_gen,
 )
 from grhecke.errors import EmptyClassError, InvalidInputError
 
@@ -147,6 +153,94 @@ class TestConjugacyClass:
             by_type.setdefault(modified_cycle_type(w), set()).add(w)
         for lam, cls in by_type.items():
             assert conjugacy_class(lam, n) == cls
+
+
+def tuple_conjugacy_class(lam, n):
+    """The class walked on tuples: the oracle of the walk on indices."""
+    rep = class_representative(lam, n)
+    seen = {rep}
+    queue = deque([rep])
+    while queue:
+        w = queue.popleft()
+        for i in range(1, n):
+            c = left_gen(right_gen(w, i), i)
+            if c not in seen:
+                seen.add(c)
+                queue.append(c)
+    return seen
+
+
+class TestClassWalk:
+    @staticmethod
+    def _check(lam, n):
+        want = tuple_conjugacy_class(lam, n)
+        assert conjugacy_class(lam, n) == want
+        best = min(map(length, want))
+        assert minimal_length_elements(lam, n) == {w for w in want if length(w) == best}
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_matches_tuple_walk(self, n):
+        for lam in partitions_up_to(n):
+            if fits_rank(lam, n):
+                self._check(lam, n)
+
+    def test_above_dense_rank(self):
+        for lam in [(), (1,), (2,), (1, 1)]:
+            self._check(lam, coxeter._DENSE_MAX_RANK + 1)
+
+    def test_class_members_are_the_rank_tuples(self):
+        perms = coxeter._perm_tables(4)[0]
+        assert all(w is perms[coxeter._perm_index(w)] for w in conjugacy_class((1, 1), 4))
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_length_table(self, n):
+        lengths = coxeter._lengths(n)
+        assert isinstance(lengths, bytes) and len(lengths) == math.factorial(n)
+        assert list(lengths) == [length(w) for w in all_perms(n)]
+
+    def test_length_row_above_dense_rank(self):
+        n = coxeter._DENSE_MAX_RANK + 1
+        perms, lengths = coxeter._perm_tables(n)[0], coxeter._lengths(n)
+        for k in random.Random(n).sample(range(math.factorial(n)), 200):
+            assert lengths[k] == length(perms[k])
+
+    @staticmethod
+    def _mirror_index(k, n):
+        """The index of w0 w w0 for w of index k, as `hecke.is_central` forms it."""
+        inv = coxeter._perm_tables(n)[1]
+        top = math.factorial(n) - 1
+        return top - inv[top - inv[k]]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_mirror_index_formula(self, n):
+        perms, _, index = coxeter._perm_tables(n)
+        w0 = tuple(range(n, 0, -1))
+        for k, w in enumerate(perms):
+            assert self._mirror_index(k, n) == index[compose(w0, compose(w, w0))]
+
+    def test_mirror_index_formula_above_dense_rank(self):
+        n = coxeter._DENSE_MAX_RANK + 1
+        perms, _, index = coxeter._perm_tables(n)
+        w0 = tuple(range(n, 0, -1))
+        for k in random.Random(n).sample(range(math.factorial(n)), 200):
+            assert self._mirror_index(k, n) == index[compose(w0, compose(perms[k], w0))]
+
+
+def test_coxeter_loads_no_hecke():
+    # the permutation layer stands below the algebra: importing it, with the
+    # package's own re-exports skipped, and walking a class load no hecke
+    src = Path(coxeter.__file__).resolve().parent
+    script = (
+        "import sys, types\n"
+        f"pkg = types.ModuleType('grhecke'); pkg.__path__ = [{str(src)!r}]\n"
+        "sys.modules['grhecke'] = pkg\n"
+        "import grhecke.coxeter as c\n"
+        "c.minimal_length_elements((2, 1), 5)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('grhecke.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "['grhecke.coxeter', 'grhecke.errors']"
 
 
 class TestMinimalLength:

@@ -261,16 +261,16 @@ class TestSerialization:
 
     def test_loaded_terms_share_the_rank_tuples(self):
         h = unit(3) + t_basis(S1) - t_basis(W0)
-        perms = hecke._perm_tables(3)[0]
+        perms = coxeter._perm_tables(3)[0]
         loaded = HeckeElt.from_json_dict(h.to_json_dict())
         assert loaded == h
-        assert all(w is perms[hecke._perm_index(w)] for w in loaded.terms)
+        assert all(w is perms[coxeter._perm_index(w)] for w in loaded.terms)
 
     def test_serialized_terms_checked_once(self, monkeypatch):
         # the lookup in the rank's index table is the one check of a term
         h = unit(3) + t_basis(S1) + t_basis(W0)
         data = h.to_json_dict()
-        perms, inverse, index = hecke._perm_tables(3)
+        perms, inverse, index = coxeter._perm_tables(3)
         lookups = []
 
         class Index(dict):

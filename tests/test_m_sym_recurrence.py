@@ -10,7 +10,7 @@ from typing import Iterator
 
 import pytest
 
-from grhecke import hecke
+from grhecke import coxeter, hecke
 from grhecke.coxeter import check_partition, partitions_up_to, transposition
 from grhecke.hecke import (
     HeckeElt, jucys_murphy, linear_combination, m_sym, mul, t_basis, unit, zero,
@@ -79,8 +79,8 @@ def _times_jm(h, k):
     """h L_k through the packed kernel, at the width the bound G_k gives."""
     width = (_norm(h) * _g(k)).bit_length() + 2
     vec = hecke._packed(h, hecke._Memo(hecke._pack, width))
-    vec = hecke._times_jm(vec, k, hecke._step_rows(h.n), width)
-    perms = hecke._perm_tables(h.n)[0]
+    vec = hecke._times_jm(vec, k, coxeter._step_rows(h.n), width)
+    perms = coxeter._perm_tables(h.n)[0]
     return HeckeElt(h.n, {perms[j]: hecke._unpack(v, width) for j, v in vec.items()})
 
 
