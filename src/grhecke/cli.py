@@ -20,8 +20,7 @@ from . import center, coxeter, universal
 from .center import CheckReport, StructTable
 from .coxeter import Partition
 from .errors import (
-    BasisIncompleteError, ConstructionError, InvalidInputError,
-    InvariantViolationError, SingularSystemError,
+    BasisIncompleteError, ConstructionError, InvalidInputError, InvariantViolationError,
 )
 
 CACHE_ENV = "GRHECKE_CACHE"
@@ -353,8 +352,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc.filename or ''}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    except (ConstructionError, BasisIncompleteError, InvariantViolationError,
-            SingularSystemError) as exc:
+    except (ConstructionError, BasisIncompleteError, InvariantViolationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
 

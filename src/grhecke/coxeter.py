@@ -25,15 +25,17 @@ k > j with w[k] < w[j]). Right multiplication by s_i changes only the digits
 w s_i has digits (c, a - 1), otherwise (c + 1, a). The length of w is the
 sum of its Lehmer digits. Each rank has tables over indices: step rows,
 permutations, inverses, indices and lengths, stored up to `_DENSE_MAX_RANK`
-and computed per entry above it. Conjugacy classes are walked on them.
+and computed per entry above it. Conjugacy classes are walked on them, or,
+when a class is small against S_n, on rows computed per entry at any rank.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .errors import EmptyClassError, InvalidInputError
@@ -237,8 +239,9 @@ def conjugacy_class(lam: Partition, n: int) -> frozenset[Perm]:
     [(1, 3, 2), (2, 1, 3), (3, 2, 1)]
     """
     rep = class_representative(lam, n)
-    perms, inverse, index = _perm_tables(n)
-    rows = _step_rows(n)[1:]
+    if not lam:
+        return frozenset((rep,))
+    perms, inverse, index, rows, _ = _class_tables(lam, n)
     queue = [index[rep]]
     seen = set(queue)
     for k in queue:
@@ -255,7 +258,7 @@ def conjugacy_class(lam: Partition, n: int) -> frozenset[Perm]:
 @lru_cache(maxsize=None)
 def minimal_length_elements(lam: Partition, n: int) -> frozenset[Perm]:
     """The elements of minimal Coxeter length within the class of lam."""
-    index, lengths = _perm_tables(n)[2], _lengths(n)
+    _, _, index, _, lengths = _class_tables(lam, n)
     by_w = {w: lengths[index[w]] for w in conjugacy_class(lam, n)}
     best = min(by_w.values())
     return frozenset(w for w, m in by_w.items() if m == best)
@@ -276,6 +279,22 @@ def min_rep(lam: Partition, n: int) -> Perm:
 
 
 _DENSE_MAX_RANK = 9  # the tables: 88 MB at n = 9; the step rows alone, 131 MB at n = 10
+
+
+# a class walks on per-entry rows when it holds under 1/_SPARSE_CLASS of S_n,
+# that is when its centralizer is larger; up to rank 7, whose tables the
+# engine's products build anyway, only the identity's is (z = 240 for (1,))
+_SPARSE_CLASS = 500
+
+
+def _class_tables(lam: Partition, n: int) -> tuple:
+    """(perms, inverse, index, step rows, lengths) to walk the class of lam on."""
+    cycles = Counter([p + 1 for p in lam] + [1] * (n - sum(lam) - len(lam)))
+    z = prod(k ** m * factorial(m) for k, m in cycles.items())  # the centralizer's order
+    if z > _SPARSE_CLASS:
+        rows = [_StepRow(n, i) for i in range(1, n)]
+        return _PermRow(n), _InverseRow(n), _IndexRow(), rows, _LengthRow(n)
+    return (*_perm_tables(n), _step_rows(n)[1:], _lengths(n))
 
 
 def _perm_index(w: Perm) -> int:
@@ -455,8 +474,3 @@ def partitions_up_to(k: int) -> tuple[Partition, ...]:
         out.extend(partitions_of(size))
     return tuple(out)
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -9,10 +9,12 @@ vanishes, insists on exact agreement, and returns the common value. These
 constants define a graded algebra on the class symbols; `graded_product`
 and `one_row_product_matrix` operate purely at that level.
 
-Polynomiality of the full structure constants in n is only conjectural, so
-`fit_structure_constant` and `fit_m_sym_coeff` produce evidence: an exact
-interpolation over a window of ranks together with held-out validation
-ranks, never a claim.
+The full structure constants are polynomial in n: Méliot, "Products of
+Geck-Rouquier conjugacy classes and the Hecke algebra of composed
+permutations" (FPSAC 2010), states a proof. No degree bound in n is used
+here, so `fit_structure_constant` and `fit_m_sym_coeff` produce evidence:
+an exact interpolation over a window of ranks together with held-out
+validation ranks, never a claim.
 """
 
 from __future__ import annotations

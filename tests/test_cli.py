@@ -135,7 +135,26 @@ class TestVerify:
         assert "WITNESS injected failure" in out
 
 
+FIT_GOLDEN = Path(__file__).resolve().parent / "fit_golden"
+
+# stdout of `fit` on each window, byte for byte: the first three fit rational
+# coefficients in n, the fourth a constant, and the last exceeds its degree cap
+FIT_WINDOWS = {
+    "l1_m1_nu0_3-6": ("--lambda", "1", "--mu", "1", "--nu", "", "--range", "3:6"),
+    "l1_m2_nu1_3-7": ("--lambda", "1", "--mu", "2", "--nu", "1", "--range", "3:7"),
+    "l2_m1_nu0_3-7": ("--lambda", "2", "--mu", "1", "--nu", "", "--range", "3:7"),
+    "l11_m1_nu1_4-7": ("--lambda", "1,1", "--mu", "1", "--nu", "1", "--range", "4:7"),
+    "l2_m2_nu0_4-7": ("--lambda", "2", "--mu", "2", "--nu", "", "--range", "4:7"),
+}
+
+
 class TestFit:
+    @pytest.mark.parametrize("golden", list(FIT_WINDOWS))
+    def test_output_golden(self, golden):
+        code, out = run_cli("fit", *FIT_WINDOWS[golden])
+        assert code == (1 if golden == "l2_m2_nu0_4-7" else 0)
+        assert out.encode() == (FIT_GOLDEN / f"{golden}.json").read_bytes()
+
     def test_validated_fit(self):
         doc = run_cli_json("fit", "--lambda", "1", "--mu", "1", "--nu", "",
                            "--range", "3:6")

@@ -172,11 +172,11 @@ def tuple_conjugacy_class(lam, n):
 
 class TestClassWalk:
     @staticmethod
-    def _check(lam, n):
+    def _check(lam, n, walk=conjugacy_class, minimal=minimal_length_elements):
         want = tuple_conjugacy_class(lam, n)
-        assert conjugacy_class(lam, n) == want
+        assert walk(lam, n) == want
         best = min(map(length, want))
-        assert minimal_length_elements(lam, n) == {w for w in want if length(w) == best}
+        assert minimal(lam, n) == {w for w in want if length(w) == best}
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_matches_tuple_walk(self, n):
@@ -187,6 +187,36 @@ class TestClassWalk:
     def test_above_dense_rank(self):
         for lam in [(), (1,), (2,), (1, 1)]:
             self._check(lam, coxeter._DENSE_MAX_RANK + 1)
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_per_entry_rows_match_tuple_walk(self, n, monkeypatch):
+        # every class but the identity's walks on per-entry rows, uncached
+        monkeypatch.setattr(coxeter, "_SPARSE_CLASS", 0)
+        for lam in partitions_up_to(n):
+            if fits_rank(lam, n):
+                self._check(lam, n, conjugacy_class.__wrapped__,
+                            minimal_length_elements.__wrapped__)
+
+    def test_small_classes_build_no_tables(self, monkeypatch):
+        # the classes of the oracle's (1) * (1) at rank 9 hold under 1/900 of S_9
+        from grhecke import center
+
+        for name in ("_perm_tables", "_step_rows", "_lengths"):
+            built = getattr(coxeter, name)
+            monkeypatch.setattr(coxeter, name, lambda n, built=built: (
+                built(n) if n < 9 else pytest.fail("the rank-9 tables were built")))
+        conjugacy_class.cache_clear()
+        minimal_length_elements.cache_clear()
+        # the answer of the walk on the rank-9 tables
+        assert center.class_sum_oracle((1,), (1,), 9) == {(): 36, (2,): 3, (1, 1): 2}
+
+    def test_rank_seven_classes_walk_on_the_tables(self, monkeypatch):
+        # up to rank 7 every class but the identity's walks on the rank's tables
+        monkeypatch.setattr(coxeter, "_PermRow", None)
+        for n in range(8):
+            for lam in partitions_up_to(n):
+                if lam and fits_rank(lam, n):
+                    assert coxeter._class_tables(lam, n)[0] is coxeter._perm_tables(n)[0]
 
     def test_class_members_are_the_rank_tuples(self):
         perms = coxeter._perm_tables(4)[0]

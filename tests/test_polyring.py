@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, linear solving, and interpolation."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,66 @@ class TestArithmetic:
         p = IntPoly((3, 0, 1))
         assert (2 * p).coeffs == (6, 0, 2)
         assert (p * 0) == ZERO
+
+
+def rpoly(max_deg=4):
+    fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return st.lists(fractions, max_size=max_deg + 1).map(RatPoly)
+
+
+class TestRationalArithmetic:
+    @given(rpoly(), rpoly(), rpoly())
+    def test_ring_axioms(self, p, q, r):
+        assert (p + q) + r == p + (q + r)
+        assert p + q == q + p
+        assert (p * q) * r == p * (q * r)
+        assert p * q == q * p
+        assert p * (q + r) == p * q + p * r
+
+    @given(rpoly(), rpoly())
+    def test_sub_is_add_neg(self, p, q):
+        assert p - q == p + (-q)
+        assert p - p == RatPoly()
+
+    @given(rpoly(), st.fractions(max_denominator=6))
+    def test_scalars_multiply_termwise(self, p, c):
+        assert c * p == p * c == p * RatPoly((c,))
+        assert all(type(a) is Fraction for a in (p * c).coeffs + (p * 2).coeffs)
+
+    def test_npoly_ring_operations(self):
+        n, one = NPoly([RatPoly(()), RatPoly((1,))]), NPoly([RatPoly((1,))])
+        assert (n + one) * (n - one) == NPoly([RatPoly((-1,)), RatPoly(()), RatPoly((1,))])
+        half_x = RatPoly((0, Fraction(1, 2)))
+        assert half_x * n == n * half_x == NPoly([RatPoly(()), half_x])
+        assert -n * Fraction(2) == NPoly([RatPoly(()), RatPoly((-2,))])
+
+    def test_mixed_rings_do_not_multiply(self):
+        with pytest.raises(TypeError):
+            IntPoly((1, 1)) * RatPoly((1,))
+        with pytest.raises(TypeError):
+            RatPoly((1,)) * Fraction(1, 2) * IntPoly((1,))
+
+
+class TestRepresentation:
+    VALUES = [IntPoly((-3, 0, 7)), RatPoly((Fraction(1, 2), 0, -3)),
+              NPoly([RatPoly((1,)), RatPoly((0, Fraction(-1, 3)))])]
+
+    @pytest.mark.parametrize("p", VALUES, ids=lambda p: type(p).__name__)
+    def test_pickle_round_trip(self, p):
+        q = pickle.loads(pickle.dumps(p))
+        assert type(q) is type(p) and q == p and hash(q) == hash(p)
+
+    @pytest.mark.parametrize("p", VALUES, ids=lambda p: type(p).__name__)
+    def test_immutable(self, p):
+        with pytest.raises(AttributeError):
+            p.coeffs = ()
+        with pytest.raises(AttributeError):
+            p.extra = 1
+
+    def test_equality_is_exact_in_type(self):
+        assert RatPoly((1,)) != IntPoly((1,)) and IntPoly((1,)) != RatPoly((1,))
+        assert NPoly([RatPoly((1,))]) != RatPoly((1,))
+        assert IntPoly((3,)) == 3 and IntPoly(()) == 0 and IntPoly((0, 1)) != 0
 
 
 class TestSpecializeZero:
@@ -263,6 +324,23 @@ class TestInterpolation:
             assert f.evaluate(n) == RatPoly.from_intpoly(v)
 
 
+    @given(st.lists(ipoly(2, 4), min_size=1, max_size=4), st.integers(-3, 5))
+    def test_recovers_an_integer_valued_npoly(self, cs, start):
+        # f = sum_k c_k binomial(n, k) takes values in Z[x] at every integer n,
+        # with rational coefficients in n
+        f, binomial = NPoly(), NPoly([RatPoly((1,))])
+        for k, c in enumerate(cs):
+            f = f + binomial * RatPoly.from_intpoly(c)
+            binomial = binomial * NPoly([RatPoly((Fraction(-k, k + 1),)),
+                                         RatPoly((Fraction(1, k + 1),))])
+        points = []
+        for n in range(start, start + max(f.degree + 1, 2)):
+            value = f.evaluate(n).coeffs
+            assert all(c.denominator == 1 for c in value)
+            points.append((n, IntPoly(int(c) for c in value)))
+        assert interpolate_in_n(points) == f
+
+
 class TestRendering:
     def test_ascending(self):
         assert IntPoly((3, 2, 1)).to_str() == "3 + 2*x + x^2"
@@ -301,3 +379,29 @@ class TestRendering:
     def test_json_rejects_anything_else(self, data):
         with pytest.raises(InvalidInputError):
             IntPoly.from_json(data)
+
+    def test_rational_json_round_trip(self):
+        p = RatPoly((Fraction(-1, 2), 0, Fraction(12345678901234567890, 7)))
+        assert RatPoly.from_json(p.to_json()) == p
+        f = NPoly([RatPoly(()), p])
+        assert NPoly.from_json(f.to_json()) == f
+
+    @pytest.mark.parametrize("data", [
+        [["1", "2"], ["1"]], [["1"], ["1", "2"]], [["1_0"], ["1"]], [[" 1"], ["1"]],
+        [["+1"], ["1"]], [["1"], ["0"]], [["1"], ["-1"]], [[1], [1]],
+        (["1"], ["1"]), [["1"], ["1"], ["1"]], [["1"]], {"1": ["1"]}, None,
+    ], ids=["more-numerators", "more-denominators", "underscore", "leading-space",
+            "plus-sign", "zero-denominator", "negative-denominator", "ints", "tuple",
+            "three-lists", "one-list", "object", "null"])
+    def test_rational_json_rejects_anything_else(self, data):
+        with pytest.raises(InvalidInputError):
+            RatPoly.from_json(data)
+
+    @pytest.mark.parametrize("data", [
+        {}, "12", ([["1"], ["1"]],), [[["1", "2"], ["1"]]], [[["1"], ["0"]]],
+        [[["1_0"], ["1"]]], None,
+    ], ids=["object", "string", "tuple", "dropped-term", "zero-denominator",
+            "underscore", "null"])
+    def test_npoly_json_rejects_anything_else(self, data):
+        with pytest.raises(InvalidInputError):
+            NPoly.from_json(data)
