@@ -35,8 +35,13 @@ Structure constants come from expanding a product of two class elements in
 this basis, which only requires reading coefficients at the canonical
 minimal representatives and confirming that the reconstruction residual is
 exactly zero, which also proves the product central. Each is computed on
-one memoized path, which the table builder and the verification suites
-share.
+one memoized path, which the table builder, the verification suites and
+the rank-independent layer share. The center is commutative, and every
+class element passes the centrality test before it is used, so the memo
+holds one entry per unordered pair: the product is formed once, its
+factors in the order in which the table lists the pair, and the swapped
+request reads the same entry. Only `verify_structure_constants` forms the
+swapped product as well, since it checks that the two agree.
 """
 
 from __future__ import annotations
@@ -437,27 +442,42 @@ def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
     return CentralCoords(n=basis.n, coords=coords)
 
 
+def _ordered_pair(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
+    """
+    The unordered pair {lam, mu} in the order `_pairs_up_to` lists it:
+    smaller size first, and within a size reverse-lexicographic order.
+    """
+    if sum(lam) > sum(mu) or (sum(lam) == sum(mu) and lam < mu):
+        return mu, lam
+    return lam, mu
+
+
+def _product_coords(lam: Partition, mu: Partition, n: int) -> CentralCoords:
+    """gamma_lam(n) * gamma_mu(n), formed in this order and expanded; not memoized."""
+    basis = gamma_basis(n, sum(lam) + sum(mu))
+    return expand_in_gamma(mul(basis.gamma[lam], basis.gamma[mu]), basis)
+
+
 def structure_constants(lam: Partition, mu: Partition, n: int) -> CentralCoords:
     """
     Coordinates of gamma_lam(n) * gamma_mu(n) in the class-element basis.
-    Empty when either factor vanishes in S_n.
+    Empty when either factor vanishes in S_n. The center is commutative,
+    so the product is formed once per unordered pair and rank, in the
+    order of `_ordered_pair`, and (mu, lam) returns the entry of (lam, mu).
     """
     lam, mu = check_partition(lam), check_partition(mu)
     if n < 1:
         raise InvalidInputError(f"rank must be positive, got {n}")
     if not fits_rank(lam, n) or not fits_rank(mu, n):
         return CentralCoords(n=n, coords={})
-    key = (lam, mu, n)
+    key = (*_ordered_pair(lam, mu), n)
     cached = _struct_memo.get(key)
-    if cached is not None:
-        return cached
-    basis = gamma_basis(n, sum(lam) + sum(mu))
-    product = mul(basis.gamma[lam], basis.gamma[mu])
-    coords = expand_in_gamma(product, basis)
-    _struct_memo[key] = coords
-    return coords
+    if cached is None:
+        cached = _struct_memo[key] = _product_coords(*key)
+    return cached
 
 
+# one entry per unordered pair and rank, keyed by (*_ordered_pair(lam, mu), n)
 _struct_memo: dict[tuple[Partition, Partition, int], CentralCoords] = {}
 
 
@@ -543,15 +563,18 @@ def verify_structure_constants(n: int, max_size: int) -> CheckReport:
     """
     Check, for every product with |lam| + |mu| <= max_size in S_n:
     positivity, parity, the support bound |nu| <= |lam| + |mu| (via an
-    exact reconstruction residual), and commutativity of the product. Both
-    orders expand exactly, so equal coordinates mean equal products.
+    exact reconstruction residual), and commutativity of the product. The
+    memo of `structure_constants` holds one entry per unordered pair, so
+    for lam != mu the swapped product gamma_mu gamma_lam is formed and
+    expanded here, outside the memo. Both orders expand exactly, so equal
+    coordinates mean equal products.
     """
     report = CheckReport(name=f"structure-constants n={n} max_size={max_size}")
     for lam, mu in _pairs_up_to(n, max_size):
         report.checks += 1
         try:
             coords = structure_constants(lam, mu, n)
-            swapped = structure_constants(mu, lam, n)
+            swapped = coords if lam == mu else _product_coords(mu, lam, n)
         except BasisIncompleteError as exc:
             report.witnesses.append(
                 f"support of gamma_{lam} gamma_{mu} exceeds size {sum(lam) + sum(mu)} "

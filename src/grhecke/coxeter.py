@@ -95,7 +95,6 @@ def inverse(w: Perm) -> Perm:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def length(w: Perm) -> int:
     """
     Coxeter length: the number of inversions of the one-line word.

@@ -93,8 +93,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import coxeter
-from .coxeter import Partition, Perm, check_partition, length, reduced_word
-from .coxeter import _DENSE_MAX_RANK, _perm_tables, _step_rows
+from .coxeter import Partition, Perm, check_partition, reduced_word
+from .coxeter import _DENSE_MAX_RANK, _lengths, _perm_tables, _step_rows
 from .errors import InvalidInputError
 from .polyring import IntPoly
 
@@ -196,24 +196,28 @@ class HeckeElt:
     def homogeneous_parity(self):
         """
         The common value of (length(w) + j) mod 2 over all terms T_w x^j,
-        or None if the element is not homogeneous. Zero returns None.
+        or None if the element is not homogeneous. Zero returns None. The
+        x-degree parity of each distinct coefficient is found once.
         """
         par = None
-        for w, c in self.terms.items():
-            base = length(w) % 2
-            for j, cj in enumerate(c.coeffs):
-                if not cj:
-                    continue
-                p = (base + j) % 2
-                if par is None:
-                    par = p
-                elif par != p:
-                    return None
+        x_parity: dict[tuple, int] = {}  # 0 or 1, or -1 for mixed x-degrees
+        for lw, c in zip(_term_lengths(self), self.terms.values()):
+            q = x_parity.get(c.coeffs)
+            if q is None:
+                q = x_parity[c.coeffs] = _x_parity(c.coeffs)
+            if q < 0:
+                return None
+            p = (lw + q) & 1
+            if par is None:
+                par = p
+            elif par != p:
+                return None
         return par
 
     def sorted_terms(self) -> list[tuple[Perm, IntPoly]]:
         """Terms sorted by (length, lex) of the permutation."""
-        return sorted(self.terms.items(), key=lambda kv: (length(kv[0]), kv[0]))
+        # the permutations are distinct, so no coefficient is ever compared
+        return [wc for _, wc in sorted(zip(_term_lengths(self), self.terms.items()))]
 
     def to_json_dict(self) -> dict:
         return {
@@ -285,8 +289,19 @@ def _generator(n: int, i: int) -> HeckeElt:
     return t_basis(coxeter.right_gen(coxeter.identity(n), i))
 
 
+def _term_lengths(h: HeckeElt) -> Iterable[int]:
+    """The length of each w in h's support, in its order, from the rank's tables."""
+    return map(_lengths(h.n).__getitem__, map(_perm_tables(h.n)[2].__getitem__, h.terms))
+
+
+def _x_parity(coeffs: tuple[int, ...]) -> int:
+    """The common parity of the exponents j with coeffs[j] != 0; -1 if they differ."""
+    odd = {j & 1 for j, a in enumerate(coeffs) if a}
+    return odd.pop() if len(odd) == 1 else -1
+
+
 def _letter_cost(h: HeckeElt) -> int:
-    return sum(length(w) for w in h.terms)
+    return sum(_term_lengths(h))
 
 
 def _l1(c: IntPoly) -> int:

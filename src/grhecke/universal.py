@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .center import _pairs_up_to, m_sym_in_gamma, structure_constants
+from .center import _ordered_pair, _pairs_up_to, m_sym_in_gamma, structure_constants
 from .coxeter import Partition, check_partition, fits_rank, partitions_of
 from .errors import InvalidInputError, InvariantViolationError
 from .polyring import IntPoly, NPoly, RatPoly, determinant, interpolate_in_n
@@ -49,11 +49,12 @@ def universal_constant(lam: Partition, mu: Partition, nu: Partition) -> IntPoly:
         )
     if size == 0:
         return IntPoly.const(1)
-    return _universal_row(lam, mu).get(nu, IntPoly())
+    return _universal_row(*_ordered_pair(lam, mu)).get(nu, IntPoly())
 
 
 @lru_cache(maxsize=None)
 def _universal_row(lam: Partition, mu: Partition) -> dict[Partition, IntPoly]:
+    # callers pass the pair through _ordered_pair: one entry per unordered pair
     size = sum(lam) + sum(mu)
     n0 = 2 * size  # every nu of size `size` satisfies |nu| + len(nu) <= 2|nu|
     lo = structure_constants(lam, mu, n0)
@@ -76,7 +77,7 @@ def graded_product(lam: Partition, mu: Partition) -> dict[Partition, IntPoly]:
     lam, mu = check_partition(lam), check_partition(mu)
     if sum(lam) + sum(mu) == 0:
         return {(): IntPoly.const(1)}
-    return dict(_universal_row(lam, mu))
+    return dict(_universal_row(*_ordered_pair(lam, mu)))
 
 
 class GradedTable(NamedTuple):

@@ -288,9 +288,38 @@ class TestStructureConstants:
         assert coords.coords == {}
 
     def test_symmetric_in_factors(self):
-        a = structure_constants((1,), (2,), 5)
-        b = structure_constants((2,), (1,), 5)
-        assert coords_dict(a) == coords_dict(b)
+        # the memo holds one entry for both orders, so the swapped product
+        # is formed here
+        basis = gamma_basis(5, 3)
+        swapped = expand_in_gamma(mul(basis.gamma[(2,)], basis.gamma[(1,)]), basis)
+        assert coords_dict(structure_constants((1,), (2,), 5)) == coords_dict(swapped)
+        assert coords_dict(structure_constants((2,), (1,), 5)) == coords_dict(swapped)
+
+    @pytest.mark.parametrize("lam, mu", [((1,), (2,)), ((2,), (1,)), ((2,), (1, 1))])
+    def test_swapped_request_forms_no_product(self, monkeypatch, lam, mu):
+        n = 6
+        first = structure_constants(lam, mu, n)
+
+        def no_product(h1, h2):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(center, "mul", no_product)
+        assert structure_constants(mu, lam, n) is first
+        assert structure_constants(lam, mu, n) is first
+
+    @pytest.mark.parametrize("lam, mu, first", [
+        ((2,), (1,), (1,)), ((1,), (2,), (1,)), ((1, 1), (2,), (2,)), ((2,), (1, 1), (2,)),
+    ])
+    def test_product_formed_in_table_order(self, monkeypatch, lam, mu, first):
+        # smaller size first, then reverse-lexicographic, as _pairs_up_to lists pairs
+        basis = gamma_basis(5, 4)
+        second = mu if first == lam else lam
+        assert (first, second) in center._pairs_up_to(5, 4)
+        factors = []
+        monkeypatch.setattr(center, "mul", lambda h1, h2: factors.append((h1, h2)) or mul(h1, h2))
+        center._struct_memo.clear()
+        structure_constants(lam, mu, 5)
+        assert factors == [(basis.gamma[first], basis.gamma[second])]
 
 
 class TestMSymInGamma:
@@ -672,6 +701,39 @@ class TestDiskCache:
         finally:
             center.set_cache_dir(None)
             center.clear_caches()
+
+
+class TestVerifyCommutativity:
+    def test_perturbed_swapped_product_is_reported(self, monkeypatch):
+        # only gamma_(2) gamma_(1) is changed, by a class element: it still
+        # expands exactly, so only the commutativity check can see it
+        basis = gamma_basis(5, 3)
+        a, b = basis.gamma[(2,)], basis.gamma[(1,)]
+        perturbed = []
+
+        def fake_mul(h1, h2):
+            product = mul(h1, h2)
+            if h1 == a and h2 == b:
+                perturbed.append(True)
+                return product + basis.gamma[(1,)]
+            return product
+
+        monkeypatch.setattr(center, "mul", fake_mul)
+        report = verify_structure_constants(5, 3)
+        assert perturbed
+        assert report.witnesses == ["gamma_(1,) gamma_(2,) != gamma_(2,) gamma_(1,) at n=5"]
+
+    def test_forms_each_swapped_product_once(self, monkeypatch):
+        basis = gamma_basis(5, 3)
+        name = {id(elt): lam for lam, elt in basis.gamma.items()}
+        factors = []
+        monkeypatch.setattr(center, "mul", lambda h1, h2: factors.append(
+            (name[id(h1)], name[id(h2)])) or mul(h1, h2))
+        center._struct_memo.clear()
+        assert verify_structure_constants(5, 3).ok
+        pairs = center._pairs_up_to(5, 3)
+        assert factors == [p for lam, mu in pairs
+                           for p in ([(lam, mu)] if lam == mu else [(lam, mu), (mu, lam)])]
 
 
 class TestStructTable:

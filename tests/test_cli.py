@@ -1,6 +1,7 @@
 """The command line surface: formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -146,6 +147,22 @@ FIT_WINDOWS = {
     "l11_m1_nu1_4-7": ("--lambda", "1,1", "--mu", "1", "--nu", "1", "--range", "4:7"),
     "l2_m2_nu0_4-7": ("--lambda", "2", "--mu", "2", "--nu", "", "--range", "4:7"),
 }
+
+
+UNIVERSAL_GOLDEN = Path(__file__).resolve().parent / "universal_golden"
+
+
+class TestUniversalGolden:
+    def test_max_grade_three_bytes(self):
+        # stdout of `universal --max-grade 3`, byte for byte; the benchmark's
+        # reference digest holds the same sha256
+        code, out = run_cli("universal", "--max-grade", "3")
+        assert code == 0
+        golden = (UNIVERSAL_GOLDEN / "max_grade_3.json").read_bytes()
+        assert len(golden) == 4914
+        assert hashlib.sha256(golden).hexdigest() == (
+            "d4a6b2491ada935f07c865d658b465aaebb633843483bce66c2769b3ead86211")
+        assert out.encode() == golden
 
 
 class TestFit:

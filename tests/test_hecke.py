@@ -4,6 +4,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import intpoly_fold
 from grhecke import coxeter, hecke
@@ -206,6 +207,52 @@ class TestCentrality:
     def test_explicit_central_element(self):
         h = t_basis((2, 3, 1)) + t_basis((3, 1, 2)) + t_basis(W0).scale(XI)
         assert is_central(h)
+
+
+def parity_by_terms(h):
+    """The definition of `homogeneous_parity`, term by term: the common value
+    of (length(w) + j) mod 2 over the terms T_w x^j, None if they differ or
+    there are none."""
+    seen = {(length(w) + j) % 2 for w, c in h.terms.items()
+            for j, a in enumerate(c.coeffs) if a}
+    return seen.pop() if len(seen) == 1 else None
+
+
+class TestHomogeneousParity:
+    def test_zero(self):
+        assert zero(3).homogeneous_parity() is None
+
+    def test_mixed_coefficient(self):
+        assert HeckeElt(3, {S1: IntPoly((1, 1))}).homogeneous_parity() is None
+        assert HeckeElt(3, {S1: IntPoly((0, 1, 0, 2))}).homogeneous_parity() == 0
+
+    def test_terms_disagree(self):
+        # one coefficient, x, on terms of both length parities
+        assert HeckeElt(3, {S1: XI, W0: XI, identity(3): XI}).homogeneous_parity() is None
+        assert HeckeElt(3, {S1: XI, W0: XI}).homogeneous_parity() == 0
+        assert HeckeElt(3, {identity(3): XI, (2, 3, 1): XI}).homogeneous_parity() == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_per_term_definition(self, data):
+        n = data.draw(st.integers(1, 4))
+        target = data.draw(st.integers(0, 1))
+        homogeneous = data.draw(st.booleans())
+        perms = list(permutations(range(1, n + 1)))
+        terms = {}
+        for w in data.draw(st.lists(st.sampled_from(perms), max_size=8, unique=True)):
+            coeffs = data.draw(st.lists(st.integers(-3, 3), max_size=5))
+            if homogeneous:  # keep the exponents of the target's parity
+                coeffs = [a if (length(w) + j) % 2 == target else 0
+                          for j, a in enumerate(coeffs)]
+            terms[w] = IntPoly(coeffs)
+        # shared coefficients, as in a class element: read once, on every term
+        if terms and data.draw(st.booleans()):
+            shared = next(iter(terms.values()))
+            terms = {w: shared for w in terms}
+        h = HeckeElt(n, terms)
+        assert h.homogeneous_parity() == parity_by_terms(h)
+        assert h.sorted_terms() == sorted(h.terms.items(), key=lambda wc: (length(wc[0]), wc[0]))
 
 
 class TestSpecialization:

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from grhecke import universal
+from grhecke import center, universal
 from grhecke.center import CentralCoords
 from grhecke.errors import InvalidInputError, InvariantViolationError
+from grhecke.hecke import mul
 from grhecke.polyring import IntPoly, NPoly, RatPoly
 from grhecke.universal import (
     check_graded_associativity, dominance_compare, fit_m_sym_coeff,
@@ -59,7 +60,24 @@ class TestGradedProduct:
         assert got[(2, 1)] == (3, 0, 2)
 
     def test_commutative(self):
+        # both orders read one cached row, so the swapped product is formed
+        # here: its top-degree part, at both ranks, is that row
         assert graded_product((1,), (2,)) == graded_product((2,), (1,))
+        for n in (6, 7):
+            basis = center.gamma_basis(n, 3)
+            product = mul(basis.gamma[(2,)], basis.gamma[(1,)])
+            coords = center.expand_in_gamma(product, basis)
+            top = {nu: c for nu, c in coords.coords.items() if sum(nu) == 3}
+            assert graded_product((2,), (1,)) == top
+
+    def test_one_row_per_unordered_pair(self):
+        universal._universal_row.cache_clear()
+        a = graded_product((2,), (1,))
+        b = graded_product((1,), (2,))
+        c = universal_constant((2,), (1,), (3,))
+        info = universal._universal_row.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        assert a == b and c == a[(3,)]
 
     def test_constants_even_and_nonnegative(self):
         table = graded_table(3)
