@@ -49,12 +49,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import combinations_with_replacement
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from . import coxeter, hecke
-from .coxeter import Partition, check_partition, fits_rank, min_rep
+from .coxeter import Partition, check_partition, fits_rank, min_rep, partition_key
 from .errors import (
     BasisIncompleteError, ConstructionError, ExactDivisionError,
     InvalidInputError, InvariantViolationError, SingularSystemError,
@@ -109,9 +110,7 @@ class CentralCoords:
 
     def items_canonical(self) -> list[tuple[Partition, IntPoly]]:
         """Entries sorted by size ascending, reverse-lex within a size."""
-        order = {p: i for i, p in enumerate(coxeter.partitions_up_to(
-            max((sum(p) for p in self.coords), default=0)))}
-        return sorted(self.coords.items(), key=lambda kv: order[kv[0]])
+        return sorted(self.coords.items(), key=lambda kv: partition_key(kv[0]))
 
     def specialize_zero(self) -> dict[Partition, int]:
         out = {}
@@ -443,13 +442,8 @@ def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
 
 
 def _ordered_pair(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
-    """
-    The unordered pair {lam, mu} in the order `_pairs_up_to` lists it:
-    smaller size first, and within a size reverse-lexicographic order.
-    """
-    if sum(lam) > sum(mu) or (sum(lam) == sum(mu) and lam < mu):
-        return mu, lam
-    return lam, mu
+    """The unordered pair {lam, mu} in the order of `partition_key`, as `_pairs_up_to` lists it."""
+    return (lam, mu) if partition_key(lam) <= partition_key(mu) else (mu, lam)
 
 
 def _product_coords(lam: Partition, mu: Partition, n: int) -> CentralCoords:
@@ -524,16 +518,12 @@ def class_sum_oracle(lam: Partition, mu: Partition, n: int) -> dict[Partition, i
 
 
 def _pairs_up_to(n: int, max_size: int) -> list[tuple[Partition, Partition]]:
-    parts = [p for p in coxeter.partitions_up_to(max_size) if fits_rank(p, n)]
-    index = {p: i for i, p in enumerate(parts)}
-    out = []
-    for lam in parts:
-        for mu in parts:
-            if index[mu] < index[lam] or sum(lam) + sum(mu) > max_size:
-                continue
-            out.append((lam, mu))
-    out.sort(key=lambda pair: (sum(pair[0]) + sum(pair[1]), index[pair[0]], index[pair[1]]))
-    return out
+    """The pairs of `_ordered_pair` with |lam| + |mu| <= max_size, by that sum."""
+    pairs = combinations_with_replacement(_candidate_classes(max_size, n), 2)
+    return sorted(
+        ((lam, mu) for lam, mu in pairs if sum(lam) + sum(mu) <= max_size),
+        key=lambda pair: (sum(pair[0]) + sum(pair[1]), *map(partition_key, pair)),
+    )
 
 
 def check_entry_clauses(

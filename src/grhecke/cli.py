@@ -260,8 +260,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_oracle(args) -> int:
     out = center.class_sum_oracle(args.lam, args.mu, args.n)
-    order = {p: i for i, p in enumerate(
-        coxeter.partitions_up_to(max((sum(p) for p in out), default=0)))}
     doc = {
         "format": 1,
         "n": args.n,
@@ -269,7 +267,7 @@ def _cmd_oracle(args) -> int:
         "mu": list(args.mu),
         "coords": [
             {"nu": list(nu), "count": out[nu]}
-            for nu in sorted(out, key=order.get)
+            for nu in sorted(out, key=coxeter.partition_key)
         ],
     }
     _emit(json.dumps(doc, indent=2), args.out)

@@ -23,10 +23,12 @@ order, the factorial-base number of their Lehmer code L (L[j] counts the
 k > j with w[k] < w[j]). Right multiplication by s_i changes only the digits
 (a, c) = (L[i-1], L[i]); i is a right descent exactly when a > c, and then
 w s_i has digits (c, a - 1), otherwise (c + 1, a). The length of w is the
-sum of its Lehmer digits. Each rank has tables over indices: step rows,
-permutations, inverses, indices and lengths, stored up to `_DENSE_MAX_RANK`
-and computed per entry above it. Conjugacy classes are walked on them, or,
-when a class is small against S_n, on rows computed per entry at any rank.
+sum of its Lehmer digits. Each rank has one record of tables over indices,
+`_tables(n)`: permutations, inverses, indices, step rows and lengths,
+tabulated up to `_DENSE_MAX_RANK` and computed per entry above it. Classes
+are walked on it, or, when a class is small against S_n, on the per-entry
+record at any rank. Other modules read the tables through `_tables`,
+`_class_tables` and `_DENSE_MAX_RANK` alone.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import permutations
 from math import factorial, prod
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyClassError, InvalidInputError
 
@@ -46,7 +48,7 @@ __all__ = [
     "right_gen", "left_gen", "reduced_word", "from_word", "transposition",
     "modified_cycle_type", "fits_rank", "class_representative",
     "conjugacy_class", "minimal_length_elements", "min_rep",
-    "partitions_of", "partitions_up_to", "check_partition",
+    "partitions_of", "partitions_up_to", "partition_key", "check_partition",
 ]
 
 # one-line notation, 1-based values
@@ -240,25 +242,26 @@ def conjugacy_class(lam: Partition, n: int) -> frozenset[Perm]:
     rep = class_representative(lam, n)
     if not lam:
         return frozenset((rep,))
-    perms, inverse, index, rows, _ = _class_tables(lam, n)
-    queue = [index[rep]]
+    tables = _class_tables(lam, n)
+    inv = tables.inverse
+    queue = [tables.index[rep]]
     seen = set(queue)
     for k in queue:
-        for row in rows:
+        for row in tables.steps:
             j = row[k]  # w s_i
-            j = row[inverse[j if j >= 0 else ~j]]  # (s_i w s_i)^{-1}
-            j = inverse[j if j >= 0 else ~j]
+            j = row[inv[j if j >= 0 else ~j]]  # (s_i w s_i)^{-1}
+            j = inv[j if j >= 0 else ~j]
             if j not in seen:
                 seen.add(j)
                 queue.append(j)
-    return frozenset(map(perms.__getitem__, seen))
+    return frozenset(map(tables.perms.__getitem__, seen))
 
 
 @lru_cache(maxsize=None)
 def minimal_length_elements(lam: Partition, n: int) -> frozenset[Perm]:
     """The elements of minimal Coxeter length within the class of lam."""
-    _, _, index, _, lengths = _class_tables(lam, n)
-    by_w = {w: lengths[index[w]] for w in conjugacy_class(lam, n)}
+    tables = _class_tables(lam, n)
+    by_w = {w: tables.lengths[tables.index[w]] for w in conjugacy_class(lam, n)}
     best = min(by_w.values())
     return frozenset(w for w, m in by_w.items() if m == best)
 
@@ -280,20 +283,17 @@ def min_rep(lam: Partition, n: int) -> Perm:
 _DENSE_MAX_RANK = 9  # the tables: 88 MB at n = 9; the step rows alone, 131 MB at n = 10
 
 
-# a class walks on per-entry rows when it holds under 1/_SPARSE_CLASS of S_n,
+# a class walks on per-entry tables when it holds under 1/_SPARSE_CLASS of S_n,
 # that is when its centralizer is larger; up to rank 7, whose tables the
 # engine's products build anyway, only the identity's is (z = 240 for (1,))
 _SPARSE_CLASS = 500
 
 
-def _class_tables(lam: Partition, n: int) -> tuple:
-    """(perms, inverse, index, step rows, lengths) to walk the class of lam on."""
+def _class_tables(lam: Partition, n: int) -> _Tables:
+    """The tables to walk the class of lam on."""
     cycles = Counter([p + 1 for p in lam] + [1] * (n - sum(lam) - len(lam)))
     z = prod(k ** m * factorial(m) for k, m in cycles.items())  # the centralizer's order
-    if z > _SPARSE_CLASS:
-        rows = [_StepRow(n, i) for i in range(1, n)]
-        return _PermRow(n), _InverseRow(n), _IndexRow(), rows, _LengthRow(n)
-    return (*_perm_tables(n), _step_rows(n)[1:], _lengths(n))
+    return _tables(n, False) if z > _SPARSE_CLASS else _tables(n)
 
 
 def _perm_index(w: Perm) -> int:
@@ -306,14 +306,17 @@ def _perm_index(w: Perm) -> int:
     return k
 
 
+def _digits(k: int, places: tuple[int, ...]) -> Iterator[int]:
+    """The Lehmer digits of index k; places are (n-1)!, ..., 1!, 0!."""
+    for f in places:
+        d, k = divmod(k, f)
+        yield d
+
+
 def _index_perm(k: int, places: tuple[int, ...]) -> Perm:
     """The permutation of index k; places are (n-1)!, ..., 1!, 0!."""
     rest = list(range(1, len(places) + 1))
-    out = []
-    for f in places:
-        d, k = divmod(k, f)
-        out.append(rest.pop(d))
-    return tuple(out)
+    return tuple(rest.pop(d) for d in _digits(k, places))
 
 
 class _StepRow:
@@ -360,79 +363,59 @@ def _tabulate(row: _StepRow, size: int) -> array:
     return out
 
 
-@lru_cache(maxsize=None)
-def _step_rows(n: int) -> tuple:
-    """Row i (1 <= i < n) steps every index of S_n by s_i; row 0 is unused."""
-    rows = [_StepRow(n, i) for i in range(1, n)]
-    if n <= _DENSE_MAX_RANK:
-        rows = [_tabulate(row, factorial(n)) for row in rows]
-    return (None, *rows)
+class _PerEntry:
+    """A table whose entry for a key is fn(key), computed when asked for."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __getitem__(self, key):
+        return self.fn(key)
 
 
-class _PermRow:
-    """The permutation of index k, computed when asked for."""
+class _Tables(NamedTuple):
+    """
+    The index tables of one rank. perms[k] is the permutation of index k,
+    inverse[k] the index of its inverse, index[w] the index of w, steps[i - 1]
+    steps every index by s_i (a `_StepRow`), and lengths[k] is the length of
+    the permutation of index k. Tabulated, perms is a tuple, whose entries
+    serve as the keys of every unpacked product, inverse and each step are
+    int32 arrays, index is a dict and lengths bytes.
+    """
 
-    __slots__ = ("places",)
-
-    def __init__(self, n: int):
-        self.places = tuple(factorial(j) for j in range(n - 1, -1, -1))
-
-    def __getitem__(self, k: int) -> Perm:
-        return _index_perm(k, self.places)
-
-
-class _InverseRow(_PermRow):
-    """The index of the inverse of the permutation of index k."""
-
-    __slots__ = ()
-
-    def __getitem__(self, k: int) -> int:
-        return _perm_index(inverse(_index_perm(k, self.places)))
-
-
-class _LengthRow(_PermRow):
-    """The length of the permutation of index k."""
-
-    __slots__ = ()
-
-    def __getitem__(self, k: int) -> int:
-        return length(_index_perm(k, self.places))
-
-
-class _IndexRow:
-    """The index of the permutation w, computed when asked for."""
-
-    __slots__ = ()
-
-    def __getitem__(self, w: Perm) -> int:
-        return _perm_index(w)
+    perms: Any
+    inverse: Any
+    index: Any
+    steps: tuple
+    lengths: Any
 
 
 @lru_cache(maxsize=None)
-def _perm_tables(n: int) -> tuple:
+def _tables(n: int, dense: bool = True) -> _Tables:
     """
-    (perms, inverse, index): perms[k] is the permutation of index k,
-    inverse[k] the index of its inverse, and index[w] the index of w. Up to
-    `_DENSE_MAX_RANK` perms is a tuple, whose entries serve as the keys of
-    every unpacked product, inverse an int32 array, and index a dict.
+    The tables of S_n: tabulated up to `_DENSE_MAX_RANK`, and computed per
+    entry above it or when not dense. Spelled ``_tables(n)`` or
+    ``_tables(n, False)`` only, so that the cache holds each record once.
     """
-    if n > _DENSE_MAX_RANK:
-        return _PermRow(n), _InverseRow(n), _IndexRow()
+    steps = tuple(_StepRow(n, i) for i in range(1, n))
+    if not dense or n > _DENSE_MAX_RANK:
+        places = tuple(factorial(j) for j in range(n - 1, -1, -1))
+        return _Tables(
+            _PerEntry(lambda k: _index_perm(k, places)),
+            _PerEntry(lambda k: _perm_index(inverse(_index_perm(k, places)))),
+            _PerEntry(_perm_index),
+            steps,
+            _PerEntry(lambda k: sum(_digits(k, places))),
+        )
     perms = tuple(permutations(range(1, n + 1)))
     index = dict(zip(perms, range(len(perms))))
-    return perms, array("i", map(index.__getitem__, map(inverse, perms))), index
-
-
-@lru_cache(maxsize=None)
-def _lengths(n: int):
-    """lengths[k] is the length of the permutation of index k: up to
-    `_DENSE_MAX_RANK`, bytes, S_{m-1}'s table plus each first digit d < m."""
-    if n > _DENSE_MAX_RANK:
-        return _LengthRow(n)
-    table = b"\0"
+    lengths = b"\0"  # S_{m-1}'s lengths plus each first digit d < m
     for m in range(2, n + 1):
-        table = b"".join(table.translate(bytes(range(d, 256)) + bytes(d)) for d in range(m))
-    return table
+        lengths = b"".join(lengths.translate(bytes(range(d, 256)) + bytes(d)) for d in range(m))
+    inv = array("i", map(index.__getitem__, map(inverse, perms)))
+    return _Tables(perms, inv, index, tuple(_tabulate(row, len(perms)) for row in steps), lengths)
 
 
 def _partitions_rec(total: int, max_part: int) -> Iterable[Partition]:
@@ -473,3 +456,12 @@ def partitions_up_to(k: int) -> tuple[Partition, ...]:
         out.extend(partitions_of(size))
     return tuple(out)
 
+
+def partition_key(lam: Partition) -> tuple[int, tuple[int, ...]]:
+    """
+    The key of the order of `partitions_up_to`: size, then reverse lex.
+
+    >>> sorted([(1, 1), (2,), (), (1,)], key=partition_key)
+    [(), (1,), (2,), (1, 1)]
+    """
+    return sum(lam), tuple(-p for p in lam)

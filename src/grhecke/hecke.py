@@ -94,7 +94,7 @@ from typing import Iterable, Mapping
 
 from . import coxeter
 from .coxeter import Partition, Perm, check_partition, reduced_word
-from .coxeter import _DENSE_MAX_RANK, _lengths, _perm_tables, _step_rows
+from .coxeter import _DENSE_MAX_RANK, _tables
 from .errors import InvalidInputError
 from .polyring import IntPoly
 
@@ -204,7 +204,7 @@ class HeckeElt:
         for lw, c in zip(_term_lengths(self), self.terms.values()):
             q = x_parity.get(c.coeffs)
             if q is None:
-                q = x_parity[c.coeffs] = _x_parity(c.coeffs)
+                q = x_parity[c.coeffs] = {"even": 0, "odd": 1}.get(c.parity(), -1)
             if q < 0:
                 return None
             p = (lw + q) & 1
@@ -251,12 +251,12 @@ class HeckeElt:
         n = int(data["n"])
         if n > _DENSE_MAX_RANK:
             return cls(n, {tuple(map(int, t["w"])): coeff(t["c"]) for t in data["terms"]})
-        perms, _, index = _perm_tables(n)
+        tables = _tables(n)
         terms = {}
         for t in data["terms"]:
             w = t["w"]
             try:
-                w = perms[index[tuple(w)]]
+                w = tables.perms[tables.index[tuple(w)]]
             except (KeyError, TypeError):
                 raise InvalidInputError(f"term {w!r:.40} is not a permutation in S_{n}") from None
             c = coeff(t["c"])
@@ -291,13 +291,8 @@ def _generator(n: int, i: int) -> HeckeElt:
 
 def _term_lengths(h: HeckeElt) -> Iterable[int]:
     """The length of each w in h's support, in its order, from the rank's tables."""
-    return map(_lengths(h.n).__getitem__, map(_perm_tables(h.n)[2].__getitem__, h.terms))
-
-
-def _x_parity(coeffs: tuple[int, ...]) -> int:
-    """The common parity of the exponents j with coeffs[j] != 0; -1 if they differ."""
-    odd = {j & 1 for j, a in enumerate(coeffs) if a}
-    return odd.pop() if len(odd) == 1 else -1
+    tables = _tables(h.n)
+    return map(tables.lengths.__getitem__, map(tables.index.__getitem__, h.terms))
 
 
 def _letter_cost(h: HeckeElt) -> int:
@@ -340,7 +335,7 @@ class _Memo(dict):
 
 def _packed(h: HeckeElt, pack: _Memo) -> dict[int, int]:
     """h packed: the index of each w -> h[w] at x = 2^width, through `pack`."""
-    index = _perm_tables(h.n)[2]
+    index = _tables(h.n).index
     return {index[w]: pack[c.coeffs] for w, c in h.terms.items()}
 
 
@@ -404,7 +399,7 @@ def linear_combination(n: int, summands: Iterable[tuple[IntPoly, HeckeElt]]) -> 
 def _step(vec: dict[int, int], row, width: int) -> dict[int, int]:
     """
     vec * T_i for a packed element vec (index -> value at x = 2^width),
-    row being `_step_rows(n)[i]`: T_w T_i = T_{w s_i}, plus x T_w when i
+    row being `_tables(n).steps[i - 1]`: T_w T_i = T_{w s_i}, plus x T_w when i
     is a right descent of w. A descent k settles both k and its partner
     k s_i; an ascent is settled here only when its partner is absent.
     """
@@ -468,7 +463,8 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
     unpacking recovers it exactly.
     """
     n = left.n
-    perms, inverse, _ = _perm_tables(n)
+    tables = _tables(n)
+    perms, inverse, steps = tables.perms, tables.inverse, tables.steps
     # trie of the reduced words of right's support read from the last
     # letter; key 0 marks a terminal and holds the coefficient
     root: dict = {}
@@ -481,7 +477,6 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
         node[0] = c
         bound += _l1(c) << len(word)
     width = (bound * sum(map(_l1, left.terms.values()))).bit_length() + 2
-    rows = _step_rows(n)
     pack = _Memo(_pack, width)
     vec = _packed(left, pack)
     if flip:
@@ -498,11 +493,11 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
             if len(child) == 1 and 0 in child:
                 leaves.append((i, child[0]))
             elif acc:
-                _step_add(acc, horner(child), rows[i], width, 1)
+                _step_add(acc, horner(child), steps[i - 1], width, 1)
             else:
-                acc = _step(horner(child), rows[i], width)
+                acc = _step(horner(child), steps[i - 1], width)
         for i, c in leaves:
-            _step_add(acc, vec, rows[i], width, pack[c.coeffs])
+            _step_add(acc, vec, steps[i - 1], width, pack[c.coeffs])
         c = node.get(0)
         if c is not None:
             c = pack[c.coeffs]
@@ -546,12 +541,12 @@ def jucys_murphy(i: int, n: int) -> HeckeElt:
     )
 
 
-def _times_jm(vec: dict[int, int], k: int, rows, width: int) -> dict[int, int]:
+def _times_jm(vec: dict[int, int], k: int, steps, width: int) -> dict[int, int]:
     """vec * L_k for packed vec, k >= 2, on generator steps; zero sums are kept."""
-    out = _step(vec, rows[k - 1], width)
+    out = _step(vec, steps[k - 2], width)
     if k == 2:
         return out
-    acc = _step(_times_jm(out, k - 1, rows, width), rows[k - 1], width)
+    acc = _step(_times_jm(out, k - 1, steps, width), steps[k - 2], width)
     get = acc.get
     for j, v in out.items():
         acc[j] = get(j, 0) + v
@@ -570,7 +565,7 @@ def _m_sym_upto(lam: Partition, k: int, n: int) -> HeckeElt:
     terms[0] = _m_sym_upto(lam, k - 1, n)
     g = (2 ** (2 * k - 1) - 2) // 3  # G_k
     width = sum(sum(map(_l1, h.terms.values())) * g**p for p, h in terms.items()).bit_length() + 2
-    rows = _step_rows(n)
+    tables = _tables(n)
     pack = _Memo(_pack, width)
     acc: dict[int, int] = {}
     for p in range(lam[0], -1, -1):
@@ -579,8 +574,8 @@ def _m_sym_upto(lam: Partition, k: int, n: int) -> HeckeElt:
             for j, v in _packed(terms[p], pack).items():
                 acc[j] = get(j, 0) + v
         if p:
-            acc = _times_jm(acc, k, rows, width)
-    perms = _perm_tables(n)[0]
+            acc = _times_jm(acc, k, tables.steps, width)
+    perms = tables.perms
     unpack = _Memo(_unpack, width)
     return HeckeElt._raw(n, {perms[j]: unpack[v] for j, v in acc.items() if v})
 
@@ -618,17 +613,17 @@ def is_central(h: HeckeElt) -> bool:
     n = h.n
     if not h.terms:
         return True
-    inverse = _perm_tables(n)[1]
-    rows = _step_rows(n)
+    tables = _tables(n)
+    inverse, steps = tables.inverse, tables.steps
     width = (2 * _max_l1(h)).bit_length() + 2
     vec = _packed(h, _Memo(_pack, width))
     flipped = {inverse[k]: v for k, v in vec.items()}
     self_transpose = flipped == vec
     top = factorial(n) - 1
     mirrored = {top - inverse[top - inverse[k]]: v for k, v in vec.items()}
-    for i in range(1, n // 2 + 1 if mirrored == vec else n):
-        right = _step(vec, rows[i], width)
-        left = right if self_transpose else _step(flipped, rows[i], width)
+    for row in steps[: n // 2] if mirrored == vec else steps:
+        right = _step(vec, row, width)
+        left = right if self_transpose else _step(flipped, row, width)
         if right != {inverse[k]: v for k, v in left.items()}:
             return False
     return True

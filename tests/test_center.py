@@ -7,6 +7,7 @@ for the one corrected line.
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,7 @@ def gamma_by_central_constraints(lam, n):
     return HeckeElt(n, {w: divexact(y[k], d) for k, w in enumerate(perms)})
 
 
+from conftest import run_cli
 from goldens import GOLDEN
 
 
@@ -679,13 +681,13 @@ class TestDiskCache:
             data = json.loads(path.read_text())
             data["gamma"][1]["elt"] = {"n": 6000, "terms": []}
             path.write_text(json.dumps(data))
-            tables = hecke._perm_tables
+            tables = hecke._tables
 
             def rank_three_only(n):
                 assert n == 3, f"tables built for rank {n}"
                 return tables(n)
 
-            monkeypatch.setattr(hecke, "_perm_tables", rank_three_only)
+            monkeypatch.setattr(hecke, "_tables", rank_three_only)
             assert center._load_basis(path, 3) is None
         finally:
             center.set_cache_dir(None)
@@ -701,6 +703,75 @@ class TestDiskCache:
         finally:
             center.set_cache_dir(None)
             center.clear_caches()
+
+
+class TestWitnessesFire:
+    """Each check of the suites, made to fail by one perturbation."""
+
+    def test_parity_witness(self):
+        # gamma_(1) + x gamma_(1) is central and is the class sum at x = 0,
+        # but its terms have both parities
+        g = gamma_basis(4, 1).gamma[(1,)]
+        witnesses, _ = center._element_witnesses((1,), 4, g + g.scale(XI), 0)
+        assert witnesses == ["gamma_(1,)(n=4) is not homogeneous of parity |lam| mod 2"]
+
+    def test_support_bound_witness(self, monkeypatch):
+        # a central gamma_(3) added to gamma_(1) gamma_(1) leaves the span
+        # of the classes of size at most 2
+        basis = gamma_basis(4, 3)
+        g1, extra = basis.gamma[(1,)], basis.gamma[(3,)]
+        monkeypatch.setattr(center, "_struct_memo", {})
+        monkeypatch.setattr(center, "mul", lambda h1, h2: (
+            mul(h1, h2) + extra if h1 is g1 and h2 is g1 else mul(h1, h2)))
+        want = ("support of gamma_(1,) gamma_(1,) exceeds size 2 at n=4: element is not "
+                "in the span of the basis through size 2 (residual has 13 terms)")
+        assert verify_structure_constants(4, 2).witnesses == [want]
+        code, out = run_cli("verify", "--n", "4", "--max-size", "2")
+        assert code == 1 and f"WITNESS {want}\n" in out
+
+    def test_zero_specialization_witness(self, monkeypatch):
+        oracle = center.class_sum_oracle
+
+        def miscounted(lam, mu, n):
+            out = oracle(lam, mu, n)
+            return {**out, (): out[()] + 1} if lam == mu == (1,) else out
+
+        monkeypatch.setattr(center, "class_sum_oracle", miscounted)
+        want = ("x=0 mismatch for ((1,), (1,)) at n=4: hecke {(): 6, (2,): 3, (1, 1): 2} "
+                "vs group {(): 7, (2,): 3, (1, 1): 2}")
+        assert verify_zero_specialization(4, 2).witnesses == [want]
+        code, out = run_cli("verify", "--n", "4", "--max-size", "2")
+        assert code == 1 and f"WITNESS {want}\n" in out
+
+    def test_elementary_sum_witness(self, monkeypatch):
+        e_sym = hecke.e_sym
+        monkeypatch.setattr(hecke, "e_sym", lambda r, n: e_sym(r, n) + unit(n))
+        want = [f"e_{r} differs from the sum of size-{r} class elements at n=4" for r in (1, 2)]
+        assert verify_elementary_sums(4, 2).witnesses == want
+        code, out = run_cli("verify", "--n", "4", "--max-size", "2")
+        assert code == 1 and all(f"WITNESS {w}\n" in out for w in want)
+
+    def test_unsolvable_system_raises(self, monkeypatch):
+        solve = center.solve_linear
+        # the system with its matrix zeroed: b != 0 has no solution
+        monkeypatch.setattr(center, "solve_linear", lambda A, b: solve(
+            [[IntPoly()] * len(row) for row in A], b))
+        with pytest.raises(ConstructionError, match=re.escape(
+                "characterization system for gamma_(1,)(n=4) is unsolvable: "
+                "inconsistent linear system (rank 0)")):
+            center._solve_gamma((1,), 4)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        solve = center.solve_linear
+
+        def doubled_denominator(A, b):
+            y, d = solve(A, b)
+            return y, d * IntPoly.const(2)
+
+        monkeypatch.setattr(center, "solve_linear", doubled_denominator)
+        with pytest.raises(ConstructionError, match=(
+                r"^gamma_\(1,\)\(n=4\): coefficient of T_\([0-9, ]+\) is not in Z\[x\]$")):
+            center._solve_gamma((1,), 4)
 
 
 class TestVerifyCommutativity:

@@ -1,5 +1,6 @@
 """Symmetric group combinatorics, checked against brute-force enumeration."""
 
+import ast
 import math
 import os
 import random
@@ -16,7 +17,7 @@ from grhecke import coxeter
 from grhecke.coxeter import (
     class_representative, compose, conjugacy_class, fits_rank, from_word, identity,
     inverse, left_gen, length, min_rep, minimal_length_elements, modified_cycle_type,
-    partitions_of, partitions_up_to, reduced_word, right_gen,
+    partition_key, partitions_of, partitions_up_to, reduced_word, right_gen,
 )
 from grhecke.errors import EmptyClassError, InvalidInputError
 
@@ -201,10 +202,14 @@ class TestClassWalk:
         # the classes of the oracle's (1) * (1) at rank 9 hold under 1/900 of S_9
         from grhecke import center
 
-        for name in ("_perm_tables", "_step_rows", "_lengths"):
-            built = getattr(coxeter, name)
-            monkeypatch.setattr(coxeter, name, lambda n, built=built: (
-                built(n) if n < 9 else pytest.fail("the rank-9 tables were built")))
+        built = coxeter._tables
+
+        def tables(n, dense=True):
+            if dense and n >= 9:
+                pytest.fail("the rank-9 tables were built")
+            return built(n) if dense else built(n, False)
+
+        monkeypatch.setattr(coxeter, "_tables", tables)
         conjugacy_class.cache_clear()
         minimal_length_elements.cache_clear()
         # the answer of the walk on the rank-9 tables
@@ -212,48 +217,62 @@ class TestClassWalk:
 
     def test_rank_seven_classes_walk_on_the_tables(self, monkeypatch):
         # up to rank 7 every class but the identity's walks on the rank's tables
-        monkeypatch.setattr(coxeter, "_PermRow", None)
+        monkeypatch.setattr(coxeter, "_PerEntry", None)
         for n in range(8):
             for lam in partitions_up_to(n):
                 if lam and fits_rank(lam, n):
-                    assert coxeter._class_tables(lam, n)[0] is coxeter._perm_tables(n)[0]
+                    assert coxeter._class_tables(lam, n) is coxeter._tables(n)
 
     def test_class_members_are_the_rank_tuples(self):
-        perms = coxeter._perm_tables(4)[0]
+        perms = coxeter._tables(4).perms
         assert all(w is perms[coxeter._perm_index(w)] for w in conjugacy_class((1, 1), 4))
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_length_table(self, n):
-        lengths = coxeter._lengths(n)
+        lengths = coxeter._tables(n).lengths
         assert isinstance(lengths, bytes) and len(lengths) == math.factorial(n)
         assert list(lengths) == [length(w) for w in all_perms(n)]
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_dense_and_per_entry_records_agree(self, n):
+        dense, per_entry = coxeter._tables(n), coxeter._tables(n, False)
+        assert isinstance(dense.perms, tuple) and isinstance(per_entry.perms, coxeter._PerEntry)
+        assert len(dense.steps) == len(per_entry.steps) == n - 1
+        for k, w in enumerate(dense.perms):
+            assert per_entry.perms[k] == w
+            assert per_entry.index[w] == dense.index[w] == k
+            assert per_entry.inverse[k] == dense.inverse[k]
+            assert per_entry.lengths[k] == dense.lengths[k]
+            assert [row[k] for row in per_entry.steps] == [row[k] for row in dense.steps]
+
     def test_length_row_above_dense_rank(self):
         n = coxeter._DENSE_MAX_RANK + 1
-        perms, lengths = coxeter._perm_tables(n)[0], coxeter._lengths(n)
+        tables = coxeter._tables(n)
+        perms, lengths = tables.perms, tables.lengths
         for k in random.Random(n).sample(range(math.factorial(n)), 200):
             assert lengths[k] == length(perms[k])
 
     @staticmethod
     def _mirror_index(k, n):
         """The index of w0 w w0 for w of index k, as `hecke.is_central` forms it."""
-        inv = coxeter._perm_tables(n)[1]
+        inv = coxeter._tables(n).inverse
         top = math.factorial(n) - 1
         return top - inv[top - inv[k]]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_mirror_index_formula(self, n):
-        perms, _, index = coxeter._perm_tables(n)
+        tables = coxeter._tables(n)
         w0 = tuple(range(n, 0, -1))
-        for k, w in enumerate(perms):
-            assert self._mirror_index(k, n) == index[compose(w0, compose(w, w0))]
+        for k, w in enumerate(tables.perms):
+            assert self._mirror_index(k, n) == tables.index[compose(w0, compose(w, w0))]
 
     def test_mirror_index_formula_above_dense_rank(self):
         n = coxeter._DENSE_MAX_RANK + 1
-        perms, _, index = coxeter._perm_tables(n)
+        tables = coxeter._tables(n)
         w0 = tuple(range(n, 0, -1))
         for k in random.Random(n).sample(range(math.factorial(n)), 200):
-            assert self._mirror_index(k, n) == index[compose(w0, compose(perms[k], w0))]
+            w = tables.perms[k]
+            assert self._mirror_index(k, n) == tables.index[compose(w0, compose(w, w0))]
 
 
 def test_coxeter_loads_no_hecke():
@@ -271,6 +290,47 @@ def test_coxeter_loads_no_hecke():
     out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ),
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "['grhecke.coxeter', 'grhecke.errors']"
+
+
+# what only coxeter may name: the record's parts, and the names it replaced
+_TABLE_INTERNALS = {
+    "_Tables", "_StepRow", "_tabulate", "_PerEntry", "_perm_index", "_index_perm", "_digits",
+    "_SPARSE_CLASS",
+}
+_REMOVED = {
+    "_perm_tables", "_step_rows", "_lengths", "_PermRow", "_InverseRow", "_LengthRow",
+    "_IndexRow",
+}
+
+
+def test_tables_are_read_through_one_record():
+    src = Path(coxeter.__file__).resolve().parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_tables":
+                # each kind of record spelled one way, so the cache holds it once:
+                # _tables(n) or _tables(n, False)
+                calls.append(ast.unparse(node))
+                assert not node.keywords and len(node.args) in (1, 2) and all(
+                    isinstance(a, ast.Constant) and a.value is False for a in node.args[1:]
+                ), (path.name, calls[-1])
+        assert not names & _REMOVED, path.name
+        if path.name != "coxeter.py":
+            assert not names & _TABLE_INTERNALS, path.name
+    assert len(calls) >= 8
+    assert not [name for name in _REMOVED if hasattr(coxeter, name)]
+    hecke = ast.parse((src / "hecke.py").read_text())
+    private = {alias.name for node in ast.walk(hecke) if isinstance(node, ast.ImportFrom)
+               and node.module == "coxeter" for alias in node.names if alias.name[0] == "_"}
+    assert private == {"_DENSE_MAX_RANK", "_tables"}
 
 
 class TestMinimalLength:
@@ -324,3 +384,8 @@ class TestPartitions:
     def test_negative_rejected(self):
         with pytest.raises(InvalidInputError):
             partitions_up_to(-1)
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_key_gives_the_canonical_order(self, k):
+        parts = list(partitions_up_to(k))
+        assert sorted(random.Random(k).sample(parts, len(parts)), key=partition_key) == parts

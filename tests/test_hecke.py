@@ -1,6 +1,7 @@
 """The Hecke algebra: relations, Jucys-Murphy elements, centrality."""
 
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -286,6 +287,23 @@ class TestGroupMul:
         with pytest.raises(InvalidInputError):
             group_mul({S1: 1}, {(2, 1, 3, 4): 1})
 
+    def test_cancelling_product_is_empty(self):
+        # (s_1 + e)(s_1 - e) = s_1^2 - e = 0: every sum cancels
+        e = identity(3)
+        assert group_mul({S1: 1, e: 1}, {S1: 1, e: -1}) == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*[st.dictionaries(
+        st.permutations(range(1, n + 1)).map(tuple),
+        st.integers(-2, 2).filter(bool), max_size=6)] * 2)))
+    def test_matches_counter_convolution(self, ab):
+        a, b = ab
+        want = Counter()
+        for u, cu in a.items():
+            for v, cv in b.items():
+                want[coxeter.compose(u, v)] += cu * cv
+        assert group_mul(a, b) == {w: c for w, c in want.items() if c}
+
 
 class TestSerialization:
     def test_sort_order(self):
@@ -308,7 +326,7 @@ class TestSerialization:
 
     def test_loaded_terms_share_the_rank_tuples(self):
         h = unit(3) + t_basis(S1) - t_basis(W0)
-        perms = coxeter._perm_tables(3)[0]
+        perms = coxeter._tables(3).perms
         loaded = HeckeElt.from_json_dict(h.to_json_dict())
         assert loaded == h
         assert all(w is perms[coxeter._perm_index(w)] for w in loaded.terms)
@@ -317,7 +335,7 @@ class TestSerialization:
         # the lookup in the rank's index table is the one check of a term
         h = unit(3) + t_basis(S1) + t_basis(W0)
         data = h.to_json_dict()
-        perms, inverse, index = coxeter._perm_tables(3)
+        tables = coxeter._tables(3)
         lookups = []
 
         class Index(dict):
@@ -325,7 +343,7 @@ class TestSerialization:
                 lookups.append(w)
                 return dict.__getitem__(self, w)
 
-        monkeypatch.setattr(hecke, "_perm_tables", lambda n: (perms, inverse, Index(index)))
+        monkeypatch.setattr(hecke, "_tables", lambda n: tables._replace(index=Index(tables.index)))
         monkeypatch.setattr(coxeter, "is_permutation", lambda w: pytest.fail("checked twice"))
         assert HeckeElt.from_json_dict(data) == h
         assert sorted(lookups) == sorted(h.terms)
@@ -337,7 +355,7 @@ class TestSerialization:
         calls = []
         check = coxeter.is_permutation
         monkeypatch.setattr(coxeter, "is_permutation", lambda w: calls.append(w) or check(w))
-        monkeypatch.setattr(hecke, "_perm_tables", lambda n: pytest.fail("tables built"))
+        monkeypatch.setattr(hecke, "_tables", lambda n: pytest.fail("tables built"))
         assert HeckeElt.from_json_dict(data) == h
         assert sorted(calls) == sorted(h.terms)
         data["terms"][1]["w"] = [1] * 10

@@ -79,8 +79,9 @@ def _times_jm(h, k):
     """h L_k through the packed kernel, at the width the bound G_k gives."""
     width = (_norm(h) * _g(k)).bit_length() + 2
     vec = hecke._packed(h, hecke._Memo(hecke._pack, width))
-    vec = hecke._times_jm(vec, k, coxeter._step_rows(h.n), width)
-    perms = coxeter._perm_tables(h.n)[0]
+    tables = coxeter._tables(h.n)
+    vec = hecke._times_jm(vec, k, tables.steps, width)
+    perms = tables.perms
     return HeckeElt(h.n, {perms[j]: hecke._unpack(v, width) for j, v in vec.items()})
 
 

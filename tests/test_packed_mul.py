@@ -89,19 +89,20 @@ def test_indices_are_lexicographic(n):
 def test_step_rows_follow_right_multiplication(n):
     perms = list(permutations(range(1, n + 1)))
     index = {w: k for k, w in enumerate(perms)}
-    rows = coxeter._step_rows(n)
+    steps = coxeter._tables(n).steps
     for i in range(1, n):
         computed = coxeter._StepRow(n, i)
         for k, w in enumerate(perms):
             target = index[right_gen(w, i)]
             want = ~target if w[i - 1] > w[i] else target
-            assert rows[i][k] == computed[k] == want, (w, i)
+            assert steps[i - 1][k] == computed[k] == want, (w, i)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_perm_tables_follow_lexicographic_order_and_inverse(n):
     places = tuple(factorial(j) for j in range(n - 1, -1, -1))
-    perms, inverse, index = coxeter._perm_tables(n)
+    tables = coxeter._tables(n)
+    perms, inverse, index = tables.perms, tables.inverse, tables.index
     assert len(perms) == len(inverse) == len(index) == factorial(n)
     for k in range(factorial(n)):
         assert perms[k] == coxeter._index_perm(k, places)
@@ -110,7 +111,7 @@ def test_perm_tables_follow_lexicographic_order_and_inverse(n):
 
 
 def test_product_terms_share_the_rank_tuples():
-    perms = coxeter._perm_tables(4)[0]
+    perms = coxeter._tables(4).perms
     light, heavy = t_basis((2, 1, 3, 4)), jucys_murphy(4, 4) + t_basis((4, 3, 2, 1))
     for got in (mul(heavy, light), mul(light, heavy)):
         assert all(w is perms[coxeter._perm_index(w)] for w in got.terms)
@@ -119,9 +120,9 @@ def test_product_terms_share_the_rank_tuples():
 def test_large_rank_tables_are_per_entry():
     n = coxeter._DENSE_MAX_RANK + 1
     places = tuple(factorial(j) for j in range(n - 1, -1, -1))
-    perms, inverse, index = coxeter._perm_tables(n)
-    assert isinstance(perms, coxeter._PermRow) and isinstance(inverse, coxeter._InverseRow)
-    assert isinstance(index, coxeter._IndexRow)
+    tables = coxeter._tables(n)
+    perms, inverse, index = tables.perms, tables.inverse, tables.index
+    assert all(isinstance(table, coxeter._PerEntry) for table in (perms, inverse, index))
     for k in (0, 1, 2, 1234567, factorial(n) - 1):
         assert perms[k] == coxeter._index_perm(k, places)
         assert perms[inverse[k]] == coxeter.inverse(perms[k])
@@ -139,7 +140,7 @@ def test_large_rank_tables_are_per_entry():
 
 def test_large_rank_steps_without_a_table(monkeypatch):
     n = coxeter._DENSE_MAX_RANK + 1
-    assert all(isinstance(row, coxeter._StepRow) for row in coxeter._step_rows(n)[1:])
+    assert all(isinstance(row, coxeter._StepRow) for row in coxeter._tables(n).steps)
     a = jucys_murphy(n, n).scale(IntPoly((3, -1)))
     b = jucys_murphy(n - 1, n) + t_basis(right_gen(identity(n), 2))
     flips = []
@@ -196,19 +197,18 @@ def test_horner_tries_match_oracle_in_both_orientations(name):
 @pytest.mark.parametrize("c", [-3, 5 << 80, -(1 << 90) + 1], ids=["-3", "5*2^80", "1-2^90"])
 def test_step_add_is_a_scaled_step_plus_a_sum(c):
     n, width = 4, 96
-    rows = coxeter._step_rows(n)
     rng = random.Random(c)
     vec = {k: rng.randint(-BIG, BIG) for k in rng.sample(range(24), 12)}
     start = {k: rng.randint(-BIG, BIG) for k in rng.sample(range(24), 12)}
-    for i in range(1, n):
-        stepped = hecke._step(vec, rows[i], width)
+    for row in coxeter._tables(n).steps:
+        stepped = hecke._step(vec, row, width)
         want = dict(start)
         for k, v in stepped.items():
             want[k] = want.get(k, 0) + c * v
         got = dict(start)
-        hecke._step_add(got, vec, rows[i], width, c)
+        hecke._step_add(got, vec, row, width, c)
         assert got == want
         # c vec T_i added to its negative cancels exactly
         cancel = {k: -c * v for k, v in stepped.items()}
-        hecke._step_add(cancel, vec, rows[i], width, c)
+        hecke._step_add(cancel, vec, row, width, c)
         assert set(cancel) == set(stepped) and not any(cancel.values())
