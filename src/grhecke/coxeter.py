@@ -28,7 +28,9 @@ sum of its Lehmer digits. Each rank has one record of tables over indices,
 tabulated up to `_DENSE_MAX_RANK` and computed per entry above it. Classes
 are walked on it, or, when a class is small against S_n, on the per-entry
 record at any rank. Other modules read the tables through `_tables`,
-`_class_tables` and `_DENSE_MAX_RANK` alone.
+`_class_tables` and `_DENSE_MAX_RANK` alone. Beside them, `_sweep(n)` is
+the plan by which a central element of H_n is filled in from its values at
+one element of each class, on the same indices.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from functools import lru_cache
-from itertools import permutations
+from itertools import compress, permutations
 from math import factorial, prod
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import EmptyClassError, InvalidInputError
+from .errors import EmptyClassError, InvalidInputError, InvariantViolationError
 
 __all__ = [
     "Perm", "Partition",
@@ -416,6 +418,127 @@ def _tables(n: int, dense: bool = True) -> _Tables:
         lengths = b"".join(lengths.translate(bytes(range(d, 256)) + bytes(d)) for d in range(m))
     inv = array("i", map(index.__getitem__, map(inverse, perms)))
     return _Tables(perms, inv, index, tuple(_tabulate(row, len(perms)) for row in steps), lengths)
+
+
+class _Sweep(NamedTuple):
+    """
+    The class-polynomial sweep of one rank, on the indices of `_tables(n)`.
+
+    classes lists every class of S_n in the preorder of a trie of words:
+    the word of `class_representative(lam, n)` is one block of consecutive
+    letters per part, so it extends the word of its parent, lam with its
+    last part lowered by one, by the single letter letters[c]; parents[c]
+    is the parent's position (-1 for the root ()). reps[c] is the index of
+    the inverse of that representative, a minimal-length element of the
+    class.
+
+    A central h of H_n is fixed by its values at reps: in turn for each i,
+    h[order[i]] = h[first[i]] + x h[second[i]], where the index n! names a
+    slot that holds zero. Every index but the reps appears in order once,
+    by length, and first[i] and second[i] name reps, that slot or indices
+    of smaller length (see `_sweep`).
+    """
+
+    classes: tuple
+    parents: array
+    letters: array
+    reps: array
+    order: array
+    first: array
+    second: array
+
+
+@lru_cache(maxsize=None)
+def _sweep(n: int) -> _Sweep:
+    """
+    The sweep of S_n, n <= `_DENSE_MAX_RANK`, from the step rows' descent
+    signs. With s a simple reflection, comparing the coefficients of T_w
+    in h T_s and T_s h (at sw in place of w) shows that a central h has
+      h[w] = h[sws] + x h[sw]   when s is a descent of w on both sides and
+                                sws != w, so that l(sws) = l(w) - 2;
+      h[w] = h[sws]             when s is a descent of w on one side only,
+                                so that l(sws) = l(w);
+    and h is constant on the minimal-length elements of each class, where
+    class polynomials are 0 or 1 (Geck-Pfeiffer 2000, 3.2 and 8.2). By
+    Geck-Pfeiffer 3.2, every w not of minimal length in its class reaches,
+    by one-sided steps, an element with a two-sided step, whose pair it
+    takes over here; the elements left over are of minimal length and copy
+    their class's rep.
+    """
+    tables = _tables(n)
+    size = len(tables.perms)
+    inv, steps, lengths = tables.inverse, tables.steps, tables.lengths
+    # bit i - 1 of byte k of `right` (of `left`) is set when s_i is a right
+    # (a left) descent of the permutation of index k; n - 1 <= 8 bits
+    right = 0
+    for i in range(1, n):
+        row = _StepRow(n, i)
+        block = b"".join(bytes((a > c,)) * row.f0 for a in range(row.ra) for c in range(row.rc))
+        right |= int.from_bytes(block * (size // len(block)), "little") << (i - 1)
+    raw = right.to_bytes(size, "little")
+    left = int.from_bytes(bytes(map(raw.__getitem__, inv)), "little")
+    both, one_sided = right & left, (right ^ left).to_bytes(size, "little")
+    # first[k], second[k] = sws, sw for the first s with a two-sided step
+    # from k; -1 while there is none
+    first = array("i", [-1]) * size
+    second = array("i", [-1]) * size
+    ones = int.from_bytes(b"\1" * size, "little")
+    open_ = bytearray(b"\1") * size
+    for i, row in enumerate(steps):
+        found = (both >> i) & ones & int.from_bytes(open_, "little")
+        for k in compress(range(size), found.to_bytes(size, "little")):
+            sw = inv[~row[inv[k]]]
+            if sw != ~row[k]:  # sw != ws: sws != w
+                first[k], second[k], open_[k] = ~row[sw], sw, 0
+    # a one-sided step from k to sws: k takes over the pair of sws
+    pending = list(compress(range(size), open_))
+    while True:
+        rest = []
+        for k in pending:
+            bits = one_sided[k]
+            while bits:
+                row = steps[(bits & -bits).bit_length() - 1]
+                bits &= bits - 1
+                j = row[k]
+                j = row[inv[j if j >= 0 else ~j]]
+                j = inv[j if j >= 0 else ~j]  # s w s
+                if second[j] >= 0:
+                    first[k], second[k] = first[j], second[j]
+                    break
+            else:
+                rest.append(k)
+        if len(rest) == len(pending):
+            break
+        pending = rest
+    classes, parents, letters = [], array("i"), array("i")
+
+    def visit(lam: Partition, parent: int, letter: int) -> None:
+        c = len(classes)
+        classes.append(lam)
+        parents.append(parent)
+        letters.append(letter)
+        free = sum(lam) + len(lam)  # the letters used are below free + 1
+        if free + 2 <= n:
+            visit(lam + (1,), c, free + 1)
+        if lam and free < n and (len(lam) == 1 or lam[-1] < lam[-2]):
+            visit(lam[:-1] + (lam[-1] + 1,), c, free)
+
+    visit((), -1, 0)
+    position = {lam: c for c, lam in enumerate(classes)}
+    reps = array("i", (inv[tables.index[class_representative(lam, n)]] for lam in classes))
+    for k in pending:
+        rep = reps[position[modified_cycle_type(tables.perms[k])]]
+        if lengths[k] != lengths[rep]:  # a failure of the theorems cited above
+            raise InvariantViolationError(f"{tables.perms[k]} of S_{n} is not swept")
+        first[k], second[k] = rep, size
+    swept = bytearray(b"\1") * size
+    for rep in reps:
+        swept[rep] = 0
+    order = array("i", sorted(compress(range(size), swept), key=lengths.__getitem__))
+    return _Sweep(
+        tuple(classes), parents, letters, reps, order,
+        array("i", map(first.__getitem__, order)), array("i", map(second.__getitem__, order)),
+    )
 
 
 def _partitions_rec(total: int, max_part: int) -> Iterable[Partition]:

@@ -14,6 +14,7 @@ cheaper factor along canonical reduced words, grouped from their last
 letter in a trie and evaluated by Horner's rule, so that most generator
 steps act on small partial sums; the transpose anti-automorphism
 T_w -> T_{w^{-1}} lets the expansion always happen on the lighter side.
+Products of two certified central elements take the trace route below.
 
 The expansion runs on Python integers (Kronecker substitution). Each
 coefficient is packed once as its value at x = 2^B, so sums, shifts by x
@@ -21,9 +22,10 @@ and products of coefficients become single integer operations, and each
 permutation as its index in lexicographic order, stepped through the
 tables of `coxeter`: unpacking is a lookup, so the unpacked terms share the
 table's tuples, and the transpose T_w -> T_{w^{-1}} is a relabeling of
-indices (the reduced words of w^{-1} are those of w reversed). The width B comes
-from a proven bound. A generator step at most doubles |h|_1, the sum of
-the absolute values of all integer coefficients of h. The Horner value at
+indices (the reduced words of w^{-1} are those of w reversed). The width B
+comes from a proven bound, `_product_width`, which both product routes
+use. A generator step at most doubles |h|_1, the sum of the absolute
+values of all integer coefficients of h. The Horner value at
 a trie node y is R(y) = sum c_w A T_{w y^{-1}} over the words w ending in
 y, with A = left, and stepping a child's value R(s_i y) by T_i gives terms
 within |c_w|_1 |A|_1 2^(l(w y^{-1} s_i) + 1), where
@@ -68,6 +70,23 @@ B = (2M).bit_length() + 2, and a nonzero such r has r(2^B) != 0: its lowest
 nonzero coefficient is not divisible by 2^B. So the packed values are equal
 exactly when h T_i = T_i h.
 
+A True answer marks h, and a product of two marked elements takes a second
+route (Geck-Pfeiffer 2000, ch. 3 and 8; Geck-Rouquier 1997). The trace
+tau(h) = h[1] has tau(T_a T_b) = 1 if ab = 1 and 0 otherwise, so
+h[u] = tau(h T_{u^{-1}}) for every h, and for central A and B
+[T_u](AB) = tau(A T_{u^{-1}} B) = sum_v (A T_{u^{-1}})[v] B[v^{-1}]: l(u)
+steps of A and one dot product. This is read at one minimal-length u of
+each class; the words of these u^{-1} form a trie in which each class is
+one letter past another, so each class costs one step. AB is central, and
+a central h satisfies the class-polynomial recurrence h[w] = h[sws] +
+x h[sw] when the simple reflection s is a descent of w on both sides and
+sws != w, and h[w] = h[sws] when s is a descent on one side only; it is
+constant on the minimal-length elements of each class. These fix h from
+its values at the u, by one packed sweep in length order whose plan
+`coxeter._sweep` builds once per rank. The sweep is a ring computation on
+values at x = 2^B, so it is exact, and B is the width of `_product_width`,
+which bounds every coefficient of AB whichever way it is computed.
+
 Jucys-Murphy elements L_i (L_1 = 0, L_i = sum of T over transpositions
 (k, i) with k < i) commute pairwise; symmetric polynomials in them are
 central, which is what the center construction builds on. The monomial
@@ -94,7 +113,7 @@ from typing import Iterable, Mapping
 
 from . import coxeter
 from .coxeter import Partition, Perm, check_partition, reduced_word
-from .coxeter import _DENSE_MAX_RANK, _tables
+from .coxeter import _DENSE_MAX_RANK, _sweep, _tables
 from .errors import InvalidInputError
 from .polyring import IntPoly
 
@@ -114,7 +133,9 @@ class HeckeElt:
     read-only view of a dict nobody else holds.
     """
 
-    __slots__ = ("n", "terms")
+    # _central is True once `is_central` has returned True on the element,
+    # and is set by it alone; a pickle round trip drops it
+    __slots__ = ("n", "terms", "_central")
 
     def __init__(self, n: int, terms: Mapping[Perm, IntPoly] = ()):
         clean: dict[Perm, IntPoly] = {}
@@ -125,6 +146,7 @@ class HeckeElt:
                 clean[w] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", MappingProxyType(clean))
+        object.__setattr__(self, "_central", False)
 
     @classmethod
     def _raw(cls, n: int, terms: dict[Perm, IntPoly]) -> "HeckeElt":
@@ -133,6 +155,7 @@ class HeckeElt:
         h = object.__new__(cls)
         object.__setattr__(h, "n", n)
         object.__setattr__(h, "terms", MappingProxyType(terms))
+        object.__setattr__(h, "_central", False)
         return h
 
     def __setattr__(self, name, value):
@@ -449,18 +472,8 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
     sums near the leaves, not on prefix products A T_u that fill up.
 
     Evaluation at 2^B is a ring homomorphism Z[x] -> Z, so every sum,
-    shift by x and product below is exact whatever B is. B matters only
-    for reading the result back. A generator step at most doubles |.|_1,
-    the sum of the absolute values of the integer coefficients. So
-    |c_w A T_u|_1 <= |c_w|_1 |A|_1 2^l(u), and stepping R(s_i y), whose
-    terms have l(w y^{-1} s_i) + 1 = l(w y^{-1}) <= l(w), gives terms
-    within |c_w|_1 |A|_1 2^l(w). Every partial sum formed is a sum of
-    such terms over distinct w, so each of its coefficients, like each
-    coefficient of left * right, is at most
-    M = |left|_1 * sum_w |c_w|_1 2^l(w) in absolute value. With
-    B = M.bit_length() + 2 every coefficient lies strictly inside
-    (-2^(B-1), 2^(B-1)), where balanced base-2^B digits are unique, so
-    unpacking recovers it exactly.
+    shift by x and product below is exact whatever B is; B, from
+    `_product_width`, matters only for reading the result back.
     """
     n = left.n
     tables = _tables(n)
@@ -468,15 +481,13 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
     # trie of the reduced words of right's support read from the last
     # letter; key 0 marks a terminal and holds the coefficient
     root: dict = {}
-    bound = 0
     for w, c in right.terms.items():
         node = root
         word = reduced_word(w)
         for i in word if flip else reversed(word):
             node = node.setdefault(i, {})
         node[0] = c
-        bound += _l1(c) << len(word)
-    width = (bound * sum(map(_l1, left.terms.values()))).bit_length() + 2
+    width = _product_width(left, right)
     pack = _Memo(_pack, width)
     vec = _packed(left, pack)
     if flip:
@@ -517,15 +528,88 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
     return HeckeElt._raw(n, terms)
 
 
+def _product_width(left: HeckeElt, right: HeckeElt) -> int:
+    """
+    The width B at which every coefficient of left * right is read back
+    exactly. Writing right = sum_w c_w T_w, the product is the sum of
+    c_w left T_w. A generator step at most doubles |.|_1, the sum of the
+    absolute values of the integer coefficients, since T_w T_i is
+    T_{w s_i}, plus x T_w on a descent. So
+    |c_w left T_w|_1 <= |c_w|_1 |left|_1 2^l(w), and no coefficient of
+    left * right, however it is computed, exceeds
+    M = |left|_1 * sum_w |c_w|_1 2^l(w) in absolute value. With
+    B = M.bit_length() + 2 every coefficient lies strictly inside
+    (-2^(B-1), 2^(B-1)), where balanced base-2^B digits are unique.
+    """
+    expand = sum(_l1(c) << lw for lw, c in zip(_term_lengths(right), right.terms.values()))
+    return (expand * sum(map(_l1, left.terms.values()))).bit_length() + 2
+
+
+def _swept(n: int, at_reps: Iterable[int], width: int) -> HeckeElt:
+    """
+    The central element of H_n whose values at the reps of `_sweep(n)`,
+    packed at x = 2^width, are at_reps, filled in by one pass of the
+    sweep; width must bound every coefficient of the result, as in
+    `_unpack`.
+    """
+    plan, perms = _sweep(n), _tables(n).perms
+    h = [0] * (len(perms) + 1)  # the last slot stays zero
+    for k, v in zip(plan.reps, at_reps):
+        h[k] = v
+    for k, a, b in zip(plan.order, plan.first, plan.second):
+        h[k] = h[a] + (h[b] << width)
+    h.pop()
+    unpack = _Memo(_unpack, width)
+    return HeckeElt._raw(n, {perms[k]: unpack[v] for k, v in enumerate(h) if v})
+
+
+def _central_mul(left: HeckeElt, right: HeckeElt) -> HeckeElt:
+    """
+    left * right for central left and right of H_n, n <= `_DENSE_MAX_RANK`,
+    by the trace pairing at one element of each class and the sweep (see
+    the module docstring). left is stepped along the trie of the classes'
+    words, so each class costs one `_step` and one dot product.
+    """
+    n = left.n
+    tables, plan = _tables(n), _sweep(n)
+    inverse, steps = tables.inverse, tables.steps
+    # left * right = right * left, so both orders' bounds hold
+    width = min(_product_width(left, right), _product_width(right, left))
+    pack = _Memo(_pack, width)
+    flipped = {inverse[k]: v for k, v in _packed(right, pack).items()}  # w -> right[w^{-1}]
+    last = {p: c for c, p in enumerate(plan.parents)}  # each class's last child
+    live: dict[int, dict[int, int]] = {}  # left T_{w_c}, for classes c with children to come
+    at_reps = []
+    for c, (p, i) in enumerate(zip(plan.parents, plan.letters)):
+        if p < 0:
+            vec = _packed(left, pack)
+        else:
+            vec = _step(live.pop(p) if last[p] == c else live[p], steps[i - 1], width)
+        if c in last:
+            live[c] = vec
+        both = vec.keys() & flipped.keys()
+        at_reps.append(sum(map(int.__mul__, map(vec.__getitem__, both), map(flipped.__getitem__, both))))
+    return _swept(n, at_reps, width)
+
+
 def mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
     """
     The product h1 * h2, bilinear over Z[x]. The result is independent of
     the reduced words used to expand basis elements.
+
+    When `is_central` has certified both factors (n <= `_DENSE_MAX_RANK`),
+    the product is read at one minimal-length element u of each class by
+    the trace, [T_u](h1 h2) = tau(h1 T_{u^{-1}} h2), on steps of h1, and
+    filled in by the class-polynomial sweep (see the module docstring).
+    Otherwise the cheaper factor is expanded by `_fold_right`. Both read
+    the result back at the width of `_product_width`.
     """
     if h1.n != h2.n:
         raise InvalidInputError(f"rank mismatch: {h1.n} vs {h2.n}")
     if not h1.terms or not h2.terms:
         return zero(h1.n)
+    if h1._central and h2._central and h1.n <= _DENSE_MAX_RANK:
+        return _central_mul(h1, h2)
     if _letter_cost(h2) <= _letter_cost(h1):
         return _fold_right(h1, h2, False)
     return _fold_right(h2, h1, True)
@@ -612,6 +696,7 @@ def is_central(h: HeckeElt) -> bool:
     """
     n = h.n
     if not h.terms:
+        object.__setattr__(h, "_central", True)
         return True
     tables = _tables(n)
     inverse, steps = tables.inverse, tables.steps
@@ -626,6 +711,7 @@ def is_central(h: HeckeElt) -> bool:
         left = right if self_transpose else _step(flipped, row, width)
         if right != {inverse[k]: v for k, v in left.items()}:
             return False
+    object.__setattr__(h, "_central", True)
     return True
 
 

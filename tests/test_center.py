@@ -7,6 +7,7 @@ for the one corrected line.
 import json
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -219,6 +220,17 @@ class TestBasisPerRank:
             center._worker_init(None, center.GammaBasis(4, 3, dict(want)))
             monkeypatch.setattr(center, "gamma_element", must_not_run)
             assert gamma_basis(4, 3).gamma == want
+        finally:
+            center.clear_caches()
+
+    def test_worker_init_certifies_the_pickled_basis(self):
+        # the pool pickles the basis, which drops the centrality mark
+        sent = pickle.loads(pickle.dumps(center.GammaBasis(5, 3, dict(gamma_basis(5, 3).gamma))))
+        assert not any(g._central for g in sent.gamma.values())
+        center.clear_caches()
+        try:
+            center._worker_init(None, sent)
+            assert all(g._central for g in gamma_basis(5, 3).gamma.values())
         finally:
             center.clear_caches()
 
@@ -728,6 +740,28 @@ class TestWitnessesFire:
         assert verify_structure_constants(4, 2).witnesses == [want]
         code, out = run_cli("verify", "--n", "4", "--max-size", "2")
         assert code == 1 and f"WITNESS {want}\n" in out
+
+    def test_product_outside_the_basis_lets_every_suite_report(self, monkeypatch):
+        # the perturbation of test_support_bound_witness: the x = 0 suite
+        # reports it too, and the elementary-sum suite still runs
+        basis = gamma_basis(4, 3)
+        g1, extra = basis.gamma[(1,)], basis.gamma[(3,)]
+        monkeypatch.setattr(center, "_struct_memo", {})
+        monkeypatch.setattr(center, "mul", lambda h1, h2: (
+            mul(h1, h2) + extra if h1 is g1 and h2 is g1 else mul(h1, h2)))
+        want = ("support of gamma_(1,) gamma_(1,) exceeds size 2 at n=4: element is not "
+                "in the span of the basis through size 2 (residual has 13 terms)")
+        assert verify_zero_specialization(4, 2).witnesses == [want]
+        code, out = run_cli("verify", "--n", "4", "--max-size", "2")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL structure-constants n=4 max_size=2 (checks=13)",
+            f"WITNESS {want}",
+            "PASS characterization n=4 up_to=2 (checks=48)",
+            "FAIL zero-specialization-oracle n=4 max_size=2 (checks=5)",
+            f"WITNESS {want}",
+            "PASS elementary-sums n=4 r_max=2 (checks=2)",
+        ]
 
     def test_zero_specialization_witness(self, monkeypatch):
         oracle = center.class_sum_oracle

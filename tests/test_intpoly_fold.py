@@ -7,7 +7,7 @@ from grhecke import center, hecke
 from grhecke.hecke import jucys_murphy, unit
 from grhecke.polyring import IntPoly
 
-KERNELS = ["_step", "_step_add", "_fold_right", "linear_combination", "_pack"]
+KERNELS = ["_step", "_step_add", "_fold_right", "_central_mul", "linear_combination", "_pack"]
 
 
 def test_oracle_uses_no_packed_kernel(monkeypatch):
