@@ -10,24 +10,34 @@ type lam (with sum(lam) + len(lam) <= n) is pinned down by two properties:
 
 Equivalently, gamma_lam has coefficient 1 on every minimal length element
 of its own class and coefficient 0 on every minimal length element of every
-other class. Since monomial symmetric polynomials in the Jucys-Murphy
-elements span the relevant filtration layer of the center, each gamma_lam
-is found by one exact solve for a combination of m_mu (|mu| <= |lam|) whose
-coefficients at the canonical minimal representatives realize the identity
-pattern. The fraction-free solver returns numerators over Z[x] and one
-common denominator d; any solution assembles to the same element, so the
-numerators are assembled and every coefficient is divided exactly by d,
-which checks that it lands back in Z[x].
+other class. A central element is fixed by its values at one minimal length
+element of each class, so up to `_DENSE_MAX_RANK` gamma_lam is the
+class-polynomial sweep of the values 1 at its own class and 0 at the others
+(`hecke._class_element`), with no solve and no division.
 
-Each element is verified once, by the same check whether it was solved or
+Monomial symmetric polynomials in the Jucys-Murphy elements span the
+relevant filtration layer of the center, and one exact solve certifies
+that gamma_lam lies in it: a combination of m_mu (|mu| <= |lam|) whose
+coefficients at the canonical minimal representatives realize the identity
+pattern. The fraction-free solver returns numerators y_mu over Z[x] and one
+common denominator d. The combination sum_mu y_mu m_mu is read at the
+sweep's rep of every class of S_n, a coefficient lookup per m_mu, and must
+equal d there on lam's class and 0 on every other; both sides are central,
+so this proves d gamma_lam in the Z[x]-span of those m_mu. Above
+`_DENSE_MAX_RANK`, where no sweep plan exists, the numerators are
+assembled and every coefficient is divided exactly by d, which checks that
+it lands back in Z[x].
+
+Each element is verified once, by the same check whether it was built or
 read from disk: centrality, the class sum at x = 0, parity, and the pattern
-on every class up to the level it is verified at (|lam| when solved, the
-file's level when loaded).
+on every class up to the level it is verified at (|lam| when built, the
+file's level when loaded). For a swept element this check is independent
+of the sweep.
 
 The center is filtered: gamma_lam(n) does not depend on the level at which
 it is materialized, so the basis up to size k is a prefix of the basis up
 to size k + 1. One verified basis per rank, the largest asked for, is the
-only store of class elements: a larger request grows it, solving only the
+only store of class elements: a larger request grows it, building only the
 classes it lacks, and a smaller one restricts it. The optional disk cache
 likewise holds one file per rank.
 
@@ -55,7 +65,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from . import coxeter, hecke
-from .coxeter import Partition, check_partition, fits_rank, min_rep, partition_key
+from .coxeter import _DENSE_MAX_RANK, Partition, check_partition, fits_rank, min_rep, partition_key
 from .errors import (
     BasisIncompleteError, ConstructionError, ExactDivisionError,
     InvalidInputError, InvariantViolationError, SingularSystemError,
@@ -160,7 +170,7 @@ class CheckReport:
 
 
 # the one store of class elements: the largest verified basis of each rank,
-# whether solved here or loaded from the optional disk cache
+# whether built here or loaded from the optional disk cache
 _bases: dict[int, GammaBasis] = {}
 _disk_cache_dir: Optional[Path] = None
 
@@ -183,7 +193,11 @@ def _candidate_classes(size: int, n: int) -> list[Partition]:
 
 
 def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
-    """Solve the characterization constraints for gamma_lam(n)."""
+    """
+    gamma_lam(n), with the characterization constraints solved in the
+    m_mu, |mu| <= |lam|: swept and certified by the solve up to
+    `_DENSE_MAX_RANK`, assembled from the solve above it.
+    """
     size = sum(lam)
     candidates = list(coxeter.partitions_up_to(size))
     msyms = {mu: m_sym(mu, n) for mu in candidates}
@@ -197,7 +211,11 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
         raise ConstructionError(
             f"characterization system for gamma_{lam}(n={n}) is unsolvable: {exc}"
         ) from exc
-    num = hecke.linear_combination(n, [(c, msyms[mu]) for mu, c in zip(candidates, y)])
+    combination = [(c, msyms[mu]) for mu, c in zip(candidates, y)]
+    if n <= _DENSE_MAX_RANK:
+        _certify(lam, n, combination, d)
+        return hecke._class_element(lam, n)
+    num = hecke.linear_combination(n, combination)
     if d == _ONE:
         return num
     terms = {}
@@ -213,6 +231,26 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
                 ) from exc
         terms[w] = q
     return HeckeElt._raw(n, terms)
+
+
+def _certify(lam: Partition, n: int, combination: list[tuple[IntPoly, HeckeElt]], d: IntPoly) -> None:
+    """
+    Check that sum_mu y_mu m_mu, the solve's numerators `combination`, is
+    d gamma_lam(n) at the sweep plan's rep of every class of S_n: d at the
+    rep of lam's class and 0 at every other. Both sides are central, and a
+    central element is fixed by its values at these reps, so this proves
+    d gamma_lam in the Z[x]-span of the m_mu, |mu| <= |lam|.
+    """
+    plan, perms = coxeter._sweep(n), coxeter._tables(n).perms
+    for nu, r in zip(plan.classes, plan.reps):
+        w = perms[r]
+        got = sum((c * m.coeff(w) for c, m in combination), IntPoly())
+        want = d if nu == lam else IntPoly()
+        if got != want:
+            raise ConstructionError(
+                f"gamma_{lam}(n={n}) fails its certificate at class {nu}: the solve's "
+                f"combination of m_mu has {got} at {w}, expected {want}"
+            )
 
 
 def _element_witnesses(lam: Partition, n: int, elt: HeckeElt, up_to: int) -> tuple[list[str], int]:
@@ -258,9 +296,12 @@ def _pattern_witnesses(
 
 def gamma_element(lam: Partition, n: int) -> HeckeElt:
     """
-    The class element gamma_lam(n), solved and verified through size |lam|
-    on every call; the zero element when the class vanishes in S_n.
-    `gamma_basis` keeps the elements it solves.
+    The class element gamma_lam(n), built and verified through size |lam|
+    on every call; the zero element when the class vanishes in S_n. Up to
+    `_DENSE_MAX_RANK` it is swept from its values at the classes' reps and
+    certified by the solve in the m_mu; above it, it is assembled from the
+    solve (see the module docstring). `gamma_basis` keeps the elements it
+    builds.
     """
     lam = check_partition(lam)
     if n < 1:
@@ -305,7 +346,7 @@ def _read_entry(text: str, pos: int, n: int) -> tuple[Partition, HeckeElt, int]:
 def _load_basis(path: Path, n: int) -> Optional[GammaBasis]:
     """
     The basis of rank n stored in `path` if it is in the writer's layout
-    and every element passes the check a solved element gets, at the
+    and every element passes the check a built element gets, at the
     file's level; None otherwise.
     """
     try:
@@ -372,7 +413,7 @@ def _json_ints(seq: tuple[int, ...]) -> str:
 def _grow_basis(basis: Optional[GammaBasis], n: int, up_to: int) -> GammaBasis:
     """
     `basis` (None for the empty one) grown through size up_to: the classes
-    it lacks are solved, and the elements it holds are checked only on the
+    it lacks are built, and the elements it holds are checked only on the
     new classes.
     """
     gamma = dict(basis.gamma) if basis is not None else {}
@@ -380,7 +421,7 @@ def _grow_basis(basis: Optional[GammaBasis], n: int, up_to: int) -> GammaBasis:
     for lam in _candidate_classes(up_to, n):
         elt = gamma.get(lam)
         # an element loaded at a lower level can pass every check there and
-        # still not be gamma_lam: one that fails on the new classes is re-solved
+        # still not be gamma_lam: one that fails on the new classes is rebuilt
         if elt is not None and not _pattern_witnesses(lam, n, elt, above, up_to)[0]:
             continue
         elt = gamma_element(lam, n)

@@ -85,7 +85,10 @@ constant on the minimal-length elements of each class. These fix h from
 its values at the u, by one packed sweep in length order whose plan
 `coxeter._sweep` builds once per rank. The sweep is a ring computation on
 values at x = 2^B, so it is exact, and B is the width of `_product_width`,
-which bounds every coefficient of AB whichever way it is computed.
+which bounds every coefficient of AB whichever way it is computed. The
+same sweep builds each class element from its values, 1 at the u of its
+own class and 0 at the others (`_class_element`, whose width rests on a
+Fibonacci bound on the class polynomials).
 
 Jucys-Murphy elements L_i (L_1 = 0, L_i = sum of T over transpositions
 (k, i) with k < i) commute pairwise; symmetric polynomials in them are
@@ -561,6 +564,29 @@ def _swept(n: int, at_reps: Iterable[int], width: int) -> HeckeElt:
     h.pop()
     unpack = _Memo(_unpack, width)
     return HeckeElt._raw(n, {perms[k]: unpack[v] for k, v in enumerate(h) if v})
+
+
+def _class_element(lam: Partition, n: int) -> HeckeElt:
+    """
+    The class element gamma_lam(n), n <= `_DENSE_MAX_RANK`, for a class lam
+    of S_n: the central element whose value is 1 at the rep of lam's class
+    and 0 at the rep of every other class, filled in by `_swept`.
+
+    Width. Every value the sweep forms has nonnegative coefficients and
+    value at x = 1 at most F_{l(w)+1}, the Fibonacci number (F_1 = F_2 = 1),
+    by induction along the plan's order, which is by length. A rep holds
+    0 or 1, and so does an element that copies its class's rep (its
+    second slot is the zero slot); F_{l+1} >= 1. Every other element w
+    takes h[w] = h[sws] + x h[sw] for the pair of a two-sided step, its
+    own or one it takes over from an element of the same length, with
+    l(sws) = l(w) - 2 and l(sw) = l(w) - 1. So h[w] has nonnegative
+    coefficients and h[w](1) <= F_{l(w)-1} + F_{l(w)} = F_{l(w)+1}. As
+    F_{l+1} <= 2^l and l(w) <= n(n-1)/2, no coefficient exceeds
+    2^(n(n-1)/2), and B = n(n-1)/2 + 2 puts every coefficient strictly
+    inside (-2^(B-1), 2^(B-1)), where `_unpack` reads it back exactly.
+    """
+    classes = _sweep(n).classes
+    return _swept(n, [int(c == lam) for c in classes], n * (n - 1) // 2 + 2)
 
 
 def _central_mul(left: HeckeElt, right: HeckeElt) -> HeckeElt:
