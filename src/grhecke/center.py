@@ -41,16 +41,20 @@ only store of class elements: a larger request grows it, building only the
 classes it lacks, and a smaller one restricts it. The optional disk cache
 likewise holds one file per rank.
 
-Structure constants come from expanding a product of two class elements in
-this basis, which only requires reading coefficients at the canonical
-minimal representatives and confirming that the reconstruction residual is
-exactly zero, which also proves the product central. Each is computed on
-one memoized path, which the table builder, the verification suites and
-the rank-independent layer share. The center is commutative, and every
-class element passes the centrality test before it is used, so the memo
-holds one entry per unordered pair: the product is formed once, its
-factors in the order in which the table lists the pair, and the swapped
-request reads the same entry. Only `verify_structure_constants` forms the
+Structure constants come from expanding a product h of two class elements
+in this basis: the coordinates c_nu are its coefficients at the canonical
+minimal representatives, and the residual h - sum_nu c_nu gamma_nu must be
+zero. h and the class elements are marked central (see `hecke`), so the
+residual is too, and it is fixed by its values at one minimal-length
+element of each class (Geck-Pfeiffer 2000, 8.2): it is checked exactly at
+the sweep plan's p(n) reps, and no element of n! terms is formed. Otherwise
+the whole residual is formed, whose vanishing also proves h central.
+Each is computed on one memoized path, which the table builder, the
+verification suites and the rank-independent layer share. The center is
+commutative, and every class element passes the centrality test before it
+is used, so the memo holds one entry per unordered pair: the product is
+formed once, its factors in the order in which the table lists the pair,
+and the swapped request reads the same entry. Only `verify_structure_constants` forms the
 swapped product as well, since it checks that the two agree.
 """
 
@@ -62,10 +66,11 @@ import tempfile
 from itertools import combinations_with_replacement
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from . import coxeter, hecke
-from .coxeter import _DENSE_MAX_RANK, Partition, check_partition, fits_rank, min_rep, partition_key
+from .coxeter import _DENSE_MAX_RANK, Partition, Perm, check_partition, fits_rank, min_rep
+from .coxeter import partition_key
 from .errors import (
     BasisIncompleteError, ConstructionError, ExactDivisionError,
     InvalidInputError, InvariantViolationError, SingularSystemError,
@@ -241,16 +246,23 @@ def _certify(lam: Partition, n: int, combination: list[tuple[IntPoly, HeckeElt]]
     central element is fixed by its values at these reps, so this proves
     d gamma_lam in the Z[x]-span of the m_mu, |mu| <= |lam|.
     """
-    plan, perms = coxeter._sweep(n), coxeter._tables(n).perms
-    for nu, r in zip(plan.classes, plan.reps):
-        w = perms[r]
-        got = sum((c * m.coeff(w) for c, m in combination), IntPoly())
+    for nu, w, got in _at_reps(n, combination):
         want = d if nu == lam else IntPoly()
         if got != want:
             raise ConstructionError(
                 f"gamma_{lam}(n={n}) fails its certificate at class {nu}: the solve's "
                 f"combination of m_mu has {got} at {w}, expected {want}"
             )
+
+
+def _at_reps(
+    n: int, combination: list[tuple[IntPoly, HeckeElt]]
+) -> Iterator[tuple[Partition, Perm, IntPoly]]:
+    """(nu, w, [T_w] sum c h over `combination`) at the sweep plan's rep w of each class nu."""
+    plan, perms = coxeter._sweep(n), coxeter._tables(n).perms
+    for nu, r in zip(plan.classes, plan.reps):
+        w = perms[r]
+        yield nu, w, sum((c * h.coeff(w) for c, h in combination), IntPoly())
 
 
 def _element_witnesses(lam: Partition, n: int, elt: HeckeElt, up_to: int) -> tuple[list[str], int]:
@@ -458,9 +470,17 @@ def gamma_basis(n: int, up_to: int) -> GammaBasis:
 def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
     """
     Expand a central element in the class-element basis of `gamma_basis` by
-    reading its coefficients at the canonical minimal representatives, then
-    verifying the reconstruction is exact, which shows h central too; the
-    centrality test only tells a non-central h from an incomplete basis.
+    reading its coefficients c_nu at the canonical minimal representatives,
+    then verifying that the residual h - sum_nu c_nu gamma_nu is zero. If h
+    and each gamma_nu used are marked central (n <= `_DENSE_MAX_RANK`), so is
+    the residual, and only its p(n) values at the sweep plan's reps are read.
+    Otherwise, or if one of them is not zero, the whole residual is formed:
+    its vanishing shows h central too, and the centrality test only tells a
+    non-central h from an incomplete basis.
+
+    >>> coords = expand_in_gamma(hecke.e_sym(1, 4), gamma_basis(4, 1))
+    >>> {nu: str(c) for nu, c in coords.coords.items()}
+    {(1,): '1'}
     """
     if h.n != basis.n:
         raise InvalidInputError(f"rank mismatch: element in S_{h.n}, basis for S_{basis.n}")
@@ -469,9 +489,11 @@ def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
         c = h.coeff(min_rep(nu, basis.n))
         if c:
             coords[nu] = c
-    residual = hecke.linear_combination(
-        h.n, [(_ONE, h)] + [(-c, basis.gamma[nu]) for nu, c in coords.items()]
-    )
+    combination = [(_ONE, h)] + [(-c, basis.gamma[nu]) for nu, c in coords.items()]
+    if (h.n <= _DENSE_MAX_RANK and all(g._central for _, g in combination)
+            and not any(v for _, _, v in _at_reps(h.n, combination))):
+        return CentralCoords(n=basis.n, coords=coords)
+    residual = hecke.linear_combination(h.n, combination)
     if residual:
         if not is_central(h):
             raise InvalidInputError("expand_in_gamma requires a central element")
@@ -597,15 +619,16 @@ def _support_witness(lam: Partition, mu: Partition, n: int, exc: BasisIncomplete
 def verify_structure_constants(n: int, max_size: int) -> CheckReport:
     """
     Check, for every product with |lam| + |mu| <= max_size in S_n:
-    positivity, parity, the support bound |nu| <= |lam| + |mu| (via an
-    exact reconstruction residual), and commutativity of the product. The
-    memo of `structure_constants` holds one entry per unordered pair, so
-    for lam != mu the swapped product gamma_mu gamma_lam is formed and
-    expanded here, outside the memo. Both orders expand exactly, so equal
-    coordinates mean equal products. The swapped product is a different
-    evaluation, not a relabeling of the first: `hecke.mul` pairs the
-    steps of its left factor with its right one, so gamma_lam gamma_mu
-    steps gamma_lam and gamma_mu gamma_lam steps gamma_mu.
+    positivity, parity, the support bound |nu| <= |lam| + |mu| (the
+    expansion's residual is zero, read exactly at the p(n) class reps; see
+    `expand_in_gamma`), and commutativity of the product. The memo of `structure_constants` holds
+    one entry per unordered pair, so for lam != mu the swapped product
+    gamma_mu gamma_lam is formed and expanded here, outside the memo. Both
+    orders expand exactly, so equal coordinates mean equal products. The
+    swapped product is a different evaluation, not a relabeling of the
+    first: `hecke.mul` pairs the steps of its left factor with its right
+    one, so gamma_lam gamma_mu steps gamma_lam and gamma_mu gamma_lam
+    steps gamma_mu.
     """
     report = CheckReport(name=f"structure-constants n={n} max_size={max_size}")
     for lam, mu in _pairs_up_to(n, max_size):

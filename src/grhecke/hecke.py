@@ -71,7 +71,9 @@ nonzero coefficient is not divisible by 2^B. So the packed values are equal
 exactly when h T_i = T_i h.
 
 A True answer marks h, and a product of two marked elements takes a second
-route (Geck-Pfeiffer 2000, ch. 3 and 8; Geck-Rouquier 1997). The trace
+route (Geck-Pfeiffer 2000, ch. 3 and 8; Geck-Rouquier 1997) and is marked:
+the sweep of its values v_C at the class reps is sum_C v_C gamma_C. A swept
+class element is marked only by its own centrality test. The trace
 tau(h) = h[1] has tau(T_a T_b) = 1 if ab = 1 and 0 otherwise, so
 h[u] = tau(h T_{u^{-1}}) for every h, and for central A and B
 [T_u](AB) = tau(A T_{u^{-1}} B) = sum_v (A T_{u^{-1}})[v] B[v^{-1}]: l(u)
@@ -137,7 +139,7 @@ class HeckeElt:
     """
 
     # _central is True once `is_central` has returned True on the element,
-    # and is set by it alone; a pickle round trip drops it
+    # or on a product of two such from `_central_mul`; a pickle drops it
     __slots__ = ("n", "terms", "_central")
 
     def __init__(self, n: int, terms: Mapping[Perm, IntPoly] = ()):
@@ -615,7 +617,9 @@ def _central_mul(left: HeckeElt, right: HeckeElt) -> HeckeElt:
             live[c] = vec
         both = vec.keys() & flipped.keys()
         at_reps.append(sum(map(int.__mul__, map(vec.__getitem__, both), map(flipped.__getitem__, both))))
-    return _swept(n, at_reps, width)
+    product = _swept(n, at_reps, width)
+    object.__setattr__(product, "_central", True)  # sum_C v_C gamma_C is central
+    return product
 
 
 def mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
@@ -623,7 +627,8 @@ def mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
     The product h1 * h2, bilinear over Z[x]. The result is independent of
     the reduced words used to expand basis elements.
 
-    When `is_central` has certified both factors (n <= `_DENSE_MAX_RANK`),
+    When both factors are marked central, by `is_central` or as products
+    of this route (n <= `_DENSE_MAX_RANK`),
     the product is read at one minimal-length element u of each class by
     the trace, [T_u](h1 h2) = tau(h1 T_{u^{-1}} h2), on steps of h1, and
     filled in by the class-polynomial sweep (see the module docstring).

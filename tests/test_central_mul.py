@@ -119,3 +119,30 @@ def test_only_a_true_centrality_test_marks():
     assert copy == e2 and not copy._central
     with pytest.raises(AttributeError):
         e2._central = False
+
+
+def test_product_of_certified_class_elements_is_marked():
+    gamma = certified_basis(5, 2)
+    product = mul(gamma[(1,)], gamma[(1,)])
+    assert product._central and is_central(product)
+    copy = pickle.loads(pickle.dumps(product))
+    assert copy == product and not copy._central
+
+
+def test_swept_class_element_is_not_marked_before_its_check():
+    assert not hecke._class_element((2,), 5)._central
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_marked_product_times_class_element_takes_the_trace_route(n, monkeypatch):
+    gamma = certified_basis(n, 2)
+    calls = []
+    central_mul = hecke._central_mul
+    monkeypatch.setattr(hecke, "_central_mul", lambda a, b: calls.append(1) or central_mul(a, b))
+    for lam, mu in pairs(gamma, 2):
+        product = mul(gamma[lam], gamma[mu])
+        for nu, g in gamma.items():
+            del calls[:]
+            got = mul(product, g)
+            assert calls == [1] and got._central, (lam, mu, nu, n)
+            assert got == hecke._fold_right(product, g, False), (lam, mu, nu, n)

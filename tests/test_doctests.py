@@ -1,6 +1,6 @@
 import doctest
 
-from grhecke import coxeter, hecke, polyring
+from grhecke import center, coxeter, hecke, polyring
 
 
 def test_coxeter_doctests():
@@ -15,4 +15,9 @@ def test_polyring_doctests():
 
 def test_hecke_doctests():
     failed, attempted = doctest.testmod(hecke)
+    assert attempted and not failed
+
+
+def test_center_doctests():
+    failed, attempted = doctest.testmod(center)
     assert attempted and not failed
