@@ -28,18 +28,21 @@ so this proves d gamma_lam in the Z[x]-span of those m_mu. Above
 assembled and every coefficient is divided exactly by d, which checks that
 it lands back in Z[x].
 
-Each element is verified once, by the same check whether it was built or
-read from disk: centrality, the class sum at x = 0, parity, and the pattern
-on every class up to the level it is verified at (|lam| when built, the
-file's level when loaded). For a swept element this check is independent
-of the sweep.
+Each element is verified once, by the same check whether the certificate
+ran or the disk cache vouches for it: centrality, the class sum at x = 0,
+parity, and the pattern on every class up to the level it is verified at
+(|lam| when certified, the basis's level when swept again). For a swept
+element this check is independent of the sweep.
 
 The center is filtered: gamma_lam(n) does not depend on the level at which
 it is materialized, so the basis up to size k is a prefix of the basis up
 to size k + 1. One verified basis per rank, the largest asked for, is the
 only store of class elements: a larger request grows it, building only the
 classes it lacks, and a smaller one restricts it. The optional disk cache
-likewise holds one file per rank.
+holds one file per rank up to `_DENSE_MAX_RANK`, and the file records only
+the level through which the rank's class elements were certified: a later
+process sweeps those classes again, checks them, and skips only their
+certificate.
 
 Structure constants come from expanding a product h of two class elements
 in this basis: the coordinates c_nu are its coefficients at the canonical
@@ -174,14 +177,13 @@ class CheckReport:
         return not self.witnesses
 
 
-# the one store of class elements: the largest verified basis of each rank,
-# whether built here or loaded from the optional disk cache
+# the one store of class elements: the largest verified basis of each rank
 _bases: dict[int, GammaBasis] = {}
 _disk_cache_dir: Optional[Path] = None
 
 
 def set_cache_dir(path) -> None:
-    """Point the on-disk basis cache at `path` (None disables it)."""
+    """Point the disk cache of certified levels at `path` (None disables it)."""
     global _disk_cache_dir
     _disk_cache_dir = Path(path) if path is not None else None
 
@@ -327,89 +329,37 @@ def gamma_element(lam: Partition, n: int) -> HeckeElt:
     return elt
 
 
-# The cache file is the bytes of json.dumps(payload) + "\n" for the payload
-# {"format": 1, "n": n, "up_to": level, "gamma": [entry, ...]}, with one
-# entry {"lambda": lam, "elt": {"n": n, "terms": [{"w": w, "c": c}, ...]}}
-# per class element. The writer emits these bytes term by term, and the
-# reader accepts this layout alone, one entry at a time; the final newline
-# may be missing, as it is from json.dumps of the parsed file.
-_decode = json.JSONDecoder().raw_decode
-
-
-def _expect(text: str, pos: int, literal: str) -> int:
-    """The position after `literal`, which must stand at pos in text."""
-    if not text.startswith(literal, pos):
-        raise ValueError(f"expected {literal!r} at offset {pos}")
-    return pos + len(literal)
-
-
-def _read_entry(text: str, pos: int, n: int) -> tuple[Partition, HeckeElt, int]:
+def _record(n: int, level: int) -> str:
     """
-    The class element whose entry starts at pos, and the position after
-    it. Its rank is read before its terms, and the terms' parse tree is
-    dropped on return.
+    The cache file of rank n, less its final newline: the one fact that
+    its class elements were certified through size `level`.
     """
-    lam, pos = _decode(text, _expect(text, pos, '{"lambda": '))
-    lam = tuple(int(p) for p in lam)
-    terms, pos = _decode(text, _expect(text, pos, f', "elt": {{"n": {n}, "terms": '))
-    return lam, HeckeElt.from_json_dict({"n": n, "terms": terms}), _expect(text, pos, "}}")
+    return json.dumps({"format": 2, "n": n, "up_to": level})
 
 
-def _load_basis(path: Path, n: int) -> Optional[GammaBasis]:
+def _load_level(path: Path, n: int) -> int:
     """
-    The basis of rank n stored in `path` if it is in the writer's layout
-    and every element passes the check a built element gets, at the
-    file's level; None otherwise.
+    The level `path` records if it holds the writer's record for rank n,
+    final newline optional; otherwise -1, the level of the empty basis.
     """
     try:
         text = path.read_text()
-        level, pos = _decode(text, _expect(text, 0, f'{{"format": 1, "n": {n}, "up_to": '))
-        if type(level) is not int or level < 0:
-            return None
-        pos = _expect(text, pos, ', "gamma": [')
-        gamma = {}
-        while not text.startswith("]}", pos):
-            if gamma:
-                pos = _expect(text, pos, ", ")
-            lam, elt, pos = _read_entry(text, pos, n)
-            gamma[lam] = elt
-        if text[pos + 2:] not in ("", "\n"):
-            return None
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, InvalidInputError,
-            RecursionError):  # the decoder's answer to deeply nested arrays
-        return None
-    if set(gamma) != set(_candidate_classes(level, n)):
-        return None
-    for lam, elt in gamma.items():
-        if _element_witnesses(lam, n, elt, level)[0]:
-            return None
-    return GammaBasis(n=n, up_to=level, gamma=gamma)
+        level = json.loads(text)["up_to"]
+    except (OSError, ValueError, KeyError, TypeError,
+            RecursionError):  # the decoder's answer to deeply nested input
+        return -1
+    if type(level) is not int or level < 0 or text.removesuffix("\n") != _record(n, level):
+        return -1
+    return level
 
 
-def _save_basis(path: Path, basis: GammaBasis) -> None:
-    """
-    The bytes of ``json.dumps(payload) + "\\n"`` for the whole basis,
-    written term by term through a temporary file, each distinct
-    coefficient encoded once; no element's `to_json_dict` tree is built.
-    """
-    n = basis.n
-    encoded: dict[tuple, str] = {}
+def _save_level(path: Path, n: int, level: int) -> None:
+    """Write the record of rank n at `level` through a temporary file."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            write = fh.write
-            write(f'{{"format": 1, "n": {n}, "up_to": {basis.up_to}, "gamma": [')
-            for k, lam in enumerate(basis.valid_partitions()):
-                write(f'{", " if k else ""}{{"lambda": {_json_ints(lam)}, '
-                      f'"elt": {{"n": {n}, "terms": [')
-                for j, (w, c) in enumerate(basis.gamma[lam].sorted_terms()):
-                    s = encoded.get(c.coeffs)
-                    if s is None:
-                        s = encoded[c.coeffs] = json.dumps(c.to_json())
-                    write(f'{", " if j else ""}{{"w": {_json_ints(w)}, "c": {s}}}')
-                write("]}}")
-            write("]}\n")
+            fh.write(_record(n, level) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -417,27 +367,27 @@ def _save_basis(path: Path, basis: GammaBasis) -> None:
         raise
 
 
-def _json_ints(seq: tuple[int, ...]) -> str:
-    """json.dumps(list(seq)) for a tuple of ints."""
-    return "[" + ", ".join(map(str, seq)) + "]"
-
-
-def _grow_basis(basis: Optional[GammaBasis], n: int, up_to: int) -> GammaBasis:
+def _grow_basis(basis: Optional[GammaBasis], n: int, up_to: int, certified: int) -> GammaBasis:
     """
-    `basis` (None for the empty one) grown through size up_to: the classes
-    it lacks are built, and the elements it holds are checked only on the
-    new classes.
+    `basis` (None for the empty one) grown through size up_to. The elements
+    it holds are checked only on the new classes. Of the classes it lacks,
+    those of size at most `certified`, the level the disk cache records,
+    are swept again and get the full check through up_to but not the
+    certificate; the others are built by `gamma_element`.
     """
     gamma = dict(basis.gamma) if basis is not None else {}
     above = basis.up_to if basis is not None else -1
     for lam in _candidate_classes(up_to, n):
         elt = gamma.get(lam)
-        # an element loaded at a lower level can pass every check there and
-        # still not be gamma_lam: one that fails on the new classes is rebuilt
-        if elt is not None and not _pattern_witnesses(lam, n, elt, above, up_to)[0]:
-            continue
-        elt = gamma_element(lam, n)
-        witnesses, _ = _pattern_witnesses(lam, n, elt, sum(lam), up_to)
+        if elt is not None:
+            witnesses, _ = _pattern_witnesses(lam, n, elt, above, up_to)
+        elif sum(lam) <= certified:
+            # a failure is not retried: sweeping again gives the same element
+            elt = hecke._class_element(lam, n)
+            witnesses, _ = _element_witnesses(lam, n, elt, up_to)
+        else:
+            elt = gamma_element(lam, n)
+            witnesses, _ = _pattern_witnesses(lam, n, elt, sum(lam), up_to)
         if witnesses:
             raise ConstructionError("; ".join(witnesses))
         gamma[lam] = elt
@@ -448,19 +398,23 @@ def gamma_basis(n: int, up_to: int) -> GammaBasis:
     """
     Materialize the class elements for all valid lam with |lam| <= up_to,
     asserting the full characterization for each. Below the level stored
-    for rank n this restricts that basis; above it, the basis grows.
+    for rank n this restricts that basis; above it, the basis grows. Up to
+    `_DENSE_MAX_RANK`, a process with no basis of rank n yet sweeps the
+    classes the disk cache records as certified and certifies only the
+    others; above it, where there is no sweep, the disk cache is not used.
     """
     if n < 1 or up_to < 0:
         raise InvalidInputError(f"bad basis request n={n}, up_to={up_to}")
-    path = _disk_cache_dir / f"gamma_n{n}_basis.json" if _disk_cache_dir is not None else None
+    path = None
+    if _disk_cache_dir is not None and n <= _DENSE_MAX_RANK:
+        path = _disk_cache_dir / f"gamma_n{n}_basis.json"
     basis = _bases.get(n)
-    if basis is None and path is not None:
-        basis = _load_basis(path, n)
+    certified = _load_level(path, n) if basis is None and path is not None else -1
     grow = basis is None or basis.up_to < up_to
     if grow:
-        basis = _grow_basis(basis, n, up_to)
-    if path is not None and (grow or not path.exists()):
-        _save_basis(path, basis)
+        basis = _grow_basis(basis, n, max(up_to, certified), certified)
+    if path is not None and (grow and basis.up_to != certified or not path.exists()):
+        _save_level(path, n, basis.up_to)
     _bases[n] = basis
     # a restriction in a fresh dict, so callers cannot alter the memo
     gamma = {lam: elt for lam, elt in basis.gamma.items() if sum(lam) <= up_to}

@@ -32,3 +32,12 @@ def run_cli_json(*argv):
 @pytest.fixture
 def cli_runner():
     return run_cli
+
+
+@pytest.fixture
+def disk_cache(tmp_path):
+    """The disk cache pointed at tmp_path; afterwards, no cache and no memos."""
+    center.set_cache_dir(tmp_path)
+    yield tmp_path
+    center.set_cache_dir(None)
+    center.clear_caches()

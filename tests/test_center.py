@@ -175,7 +175,7 @@ class TestBasisPerRank:
     def test_restriction_builds_and_loads_nothing(self, monkeypatch):
         want = {lam: elt for lam, elt in gamma_basis(4, 3).gamma.items() if sum(lam) <= 2}
         monkeypatch.setattr(center, "gamma_element", must_not_run)
-        monkeypatch.setattr(center, "_load_basis", must_not_run)
+        monkeypatch.setattr(center, "_load_level", must_not_run)
         basis = gamma_basis(4, 2)
         assert (basis.n, basis.up_to) == (4, 2)
         assert basis.gamma == want
@@ -195,23 +195,20 @@ class TestBasisPerRank:
             center.clear_caches()
 
     @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
-    def test_growth_solves_only_new_classes(self, tmp_path, monkeypatch, loaded):
+    def test_growth_solves_only_new_classes(self, request, monkeypatch, loaded):
         want = gamma_basis(4, 3).gamma
         center.clear_caches()
-        center.set_cache_dir(tmp_path if loaded else None)
-        try:
-            gamma_basis(4, 2)
-            if loaded:
-                center.clear_caches()  # so that level 2 is read from the file
-            solved = []
-            solve = center._solve_gamma
-            monkeypatch.setattr(center, "_solve_gamma",
-                                lambda lam, n: solved.append(lam) or solve(lam, n))
-            assert gamma_basis(4, 3).gamma == want
-            assert solved == [(3,)]
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
+        if loaded:
+            request.getfixturevalue("disk_cache")
+        gamma_basis(4, 2)
+        if loaded:
+            center.clear_caches()  # so that level 2 is read from the file
+        solved = []
+        solve = center._solve_gamma
+        monkeypatch.setattr(center, "_solve_gamma",
+                            lambda lam, n: solved.append(lam) or solve(lam, n))
+        assert gamma_basis(4, 3).gamma == want
+        assert solved == [(3,)]
 
     def test_worker_init_seeds_the_basis(self, monkeypatch):
         want = gamma_basis(4, 3).gamma
@@ -441,280 +438,238 @@ class TestCenterCommutativity:
                 )
 
 
-def _one_dump(basis):
-    """The cache file of `basis` as the single dump of its whole payload."""
-    payload = {
-        "format": 1, "n": basis.n, "up_to": basis.up_to,
-        "gamma": [{"lambda": list(lam), "elt": basis.gamma[lam].to_json_dict()}
-                  for lam in basis.valid_partitions()],
-    }
-    return (json.dumps(payload) + "\n").encode()
+def _record(n, up_to):
+    """The bytes of the cache file that records rank n certified through up_to."""
+    return (json.dumps({"format": 2, "n": n, "up_to": up_to}) + "\n").encode()
 
 
-def _with_coeffs(data, change):
-    """The cache payload with every coefficient c replaced by change(c)."""
-    return {**data, "gamma": [
-        {**e, "elt": {**e["elt"], "terms": [{**t, "c": change(t["c"])} for t in e["elt"]["terms"]]}}
-        for e in data["gamma"]]}
+def _format_one(n, up_to, gamma):
+    """A cache file in the earlier layout, which held every class element."""
+    payload = {"format": 1, "n": n, "up_to": up_to, "gamma": [
+        {"lambda": list(lam), "elt": elt.to_json_dict()} for lam, elt in gamma.items()]}
+    return json.dumps(payload) + "\n"
+
+
+def _certificates(monkeypatch):
+    """The classes whose certificate runs from now on, in order."""
+    certified = []
+    certify = center._certify
+    monkeypatch.setattr(center, "_certify",
+                        lambda lam, *args: certified.append(lam) or certify(lam, *args))
+    return certified
+
+
+def _forbid_certification(m):
+    for name in ("m_sym", "solve_linear", "_certify"):
+        m.setattr(center, name, must_not_run)
+
+
+def _empty_cache(cache, n):
+    """Drop the memos and rank n's file, as in a new process with an empty cache."""
+    center.clear_caches()
+    (cache / f"gamma_n{n}_basis.json").unlink(missing_ok=True)
 
 
 class TestDiskCache:
-    def test_round_trip(self, tmp_path):
-        center.set_cache_dir(tmp_path)
-        try:
-            fresh = gamma_basis(4, 2)
-            path = tmp_path / "gamma_n4_basis.json"
-            assert path.exists()
-            center.clear_caches()
-            loaded = gamma_basis(4, 2)
-            assert loaded.gamma == fresh.gamma
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
+    def test_round_trip(self, disk_cache):
+        fresh = gamma_basis(4, 2)
+        path = disk_cache / "gamma_n4_basis.json"
+        assert path.exists()
+        center.clear_caches()
+        loaded = gamma_basis(4, 2)
+        assert loaded.gamma == fresh.gamma
 
     @pytest.mark.parametrize("n, up_to", [(1, 0), (5, 3), (6, 4)])
-    def test_file_bytes_are_one_json_dump(self, tmp_path, n, up_to):
-        # the streamed file equals the single dump of the whole payload
-        basis = gamma_basis(n, up_to)
-        path = tmp_path / "basis.json"
-        center._save_basis(path, basis)
-        assert path.read_bytes() == _one_dump(basis)
-        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    def test_file_bytes_are_one_json_dump(self, disk_cache, n, up_to):
+        # the file is the one record of the level, and nothing else is left
+        _empty_cache(disk_cache, n)
+        gamma_basis(n, up_to)
+        path = disk_cache / f"gamma_n{n}_basis.json"
+        assert path.read_bytes() == _record(n, up_to)
+        assert [p.name for p in disk_cache.iterdir()] == [path.name]
 
-    def test_save_builds_no_json_tree(self, tmp_path, monkeypatch):
-        # the terms are written one by one, never as to_json_dict trees
-        basis = gamma_basis(5, 3)
-        want = _one_dump(basis)
-        monkeypatch.setattr(HeckeElt, "to_json_dict", must_not_run)
-        path = tmp_path / "basis.json"
-        center._save_basis(path, basis)
-        assert path.read_bytes() == want
-
-    def test_loaded_basis_then_larger_basis(self, tmp_path):
+    def test_loaded_basis_then_larger_basis(self, disk_cache):
         want = gamma_basis(4, 3).gamma
-        center.set_cache_dir(tmp_path)
-        try:
-            gamma_basis(4, 2)
-            center.clear_caches()
-            gamma_basis(4, 2)  # loaded from disk
-            assert gamma_basis(4, 3).gamma == want
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
-
-    def test_file_below_request_rebuilt_and_rewritten(self, tmp_path):
-        want = gamma_basis(4, 3).gamma
+        _empty_cache(disk_cache, 4)
+        gamma_basis(4, 2)
         center.clear_caches()
-        center.set_cache_dir(tmp_path)
-        try:
-            gamma_basis(4, 2)
-            path = tmp_path / "gamma_n4_basis.json"
-            assert json.loads(path.read_text())["up_to"] == 2
-            center.clear_caches()
-            assert gamma_basis(4, 3).gamma == want
-            assert json.loads(path.read_text())["up_to"] == 3
-            assert [p.name for p in tmp_path.iterdir()] == [path.name]
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
+        gamma_basis(4, 2)  # swept from the file's level
+        assert gamma_basis(4, 3).gamma == want
 
-    def test_file_above_request_loaded(self, tmp_path, monkeypatch):
+    def test_file_below_request_rebuilt_and_rewritten(self, disk_cache):
         want = gamma_basis(4, 3).gamma
-        center.set_cache_dir(tmp_path)
-        try:
-            gamma_basis(4, 3)
+        _empty_cache(disk_cache, 4)
+        gamma_basis(4, 2)
+        path = disk_cache / "gamma_n4_basis.json"
+        assert path.read_bytes() == _record(4, 2)
+        center.clear_caches()
+        assert gamma_basis(4, 3).gamma == want
+        assert path.read_bytes() == _record(4, 3)
+        assert [p.name for p in disk_cache.iterdir()] == [path.name]
+
+    def test_file_above_request_loaded(self, disk_cache, monkeypatch):
+        want = gamma_basis(4, 3).gamma
+        _empty_cache(disk_cache, 4)
+        gamma_basis(4, 3)
+        center.clear_caches()
+        path = disk_cache / "gamma_n4_basis.json"
+        with monkeypatch.context() as m:
+            m.setattr(center, "gamma_element", must_not_run)
+            m.setattr(center, "_save_level", must_not_run)
+            assert gamma_basis(4, 2).gamma == {
+                k: v for k, v in want.items() if sum(k) <= 2}
+            assert gamma_basis(4, 3).gamma == want
+        assert path.read_bytes() == _record(4, 3)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_warm_basis_equals_cold(self, disk_cache, monkeypatch, n):
+        # the classes the file records are swept and checked, never certified
+        for up_to in range(5):
+            _empty_cache(disk_cache, n)
+            cold = gamma_basis(n, up_to).gamma
             center.clear_caches()
             with monkeypatch.context() as m:
-                m.setattr(center, "gamma_element", must_not_run)
-                assert gamma_basis(4, 2).gamma == {
-                    k: v for k, v in want.items() if sum(k) <= 2}
-                assert gamma_basis(4, 3).gamma == want
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
+                _forbid_certification(m)
+                warm = gamma_basis(n, up_to)
+            assert (warm.up_to, warm.gamma) == (up_to, cold)
+            assert all(g._central for g in warm.gamma.values())
 
-    def test_wrong_coefficient_off_canonical_rep_rejected(self, tmp_path):
+    def test_rank_above_the_sweep_uses_no_cache(self, disk_cache, monkeypatch):
+        # no sweep rebuilds what a file records there
+        center.clear_caches()
+        path = disk_cache / "gamma_n10_basis.json"
+        path.write_bytes(_record(10, 1))
+        monkeypatch.setattr(center, "_load_level", must_not_run)
+        monkeypatch.setattr(center, "_save_level", must_not_run)
+        assert gamma_basis(10, 1).gamma[(1,)] == m_sym((1,), 10)
+        assert [p.name for p in disk_cache.iterdir()] == [path.name]
+        assert path.read_bytes() == _record(10, 1)
+
+    def test_swept_element_failing_its_check_raises(self, disk_cache, monkeypatch):
+        # gamma_(1) + x gamma_(2) passes every check through size 1, but the
+        # classes a level-2 file records are checked through size 2, even
+        # for a smaller request; sweeping again would give the same element
+        want = gamma_basis(4, 2).gamma
+        bogus = want[(1,)] + want[(2,)].scale(XI)
+        _empty_cache(disk_cache, 4)
+        gamma_basis(4, 2)
+        center.clear_caches()
+        sweep = hecke._class_element
+        monkeypatch.setattr(hecke, "_class_element",
+                            lambda lam, n: bogus if lam == (1,) else sweep(lam, n))
+        with pytest.raises(ConstructionError, match=r"gamma_\(1,\)\(n=4\) has coefficient"):
+            gamma_basis(4, 1)
+
+    def test_wrong_coefficient_off_canonical_rep_rejected(self):
         # (1, 2, 4, 3) is the canonical minimal transposition; (2, 1, 3, 4)
         # is another minimal element of the same class
         assert min_rep((1,), 4) != (2, 1, 3, 4)
-        fresh = gamma_basis(4, 2).gamma
-        center.set_cache_dir(tmp_path)
-        try:
-            gamma_basis(4, 2)
-            path = tmp_path / "gamma_n4_basis.json"
-            data = json.loads(path.read_text())
-            for entry in data["gamma"]:
-                if entry["lambda"] == [1]:
-                    for term in entry["elt"]["terms"]:
-                        if term["w"] == [2, 1, 3, 4]:
-                            term["c"] = ["2"]
-            path.write_text(json.dumps(data))
-            center.clear_caches()
-            assert gamma_basis(4, 2).gamma == fresh
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
+        good = gamma_basis(4, 2).gamma[(1,)]
+        bad = HeckeElt(4, {**good.terms, (2, 1, 3, 4): IntPoly.const(2)})
+        assert bad.coeff(min_rep((1,), 4)) == ONE
+        witnesses, _ = center._element_witnesses((1,), 4, bad, 2)
+        assert ("gamma_(1,)(n=4) has coefficient 2 on the minimal element (2, 1, 3, 4) "
+                "of class (1,) (expected 1)") in witnesses
 
-    def test_noncentral_coefficient_off_minimal_elements_rejected(self, tmp_path):
+    def test_noncentral_coefficient_off_minimal_elements_rejected(self):
         # 2x^2 on a T_w of even length that is not minimal in its class leaves
         # the pattern, the class sum at x = 0 and the parity of gamma_(2) as
         # they were, and breaks only centrality
-        fresh = gamma_basis(4, 2).gamma
-        good = fresh[(2,)]
+        good = gamma_basis(4, 2).gamma[(2,)]
         w = next(w for w, _ in good.sorted_terms() if coxeter.length(w) % 2 == 0
                  and w not in coxeter.minimal_length_elements(
                      coxeter.modified_cycle_type(w), 4))
         bad = HeckeElt(4, {**good.terms, w: good.coeff(w) + IntPoly.const(2) * XI * XI})
-        assert not is_central(bad)
-        assert not center._pattern_witnesses((2,), 4, bad, -1, 3)[0]
-        assert bad.specialize_group() == good.specialize_group()
-        assert bad.homogeneous_parity() == 0
-        center.set_cache_dir(tmp_path)
-        try:
-            gamma_basis(4, 2)
-            path = tmp_path / "gamma_n4_basis.json"
-            data = json.loads(path.read_text())
-            for entry in data["gamma"]:
-                if entry["lambda"] == [2]:
-                    entry["elt"] = bad.to_json_dict()
-            path.write_text(json.dumps(data))
-            center.clear_caches()
-            assert gamma_basis(4, 2).gamma == fresh
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
+        assert not center._element_witnesses((2,), 4, good, 3)[0]
+        witnesses, _ = center._element_witnesses((2,), 4, bad, 3)
+        assert witnesses == ["gamma_(2,)(n=4) is not central"]
 
-    def test_level_one_file_with_a_wrong_element_grows_exactly(self, tmp_path):
-        # gamma_(1) + x gamma_(2) passes every check through size 1, so a
-        # level-1 file holding it is accepted; growing to level 2 exposes it
+    def test_format_one_file_with_a_wrong_element_is_ignored(self, tmp_path):
+        # gamma_(1) + x gamma_(2) passes every check through size 1; a file
+        # of the earlier layout that holds it must not reach the output
         want = gamma_basis(4, 2).gamma
         bogus = want[(1,)] + want[(2,)].scale(XI)
+        path = tmp_path / "gamma_n4_basis.json"
+        path.write_text(_format_one(4, 1, {(): want[()], (1,): bogus}))
         center.clear_caches()
-        center.set_cache_dir(tmp_path)
-        try:
-            gamma_basis(4, 1)
-            path = tmp_path / "gamma_n4_basis.json"
-            data = json.loads(path.read_text())
-            assert data["up_to"] == 1
-            for entry in data["gamma"]:
-                if entry["lambda"] == [1]:
-                    entry["elt"] = bogus.to_json_dict()
-            path.write_text(json.dumps(data))
-            center.clear_caches()
-            assert gamma_basis(4, 1).gamma[(1,)] == bogus
-            assert gamma_basis(4, 2).gamma == want
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
+        code, plain = run_cli("gamma", "--n", "4", "--lambda", "1")
+        assert code == 0
+        center.clear_caches()
+        code, cached = run_cli("--cache", str(tmp_path), "gamma", "--n", "4", "--lambda", "1")
+        center.clear_caches()
+        assert code == 0
+        assert cached == plain
+        assert path.read_bytes() == _record(4, 1)
 
     @pytest.mark.parametrize("corrupt", [
         lambda data: [],
         lambda data: {**data, "gamma": 5},
-        lambda data: {**data, "gamma": [
-            {**e, "elt": {**e["elt"], "terms": [{**t, "c": 7} for t in e["elt"]["terms"]]}}
-            for e in data["gamma"]]},
-        lambda data: {**data, "gamma": [{**e, "elt": []} for e in data["gamma"]]},
-        lambda data: {**data, "gamma": [{**e, "lambda": 1} for e in data["gamma"]]},
-        # coefficients that reach the memo key of HeckeElt.from_json_dict
-        lambda data: _with_coeffs(data, lambda c: [c]),
-        lambda data: _with_coeffs(data, lambda c: {"coeffs": c}),
-        lambda data: _with_coeffs(data, lambda c: "x"),
-        lambda data: _with_coeffs(data, lambda c: {"1": 5}),
-        lambda data: _with_coeffs(data, lambda c: "12"),
-    ], ids=["list", "gamma-int", "coeff-int", "elt-list", "lambda-int",
-            "coeff-nested-list", "coeff-object", "coeff-non-digits",
-            "coeff-digit-object", "coeff-digit-string"])
-    def test_malformed_cache_recomputed(self, tmp_path, corrupt):
+        lambda data: {k: v for k, v in data.items() if k != "n"},
+        lambda data: {**data, "format": 1},
+        lambda data: {**data, "n": 4},
+        lambda data: {**data, "up_to": True},
+        lambda data: {**data, "up_to": -2},
+        lambda data: {**data, "up_to": "1"},
+    ], ids=["list", "gamma-int", "missing-key", "format-1", "other-n",
+            "up_to-bool", "up_to-negative", "up_to-string"])
+    def test_malformed_cache_recomputed(self, disk_cache, monkeypatch, corrupt):
         fresh = gamma_basis(3, 1).gamma
-        center.set_cache_dir(tmp_path)
-        try:
-            gamma_basis(3, 1)
-            path = tmp_path / "gamma_n3_basis.json"
-            path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
-            assert center._load_basis(path, 3) is None
-            center.clear_caches()
-            assert gamma_basis(3, 1).gamma == fresh
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
+        _empty_cache(disk_cache, 3)
+        gamma_basis(3, 1)
+        path = disk_cache / "gamma_n3_basis.json"
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+        assert center._load_level(path, 3) == -1
+        center.clear_caches()
+        certified = _certificates(monkeypatch)
+        assert gamma_basis(3, 1).gamma == fresh
+        assert certified == [(), (1,)]
+        assert path.read_bytes() == _record(3, 1)
 
     @pytest.mark.parametrize("depart", [
-        lambda text: text[:text.index(', {"lambda": ')],
+        lambda text: text[:text.index(', "up_to"')],
         lambda text: text + "[]",
-        lambda text: text.replace('}}, {"lambda": ', '}}{"lambda": '),
-        lambda text: text.replace('}}, {"lambda": ', '}},{"lambda": '),
-        lambda text: json.dumps({k: v for k, v in sorted(json.loads(text).items())}),
-        lambda text: text.replace('"terms": [', '"terms": ' + "[" * 100_000, 1),
-    ], ids=["truncated-after-one-element", "bytes-after-end", "no-separator",
-            "compact-separator", "reordered-header-keys", "deeply-nested-terms"])
-    def test_other_layout_recomputed(self, tmp_path, depart):
-        # the reader takes the writer's layout alone, even where the text
+        lambda text: text.replace(", ", " ", 1),
+        lambda text: text.replace(", ", ","),
+        lambda text: json.dumps(dict(reversed(json.loads(text).items()))),
+        lambda text: text.replace('"up_to": ', '"up_to": ' + "[" * 100_000),
+        lambda text: "",
+    ], ids=["truncated", "bytes-after-end", "no-separator", "compact-separator",
+            "reordered-header-keys", "deeply-nested", "empty"])
+    def test_other_layout_recomputed(self, disk_cache, monkeypatch, depart):
+        # the reader takes the writer's record alone, even where the text
         # is still one valid JSON document
         fresh = gamma_basis(3, 1).gamma
-        center.set_cache_dir(tmp_path)
-        try:
-            gamma_basis(3, 1)
-            path = tmp_path / "gamma_n3_basis.json"
-            text = path.read_text()
-            assert text.count('{"lambda": ') == 2
-            path.write_text(depart(text))
-            assert center._load_basis(path, 3) is None
-            center.clear_caches()
-            assert gamma_basis(3, 1).gamma == fresh
-            assert path.read_text() == text
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
+        _empty_cache(disk_cache, 3)
+        gamma_basis(3, 1)
+        path = disk_cache / "gamma_n3_basis.json"
+        text = path.read_text()
+        path.write_text(depart(text))
+        assert center._load_level(path, 3) == -1
+        center.clear_caches()
+        certified = _certificates(monkeypatch)
+        assert gamma_basis(3, 1).gamma == fresh
+        assert certified == [(), (1,)]
+        assert path.read_text() == text
 
-    def test_redumped_file_loads(self, tmp_path, monkeypatch):
-        # json.dumps of the parsed file keeps the layout and drops only the
-        # final newline, as the corruption tests above rely on
+    def test_redumped_file_loads(self, disk_cache, monkeypatch):
+        # json.dumps of the parsed file drops only the final newline, which
+        # the reader does not need
         fresh = gamma_basis(4, 2).gamma
-        center.set_cache_dir(tmp_path)
-        try:
-            gamma_basis(4, 2)
-            path = tmp_path / "gamma_n4_basis.json"
-            path.write_text(json.dumps(json.loads(path.read_text())))
-            center.clear_caches()
-            monkeypatch.setattr(center, "gamma_element", must_not_run)
-            assert center._load_basis(path, 4).gamma == fresh
-            assert gamma_basis(4, 2).gamma == fresh
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
+        _empty_cache(disk_cache, 4)
+        gamma_basis(4, 2)
+        path = disk_cache / "gamma_n4_basis.json"
+        path.write_text(json.dumps(json.loads(path.read_text())))
+        center.clear_caches()
+        monkeypatch.setattr(center, "gamma_element", must_not_run)
+        assert center._load_level(path, 4) == 2
+        assert gamma_basis(4, 2).gamma == fresh
 
-    def test_element_of_another_rank_rejected_before_its_tables(self, tmp_path, monkeypatch):
-        # an element stating a rank that is not the file's builds no tables
-        # for that rank: the file is rejected first
-        center.set_cache_dir(tmp_path)
-        try:
-            gamma_basis(3, 1)
-            path = tmp_path / "gamma_n3_basis.json"
-            data = json.loads(path.read_text())
-            data["gamma"][1]["elt"] = {"n": 6000, "terms": []}
-            path.write_text(json.dumps(data))
-            tables = hecke._tables
-
-            def rank_three_only(n):
-                assert n == 3, f"tables built for rank {n}"
-                return tables(n)
-
-            monkeypatch.setattr(hecke, "_tables", rank_three_only)
-            assert center._load_basis(path, 3) is None
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
-
-    def test_corrupt_cache_recomputed(self, tmp_path):
-        center.set_cache_dir(tmp_path)
-        try:
-            path = tmp_path / "gamma_n3_basis.json"
-            path.write_text("{not json")
-            basis = gamma_basis(3, 1)
-            assert basis.gamma[(1,)] == m_sym((1,), 3)
-        finally:
-            center.set_cache_dir(None)
-            center.clear_caches()
+    def test_corrupt_cache_recomputed(self, disk_cache):
+        center.clear_caches()
+        path = disk_cache / "gamma_n3_basis.json"
+        path.write_text("{not json")
+        basis = gamma_basis(3, 1)
+        assert basis.gamma[(1,)] == m_sym((1,), 3)
 
 
 class TestWitnessesFire:

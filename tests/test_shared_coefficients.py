@@ -45,15 +45,10 @@ def test_m_sym_shares_coefficients():
     assert_shared(m_sym((2, 1), 7))
 
 
-def test_loaded_elements_share_coefficients(tmp_path):
-    center.set_cache_dir(tmp_path)
-    try:
-        built = center.gamma_basis(5, 3).gamma
-        center.clear_caches()
-        loaded = center.gamma_basis(5, 3).gamma
-    finally:
-        center.set_cache_dir(None)
-        center.clear_caches()
+def test_loaded_elements_share_coefficients(disk_cache):
+    built = center.gamma_basis(5, 3).gamma
+    center.clear_caches()
+    loaded = center.gamma_basis(5, 3).gamma
     assert loaded == built
     for lam in [(2,), (3,), (2, 1)]:
         assert_shared(loaded[lam])
