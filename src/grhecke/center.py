@@ -536,6 +536,10 @@ def class_sum_oracle(lam: Partition, mu: Partition, n: int) -> dict[Partition, i
 
 def _pairs_up_to(n: int, max_size: int) -> list[tuple[Partition, Partition]]:
     """The pairs of `_ordered_pair` with |lam| + |mu| <= max_size, by that sum."""
+    if n < 1:
+        raise InvalidInputError(f"rank must be positive, got {n}")
+    if max_size < 0:
+        raise InvalidInputError(f"max_size must be nonnegative, got {max_size}")
     pairs = combinations_with_replacement(_candidate_classes(max_size, n), 2)
     return sorted(
         ((lam, mu) for lam, mu in pairs if sum(lam) + sum(mu) <= max_size),

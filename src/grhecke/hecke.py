@@ -253,45 +253,6 @@ class HeckeElt:
             "terms": [{"w": list(w), "c": c.to_json()} for w, c in self.sorted_terms()],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HeckeElt":
-        """
-        The inverse of `to_json_dict`. Up to `_DENSE_MAX_RANK` each term is
-        checked once, by its lookup in the rank's index table, and keyed by
-        the rank's shared permutation tuple, as the terms of every product
-        are; above it the constructor checks the terms. Equal serialized
-        coefficients share one `IntPoly`, as equal coefficients of a
-        product do.
-        """
-        memo: dict[tuple, IntPoly] = {}
-
-        def coeff(raw) -> IntPoly:
-            # only a list keys the memo: tuple() of a string or an object
-            # could equal the key of a list
-            if type(raw) is not list:
-                raise InvalidInputError(f"coefficient {raw!r:.40} is not a list")
-            key = tuple(raw)
-            c = memo.get(key)
-            if c is None:
-                c = memo[key] = IntPoly.from_json(raw)
-            return c
-
-        n = int(data["n"])
-        if n > _DENSE_MAX_RANK:
-            return cls(n, {tuple(map(int, t["w"])): coeff(t["c"]) for t in data["terms"]})
-        tables = _tables(n)
-        terms = {}
-        for t in data["terms"]:
-            w = t["w"]
-            try:
-                w = tables.perms[tables.index[tuple(w)]]
-            except (KeyError, TypeError):
-                raise InvalidInputError(f"term {w!r:.40} is not a permutation in S_{n}") from None
-            c = coeff(t["c"])
-            if c:
-                terms[w] = c
-        return cls._raw(n, terms)
-
     def __repr__(self) -> str:
         parts = [f"({c!s})*T{list(w)}" for w, c in self.sorted_terms()]
         return f"HeckeElt(n={self.n}: " + (" + ".join(parts) or "0") + ")"

@@ -21,7 +21,6 @@ functions nor floating point ever enter.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,18 +30,6 @@ __all__ = [
     "IntPoly", "RatPoly", "NPoly", "specialize_zero", "divexact",
     "solve_linear", "determinant", "interpolate_in_n",
 ]
-
-
-_DECIMAL = re.compile("-?[0-9]+")
-
-
-def _decimals(data) -> list[int]:
-    """A JSON list of strings matching -?[0-9]+, read as integers."""
-    if type(data) is not list or not all(
-        type(c) is str and _DECIMAL.fullmatch(c) for c in data
-    ):
-        raise InvalidInputError(f"not a list of decimal strings: {data!r:.40}")
-    return list(map(int, data))
 
 
 class _Poly:
@@ -186,11 +173,6 @@ class IntPoly(_Poly):
     def to_json(self) -> list[str]:
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: list[str]) -> "IntPoly":
-        """The inverse of `to_json`: a list of strings matching -?[0-9]+."""
-        return cls(_decimals(data))
-
     def to_str(self, *, ascending: bool = True, compact: bool = False) -> str:
         """
         Render with `x` as the variable. The ascending spelled-out form is
@@ -252,17 +234,6 @@ class RatPoly(_Poly):
     def to_json(self) -> list[list[str]]:
         return [[str(c.numerator) for c in self.coeffs],
                 [str(c.denominator) for c in self.coeffs]]
-
-    @classmethod
-    def from_json(cls, data) -> "RatPoly":
-        """The inverse of `to_json`: numerators and denominators, two lists
-        of decimal strings of one length, every denominator positive."""
-        if type(data) is not list or len(data) != 2:
-            raise InvalidInputError(f"not a [numerators, denominators] pair: {data!r:.40}")
-        nums, dens = map(_decimals, data)
-        if len(nums) != len(dens) or not all(d > 0 for d in dens):
-            raise InvalidInputError(f"unpaired or nonpositive denominators: {data!r:.40}")
-        return cls(map(Fraction, nums, dens))
 
     # the same rendering as IntPoly, over Fraction coefficients
     __str__ = IntPoly.to_str
@@ -412,13 +383,6 @@ class NPoly(_Poly):
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data) -> "NPoly":
-        """The inverse of `to_json`: a list of `RatPoly.to_json` values."""
-        if type(data) is not list:
-            raise InvalidInputError(f"not a list of Q[x] coefficients: {data!r:.40}")
-        return cls(map(RatPoly.from_json, data))
 
     def render(self) -> str:
         """Human-readable form like "(1/2)*n^2 - (1/2)*n"."""

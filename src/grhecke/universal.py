@@ -91,9 +91,17 @@ def graded_table(max_grade: int) -> GradedTable:
     """
     Materialize the graded products up to a grade, checking that every
     constant is an even polynomial with nonnegative integer coefficients.
+
+    >>> graded_table(0)
+    GradedTable(max_grade=0, entries=[])
+    >>> graded_table(2).entries
+    [((1,), (1,), {(2,): IntPoly((3, 0, 1)), (1, 1): IntPoly((2, 0, 1))})]
     """
     if max_grade < 0:
         raise InvalidInputError("max_grade must be nonnegative")
+    if max_grade == 0:
+        # no pair of nonempty classes has grade 0
+        return GradedTable(max_grade=0, entries=[])
     entries = []
     # every class of size at most max_grade fits rank 2 * max_grade
     for lam, mu in _pairs_up_to(2 * max_grade, max_grade):

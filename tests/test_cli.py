@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from grhecke import center, cli
+from grhecke.errors import InvalidInputError
 
 from conftest import run_cli, run_cli_json
 
@@ -203,6 +204,10 @@ class TestUniversalCommand:
         k2 = doc["one_row_matrices"][1]
         assert k2["invertible"] and k2["zero_diagonal"] == [1, 2]
 
+    def test_grade_zero_is_empty(self):
+        empty = {"format": 1, "max_grade": 0, "graded_table": [], "one_row_matrices": []}
+        assert run_cli("universal", "--max-grade", "0") == (0, json.dumps(empty, indent=2) + "\n")
+
 
 class TestExitCodes:
     def test_unknown_flag(self):
@@ -232,11 +237,24 @@ class TestExitCodes:
         ("mult", "--n", "0", "--lambda", "1", "--mu", "1"),
         ("mult", "--n", "-2", "--lambda", "1", "--mu", "1"),
         ("oracle", "--n", "0", "--lambda", "", "--mu", ""),
+        ("table", "--n", "0", "--max-size", "2"),
+        ("table", "--n", "3", "--max-size", "-1"),
+        ("verify", "--n", "3", "--max-size", "-1"),
     ], ids=["jobs-0", "jobs-negative-after-subcommand", "er-negative", "er-at-rank",
             "verify-rank-0", "verify-rank-negative", "mult-rank-0", "mult-rank-negative",
-            "oracle-rank-0"])
+            "oracle-rank-0", "table-rank-0", "table-size-negative", "verify-size-negative"])
     def test_out_of_range_count(self, argv):
         assert run_cli(*argv) == (2, "")
+
+    @pytest.mark.parametrize("pairs_of", [
+        center.build_struct_table, center.verify_structure_constants,
+        center.verify_zero_specialization,
+    ])
+    def test_out_of_range_table_names_the_value(self, pairs_of):
+        with pytest.raises(InvalidInputError, match="^rank must be positive, got 0$"):
+            pairs_of(0, 2)
+        with pytest.raises(InvalidInputError, match="^max_size must be nonnegative, got -1$"):
+            pairs_of(3, -1)
 
     def test_unwritable_destination(self, tmp_path):
         dest = tmp_path / "no" / "such" / "dir" / "out.csv"

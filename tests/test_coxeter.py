@@ -334,6 +334,28 @@ def test_tables_are_read_through_one_record():
     assert private == {"_DENSE_MAX_RANK", "_sweep", "_tables"}
 
 
+def test_json_is_read_back_only_as_the_cache_record():
+    # grhecke writes its formats and reads none of them back: a reader with
+    # no caller is an input surface that nothing exercises
+    src = Path(coxeter.__file__).resolve().parent
+    readers, loads = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        readers += [f"{path.stem}.{f.name}" for f in functions
+                    if f.name in ("from_json", "from_json_dict", "_decimals")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                loads.append(f"{path.stem}: from json import")
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("json.load", "json.loads"):
+                # the innermost function holding the call
+                owner = max((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                loads.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+    assert readers == []
+    assert loads == ["center._load_level"]
+
+
 class TestMinimalLength:
     def test_transposition_class(self):
         assert minimal_length_elements((1,), 3) == {(2, 1, 3), (1, 3, 2)}

@@ -1,6 +1,6 @@
 import doctest
 
-from grhecke import center, coxeter, hecke, polyring
+from grhecke import center, coxeter, hecke, polyring, universal
 
 
 def test_coxeter_doctests():
@@ -20,4 +20,9 @@ def test_hecke_doctests():
 
 def test_center_doctests():
     failed, attempted = doctest.testmod(center)
+    assert attempted and not failed
+
+
+def test_universal_doctests():
+    failed, attempted = doctest.testmod(universal)
     assert attempted and not failed

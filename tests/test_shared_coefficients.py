@@ -11,7 +11,7 @@ import pytest
 
 import intpoly_fold
 from grhecke import center, hecke
-from grhecke.hecke import HeckeElt, jucys_murphy, linear_combination, m_sym, mul
+from grhecke.hecke import jucys_murphy, linear_combination, m_sym, mul
 from grhecke.polyring import IntPoly
 
 ONE, XI = IntPoly.const(1), IntPoly.xi()
@@ -52,11 +52,6 @@ def test_loaded_elements_share_coefficients(disk_cache):
     assert loaded == built
     for lam in [(2,), (3,), (2, 1)]:
         assert_shared(loaded[lam])
-    # equal serialized coefficients, each its own list, load as one object
-    h = HeckeElt.from_json_dict({"n": 3, "terms": [
-        {"w": [1, 2, 3], "c": ["1", "2"]}, {"w": [2, 1, 3], "c": ["1", "2"]},
-    ]})
-    assert_shared(h)
 
 
 def test_table_products_unpack_each_distinct_value_once(gamma7, monkeypatch):
