@@ -50,7 +50,9 @@ minimal representatives, and the residual h - sum_nu c_nu gamma_nu must be
 zero. h and the class elements are marked central (see `hecke`), so the
 residual is too, and it is fixed by its values at one minimal-length
 element of each class (Geck-Pfeiffer 2000, 8.2): it is checked exactly at
-the sweep plan's p(n) reps, and no element of n! terms is formed. Otherwise
+the sweep plan's p(n) reps, and no element of n! terms is formed. h is
+held at those values and every coefficient read here is at a
+minimal-length element, so its terms are never filled in either. Otherwise
 the whole residual is formed, whose vanishing also proves h central.
 Each is computed on one memoized path, which the table builder, the
 verification suites and the rank-independent layer share. The center is

@@ -491,9 +491,9 @@ def _sweep(n: int) -> _Sweep:
             if sw != ~row[k]:  # sw != ws: sws != w
                 first[k], second[k], open_[k] = ~row[sw], sw, 0
     # a one-sided step from k to sws: k takes over the pair of sws
-    pending = list(compress(range(size), open_))
+    pending = array("i", compress(range(size), open_))
     while True:
-        rest = []
+        rest = array("i")
         for k in pending:
             bits = one_sided[k]
             while bits:
@@ -534,7 +534,13 @@ def _sweep(n: int) -> _Sweep:
     swept = bytearray(b"\1") * size
     for rep in reps:
         swept[rep] = 0
-    order = array("i", sorted(compress(range(size), swept), key=lengths.__getitem__))
+    # by length, each length in index order
+    buckets = [array("i") for _ in range(n * (n - 1) // 2 + 1)]
+    for k in compress(range(size), swept):
+        buckets[lengths[k]].append(k)
+    order = array("i")
+    for bucket in buckets:
+        order += bucket
     return _Sweep(
         tuple(classes), parents, letters, reps, order,
         array("i", map(first.__getitem__, order)), array("i", map(second.__getitem__, order)),

@@ -85,12 +85,15 @@ x h[sw] when the simple reflection s is a descent of w on both sides and
 sws != w, and h[w] = h[sws] when s is a descent on one side only; it is
 constant on the minimal-length elements of each class. These fix h from
 its values at the u, by one packed sweep in length order whose plan
-`coxeter._sweep` builds once per rank. The sweep is a ring computation on
-values at x = 2^B, so it is exact, and B is the width of `_product_width`,
-which bounds every coefficient of AB whichever way it is computed. The
-same sweep builds each class element from its values, 1 at the u of its
-own class and 0 at the others (`_class_element`, whose width rests on a
-Fibonacci bound on the class polynomials).
+`coxeter._sweep` builds once per rank. So the product is held at its
+values at the u: `coeff` answers at every minimal-length element from its
+class's value, and the sweep fills in the other terms the first time they
+are read, unpacking each distinct value once. The sweep is a ring
+computation on values at x = 2^B, so it is exact, and B is the width of
+`_product_width`, which bounds every coefficient of AB whichever way it is
+computed. The same sweep builds each class element from its values, 1 at
+the u of its own class and 0 at the others (`_class_element`, whose width
+rests on a Fibonacci bound on the class polynomials).
 
 Jucys-Murphy elements L_i (L_1 = 0, L_i = sum of T over transpositions
 (k, i) with k < i) commute pairwise; symmetric polynomials in them are
@@ -135,12 +138,16 @@ class HeckeElt:
     """
     A sparse element of H_n; zero coefficients are never stored. Immutable,
     since memoized elements are shared with every caller: `terms` is a
-    read-only view of a dict nobody else holds.
+    read-only view of a dict nobody else holds. A product of two certified
+    central elements is held at its values at the sweep plan's class reps
+    (`_central_mul`); its terms are filled in the first time they are read.
     """
 
     # _central is True once `is_central` has returned True on the element,
-    # or on a product of two such from `_central_mul`; a pickle drops it
-    __slots__ = ("n", "terms", "_central")
+    # or on a product of two such from `_central_mul`; a pickle drops it.
+    # _reps is (packed values at the plan's reps, their unpack memo) while
+    # such a product's _terms is None; _norms caches `_l1_norms`
+    __slots__ = ("n", "_terms", "_central", "_reps", "_norms")
 
     def __init__(self, n: int, terms: Mapping[Perm, IntPoly] = ()):
         clean: dict[Perm, IntPoly] = {}
@@ -149,19 +156,41 @@ class HeckeElt:
                 raise InvalidInputError(f"term {w} is not a permutation in S_{n}")
             if c:
                 clean[w] = c
+        self._init(n, MappingProxyType(clean), None)
+
+    def _init(self, n: int, terms, reps) -> None:
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
-        object.__setattr__(self, "_central", False)
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_central", reps is not None)
+        object.__setattr__(self, "_reps", reps)
+        object.__setattr__(self, "_norms", None)
 
     @classmethod
     def _raw(cls, n: int, terms: dict[Perm, IntPoly]) -> "HeckeElt":
         # caller guarantees consistency, no zero values, and hands over
         # the only reference to `terms`
         h = object.__new__(cls)
-        object.__setattr__(h, "n", n)
-        object.__setattr__(h, "terms", MappingProxyType(terms))
-        object.__setattr__(h, "_central", False)
+        h._init(n, MappingProxyType(terms), None)
         return h
+
+    @classmethod
+    def _held(cls, n: int, at_reps: list[int], width: int) -> "HeckeElt":
+        # the central element whose values at the reps of `_sweep(n)`,
+        # packed at x = 2^width, are at_reps, marked central; width bounds
+        # every coefficient, as for `_swept`
+        h = object.__new__(cls)
+        h._init(n, None, (at_reps, _Memo(_unpack, width)))
+        return h
+
+    @property
+    def terms(self) -> Mapping[Perm, IntPoly]:
+        terms = self._terms
+        if terms is None:
+            at_reps, unpack = self._reps
+            terms = _swept(self.n, at_reps, unpack.width, unpack)._terms
+            object.__setattr__(self, "_terms", terms)
+            object.__setattr__(self, "_reps", None)
+        return terms
 
     def __setattr__(self, name, value):
         raise AttributeError("HeckeElt is immutable")
@@ -170,7 +199,9 @@ class HeckeElt:
         return (HeckeElt, (self.n, self.terms.copy()))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        if self._terms is None:
+            return any(self._reps[0])
+        return bool(self._terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -181,6 +212,17 @@ class HeckeElt:
         return NotImplemented
 
     def coeff(self, w: Perm) -> IntPoly:
+        if self._terms is None:
+            # a central element is constant on the minimal-length elements
+            # of each class, so at any of them the class's rep value holds
+            tables, plan = _tables(self.n), _sweep(self.n)
+            k = tables.index.get(w)
+            if k is None:
+                return IntPoly()
+            c = plan.classes.index(coxeter.modified_cycle_type(w))
+            if tables.lengths[k] == tables.lengths[plan.reps[c]]:
+                at_reps, unpack = self._reps
+                return unpack[at_reps[c]] if at_reps[c] else IntPoly()
         return self.terms.get(w, IntPoly())
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
@@ -494,6 +536,16 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
     return HeckeElt._raw(n, terms)
 
 
+def _l1_norms(h: HeckeElt) -> tuple[int, int]:
+    """(|h|_1, sum_w |h[w]|_1 2^l(w)), computed once per element."""
+    norms = h._norms
+    if norms is None:
+        l1 = list(map(_l1, h.terms.values()))
+        norms = (sum(l1), sum(map(int.__lshift__, l1, _term_lengths(h))))
+        object.__setattr__(h, "_norms", norms)
+    return norms
+
+
 def _product_width(left: HeckeElt, right: HeckeElt) -> int:
     """
     The width B at which every coefficient of left * right is read back
@@ -507,16 +559,16 @@ def _product_width(left: HeckeElt, right: HeckeElt) -> int:
     B = M.bit_length() + 2 every coefficient lies strictly inside
     (-2^(B-1), 2^(B-1)), where balanced base-2^B digits are unique.
     """
-    expand = sum(_l1(c) << lw for lw, c in zip(_term_lengths(right), right.terms.values()))
-    return (expand * sum(map(_l1, left.terms.values()))).bit_length() + 2
+    return (_l1_norms(left)[0] * _l1_norms(right)[1]).bit_length() + 2
 
 
-def _swept(n: int, at_reps: Iterable[int], width: int) -> HeckeElt:
+def _swept(n: int, at_reps: Iterable[int], width: int, unpack: _Memo | None = None) -> HeckeElt:
     """
     The central element of H_n whose values at the reps of `_sweep(n)`,
     packed at x = 2^width, are at_reps, filled in by one pass of the
     sweep; width must bound every coefficient of the result, as in
-    `_unpack`.
+    `_unpack`. unpack, if given, is the memo that already unpacked some
+    of these values at this width.
     """
     plan, perms = _sweep(n), _tables(n).perms
     h = [0] * (len(perms) + 1)  # the last slot stays zero
@@ -525,7 +577,8 @@ def _swept(n: int, at_reps: Iterable[int], width: int) -> HeckeElt:
     for k, a, b in zip(plan.order, plan.first, plan.second):
         h[k] = h[a] + (h[b] << width)
     h.pop()
-    unpack = _Memo(_unpack, width)
+    if unpack is None:
+        unpack = _Memo(_unpack, width)
     return HeckeElt._raw(n, {perms[k]: unpack[v] for k, v in enumerate(h) if v})
 
 
@@ -555,9 +608,10 @@ def _class_element(lam: Partition, n: int) -> HeckeElt:
 def _central_mul(left: HeckeElt, right: HeckeElt) -> HeckeElt:
     """
     left * right for central left and right of H_n, n <= `_DENSE_MAX_RANK`,
-    by the trace pairing at one element of each class and the sweep (see
-    the module docstring). left is stepped along the trie of the classes'
-    words, so each class costs one `_step` and one dot product.
+    by the trace pairing at one element of each class (see the module
+    docstring), held at these values and filled in by the sweep when its
+    terms are read. left is stepped along the trie of the classes' words,
+    so each class costs one `_step` and one dot product.
     """
     n = left.n
     tables, plan = _tables(n), _sweep(n)
@@ -578,9 +632,7 @@ def _central_mul(left: HeckeElt, right: HeckeElt) -> HeckeElt:
             live[c] = vec
         both = vec.keys() & flipped.keys()
         at_reps.append(sum(map(int.__mul__, map(vec.__getitem__, both), map(flipped.__getitem__, both))))
-    product = _swept(n, at_reps, width)
-    object.__setattr__(product, "_central", True)  # sum_C v_C gamma_C is central
-    return product
+    return HeckeElt._held(n, at_reps, width)  # sum_C v_C gamma_C is central
 
 
 def mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
@@ -592,13 +644,15 @@ def mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
     of this route (n <= `_DENSE_MAX_RANK`),
     the product is read at one minimal-length element u of each class by
     the trace, [T_u](h1 h2) = tau(h1 T_{u^{-1}} h2), on steps of h1, and
-    filled in by the class-polynomial sweep (see the module docstring).
+    held at these values: its coefficients at minimal-length elements are
+    read from them, and its terms are filled in by the class-polynomial
+    sweep the first time they are read (see the module docstring).
     Otherwise the cheaper factor is expanded by `_fold_right`. Both read
     the result back at the width of `_product_width`.
     """
     if h1.n != h2.n:
         raise InvalidInputError(f"rank mismatch: {h1.n} vs {h2.n}")
-    if not h1.terms or not h2.terms:
+    if not h1 or not h2:
         return zero(h1.n)
     if h1._central and h2._central and h1.n <= _DENSE_MAX_RANK:
         return _central_mul(h1, h2)

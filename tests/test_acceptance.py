@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import pytest
 
-from grhecke import center, coxeter, universal
 from grhecke.center import m_sym_in_gamma
 from grhecke.coxeter import fits_rank, partitions_up_to
 from grhecke.polyring import NPoly, RatPoly

@@ -1,5 +1,6 @@
 """Products of certified central elements by the trace pairing and the class-polynomial sweep."""
 
+import hashlib
 import pickle
 
 import pytest
@@ -73,6 +74,18 @@ def test_plan_covers_the_group_once_in_order(n):
             assert a == rep_of[modified_cycle_type(tables.perms[k])] and tables.lengths[a] == lk
         else:
             assert (tables.lengths[a], tables.lengths[b]) == (lk - 2, lk - 1), (n, k)
+
+
+def test_plan_arrays_are_pinned_at_rank_seven():
+    # the order is stable by length: each length in index order, as a
+    # stable sort by length gives it
+    plan = coxeter._sweep(7)
+    digest = hashlib.sha256()
+    for a in plan[1:]:
+        digest.update(b"".join(x.to_bytes(4, "little", signed=True) for x in a))
+    assert digest.hexdigest() == "41548ad739e88232a533d5c50607c7e181db0f197f7bef7302c66ceb56acf42c"
+    lengths = coxeter._tables(7).lengths
+    assert list(plan.order) == sorted(plan.order, key=lambda k: (lengths[k], k))
 
 
 @pytest.mark.parametrize("n", range(1, 8))

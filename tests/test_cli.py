@@ -104,8 +104,6 @@ class TestTable:
         assert text.endswith("\n") and text.startswith("lambda,mu,nu,k_poly")
 
     def test_n5_table_matches_reference_products(self):
-        from grhecke.polyring import IntPoly
-
         from goldens import GOLDEN
 
         doc = run_cli_json("table", "--n", "5", "--max-size", "4")

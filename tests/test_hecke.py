@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import intpoly_fold
 from grhecke import coxeter
 from grhecke.coxeter import (
-    from_word, identity, length, partitions_up_to, reduced_word, right_gen,
+    identity, length, partitions_up_to, reduced_word, right_gen,
 )
 from grhecke.errors import InvalidInputError
 from grhecke.hecke import (
