@@ -50,10 +50,12 @@ minimal representatives, and the residual h - sum_nu c_nu gamma_nu must be
 zero. h and the class elements are marked central (see `hecke`), so the
 residual is too, and it is fixed by its values at one minimal-length
 element of each class (Geck-Pfeiffer 2000, 8.2): it is checked exactly at
-the sweep plan's p(n) reps, and no element of n! terms is formed. h is
-held at those values and every coefficient read here is at a
-minimal-length element, so its terms are never filled in either. Otherwise
-the whole residual is formed, whose vanishing also proves h central.
+the p(n) reps of `coxeter._sweep`, which exist at every rank, and no
+element of n! terms is formed. h comes from the trace pairing at every
+rank, held at those values, and every coefficient read here is at a
+minimal-length element, so its terms are never filled in either. Only for
+unmarked input, or a residual that is not zero at the reps, is the whole
+residual formed, whose vanishing also proves h central.
 Each is computed on one memoized path, which the table builder, the
 verification suites and the rank-independent layer share. The center is
 commutative, and every class element passes the centrality test before it
@@ -428,8 +430,8 @@ def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
     Expand a central element in the class-element basis of `gamma_basis` by
     reading its coefficients c_nu at the canonical minimal representatives,
     then verifying that the residual h - sum_nu c_nu gamma_nu is zero. If h
-    and each gamma_nu used are marked central (n <= `_DENSE_MAX_RANK`), so is
-    the residual, and only its p(n) values at the sweep plan's reps are read.
+    and each gamma_nu used are marked central, so is the residual, and at
+    any rank only its p(n) values at the reps of `coxeter._sweep` are read.
     Otherwise, or if one of them is not zero, the whole residual is formed:
     its vanishing shows h central too, and the centrality test only tells a
     non-central h from an incomplete basis.
@@ -446,7 +448,7 @@ def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
         if c:
             coords[nu] = c
     combination = [(_ONE, h)] + [(-c, basis.gamma[nu]) for nu, c in coords.items()]
-    if (h.n <= _DENSE_MAX_RANK and all(g._central for _, g in combination)
+    if (all(g._central for _, g in combination)
             and not any(v for _, _, v in _at_reps(h.n, combination))):
         return CentralCoords(n=basis.n, coords=coords)
     residual = hecke.linear_combination(h.n, combination)
@@ -664,8 +666,7 @@ def _pair_worker(args: tuple[Partition, Partition, int]) -> tuple[Partition, Par
     return lam, mu, structure_constants(lam, mu, n)
 
 
-def _worker_init(cache_dir, basis: GammaBasis) -> None:
-    set_cache_dir(cache_dir)
+def _worker_init(basis: GammaBasis) -> None:
     # the basis arrives pickled, which drops the centrality mark that lets
     # `hecke.mul` multiply class elements by the trace pairing: check again
     for elt in basis.gamma.values():
@@ -689,7 +690,7 @@ def build_struct_table(n: int, max_size: int, jobs: int = 1) -> StructTable:
 
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(pairs)), initializer=_worker_init,
-            initargs=(_disk_cache_dir, basis),
+            initargs=(basis,),
         ) as pool:
             for lam, mu, coords in pool.map(
                 _pair_worker, [(lam, mu, n) for lam, mu in pairs]

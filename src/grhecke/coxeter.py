@@ -28,9 +28,10 @@ sum of its Lehmer digits. Each rank has one record of tables over indices,
 tabulated up to `_DENSE_MAX_RANK` and computed per entry above it. Classes
 are walked on it, or, when a class is small against S_n, on the per-entry
 record at any rank. Other modules read the tables through `_tables`,
-`_class_tables` and `_DENSE_MAX_RANK` alone. Beside them, `_sweep(n)` is
-the plan by which a central element of H_n is filled in from its values at
-one element of each class, on the same indices.
+`_class_tables` and `_DENSE_MAX_RANK` alone. Beside them, `_sweep(n)` holds
+one minimal-length element of each class, reached along a trie of words, at
+every rank, and up to `_DENSE_MAX_RANK` the plan by which a central element
+of H_n is filled in from its values at these elements, on the same indices.
 """
 
 from __future__ import annotations
@@ -430,30 +431,35 @@ class _Sweep(NamedTuple):
     last part lowered by one, by the single letter letters[c]; parents[c]
     is the parent's position (-1 for the root ()). reps[c] is the index of
     the inverse of that representative, a minimal-length element of the
-    class.
+    class; they are a tuple, since from rank 13 on an index exceeds int32.
+    This trie is built at every rank.
 
     A central h of H_n is fixed by its values at reps: in turn for each i,
     h[order[i]] = h[first[i]] + x h[second[i]], where the index n! names a
     slot that holds zero. Every index but the reps appears in order once,
     by length, and first[i] and second[i] name reps, that slot or indices
-    of smaller length (see `_sweep`).
+    of smaller length (see `_sweep`). These fill arrays need the dense
+    tables, so they are None above `_DENSE_MAX_RANK`.
     """
 
     classes: tuple
     parents: array
     letters: array
-    reps: array
-    order: array
-    first: array
-    second: array
+    reps: tuple
+    order: array | None
+    first: array | None
+    second: array | None
 
 
 @lru_cache(maxsize=None)
 def _sweep(n: int) -> _Sweep:
     """
-    The sweep of S_n, n <= `_DENSE_MAX_RANK`, from the step rows' descent
-    signs. With s a simple reflection, comparing the coefficients of T_w
-    in h T_s and T_s h (at sw in place of w) shows that a central h has
+    The sweep of S_n. The trie of classes and its reps are built at every
+    rank, the reps read through the tables of `_tables(n)`, per entry above
+    `_DENSE_MAX_RANK`. The fill arrays are built up to that rank only, from
+    the step rows' descent signs. With s a simple reflection, comparing the
+    coefficients of T_w in h T_s and T_s h (at sw in place of w) shows that
+    a central h has
       h[w] = h[sws] + x h[sw]   when s is a descent of w on both sides and
                                 sws != w, so that l(sws) = l(w) - 2;
       h[w] = h[sws]             when s is a descent of w on one side only,
@@ -466,8 +472,25 @@ def _sweep(n: int) -> _Sweep:
     their class's rep.
     """
     tables = _tables(n)
-    size = len(tables.perms)
     inv, steps, lengths = tables.inverse, tables.steps, tables.lengths
+    classes, parents, letters = [], array("i"), array("i")
+
+    def visit(lam: Partition, parent: int, letter: int) -> None:
+        c = len(classes)
+        classes.append(lam)
+        parents.append(parent)
+        letters.append(letter)
+        free = sum(lam) + len(lam)  # the letters used are below free + 1
+        if free + 2 <= n:
+            visit(lam + (1,), c, free + 1)
+        if lam and free < n and (len(lam) == 1 or lam[-1] < lam[-2]):
+            visit(lam[:-1] + (lam[-1] + 1,), c, free)
+
+    visit((), -1, 0)
+    reps = tuple(inv[tables.index[class_representative(lam, n)]] for lam in classes)
+    if n > _DENSE_MAX_RANK:
+        return _Sweep(tuple(classes), parents, letters, reps, None, None, None)
+    size = len(tables.perms)
     # bit i - 1 of byte k of `right` (of `left`) is set when s_i is a right
     # (a left) descent of the permutation of index k; n - 1 <= 8 bits
     right = 0
@@ -510,22 +533,7 @@ def _sweep(n: int) -> _Sweep:
         if len(rest) == len(pending):
             break
         pending = rest
-    classes, parents, letters = [], array("i"), array("i")
-
-    def visit(lam: Partition, parent: int, letter: int) -> None:
-        c = len(classes)
-        classes.append(lam)
-        parents.append(parent)
-        letters.append(letter)
-        free = sum(lam) + len(lam)  # the letters used are below free + 1
-        if free + 2 <= n:
-            visit(lam + (1,), c, free + 1)
-        if lam and free < n and (len(lam) == 1 or lam[-1] < lam[-2]):
-            visit(lam[:-1] + (lam[-1] + 1,), c, free)
-
-    visit((), -1, 0)
     position = {lam: c for c, lam in enumerate(classes)}
-    reps = array("i", (inv[tables.index[class_representative(lam, n)]] for lam in classes))
     for k in pending:
         rep = reps[position[modified_cycle_type(tables.perms[k])]]
         if lengths[k] != lengths[rep]:  # a failure of the theorems cited above

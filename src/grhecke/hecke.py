@@ -71,24 +71,29 @@ nonzero coefficient is not divisible by 2^B. So the packed values are equal
 exactly when h T_i = T_i h.
 
 A True answer marks h, and a product of two marked elements takes a second
-route (Geck-Pfeiffer 2000, ch. 3 and 8; Geck-Rouquier 1997) and is marked:
-the sweep of its values v_C at the class reps is sum_C v_C gamma_C. A swept
-class element is marked only by its own centrality test. The trace
-tau(h) = h[1] has tau(T_a T_b) = 1 if ab = 1 and 0 otherwise, so
-h[u] = tau(h T_{u^{-1}}) for every h, and for central A and B
-[T_u](AB) = tau(A T_{u^{-1}} B) = sum_v (A T_{u^{-1}})[v] B[v^{-1}]: l(u)
-steps of A and one dot product. This is read at one minimal-length u of
-each class; the words of these u^{-1} form a trie in which each class is
-one letter past another, so each class costs one step. AB is central, and
-a central h satisfies the class-polynomial recurrence h[w] = h[sws] +
-x h[sw] when the simple reflection s is a descent of w on both sides and
-sws != w, and h[w] = h[sws] when s is a descent on one side only; it is
-constant on the minimal-length elements of each class. These fix h from
-its values at the u, by one packed sweep in length order whose plan
-`coxeter._sweep` builds once per rank. So the product is held at its
+route at every rank (Geck-Pfeiffer 2000, ch. 3 and 8; Geck-Rouquier 1997)
+and is marked: the central element of values v_C at the class reps is
+sum_C v_C gamma_C. A swept class element is marked only by its own
+centrality test. The trace tau(h) = h[1] has tau(T_a T_b) = 1 if ab = 1
+and 0 otherwise, so h[u] = tau(h T_{u^{-1}}) for every h, and for central
+A and B [T_u](AB) = tau(A T_{u^{-1}} B) = sum_v (A T_{u^{-1}})[v] B[v^{-1}]:
+l(u) steps of A and one dot product. This is read at one minimal-length u
+of each class; the words of these u^{-1} form a trie in which each class
+is one letter past another, so each class costs one step. The pairing
+reads only this trie of `coxeter._sweep`, the step rows and the inverse,
+which `_tables` computes per entry above `coxeter._DENSE_MAX_RANK`. AB is
+central, and a central h satisfies the class-polynomial recurrence
+h[w] = h[sws] + x h[sw] when the simple reflection s is a descent of w on
+both sides and sws != w, and h[w] = h[sws] when s is a descent on one side
+only; it is constant on the minimal-length elements of each class. These
+fix h from its values at the u, by one packed sweep in length order whose
+plan `coxeter._sweep` builds once per rank, up to `coxeter._DENSE_MAX_RANK`,
+where its fill arrays need the dense tables. So the product is held at its
 values at the u: `coeff` answers at every minimal-length element from its
-class's value, and the sweep fills in the other terms the first time they
-are read, unpacking each distinct value once. The sweep is a ring
+class's value, and the other terms are filled in the first time they are
+read: up to that rank by the sweep, unpacking each distinct value once,
+and above it by `_fold_right` of the two factors, which the held product
+keeps. No structure constant reads them. The sweep is a ring
 computation on values at x = 2^B, so it is exact, and B is the width of
 `_product_width`, which bounds every coefficient of AB whichever way it is
 computed. The same sweep builds each class element from its values, 1 at
@@ -140,13 +145,15 @@ class HeckeElt:
     since memoized elements are shared with every caller: `terms` is a
     read-only view of a dict nobody else holds. A product of two certified
     central elements is held at its values at the sweep plan's class reps
-    (`_central_mul`); its terms are filled in the first time they are read.
+    (`_central_mul`), at any rank; its terms are filled in the first time
+    they are read, by the sweep up to `coxeter._DENSE_MAX_RANK` and by the
+    Horner fold of its two factors above it.
     """
 
     # _central is True once `is_central` has returned True on the element,
     # or on a product of two such from `_central_mul`; a pickle drops it.
-    # _reps is (packed values at the plan's reps, their unpack memo) while
-    # such a product's _terms is None; _norms caches `_l1_norms`
+    # _reps is (packed values at the plan's reps, their unpack memo, the two
+    # factors) while such a product's _terms is None; _norms caches `_l1_norms`
     __slots__ = ("n", "_terms", "_central", "_reps", "_norms")
 
     def __init__(self, n: int, terms: Mapping[Perm, IntPoly] = ()):
@@ -174,20 +181,24 @@ class HeckeElt:
         return h
 
     @classmethod
-    def _held(cls, n: int, at_reps: list[int], width: int) -> "HeckeElt":
+    def _held(cls, n: int, at_reps: list[int], width: int, *factors: "HeckeElt") -> "HeckeElt":
         # the central element whose values at the reps of `_sweep(n)`,
         # packed at x = 2^width, are at_reps, marked central; width bounds
-        # every coefficient, as for `_swept`
+        # every coefficient, as for `_swept`. factors, the product's two,
+        # fill it above `_DENSE_MAX_RANK`, where there is no sweep
         h = object.__new__(cls)
-        h._init(n, None, (at_reps, _Memo(_unpack, width)))
+        h._init(n, None, (at_reps, _Memo(_unpack, width), *factors))
         return h
 
     @property
     def terms(self) -> Mapping[Perm, IntPoly]:
         terms = self._terms
         if terms is None:
-            at_reps, unpack = self._reps
-            terms = _swept(self.n, at_reps, unpack.width, unpack)._terms
+            at_reps, unpack, *factors = self._reps
+            if self.n <= _DENSE_MAX_RANK:
+                terms = _swept(self.n, at_reps, unpack.width, unpack)._terms
+            else:
+                terms = _fold_right(*factors, False)._terms
             object.__setattr__(self, "_terms", terms)
             object.__setattr__(self, "_reps", None)
         return terms
@@ -215,13 +226,13 @@ class HeckeElt:
         if self._terms is None:
             # a central element is constant on the minimal-length elements
             # of each class, so at any of them the class's rep value holds
-            tables, plan = _tables(self.n), _sweep(self.n)
-            k = tables.index.get(w)
-            if k is None:
+            if len(w) != self.n or not coxeter.is_permutation(w):
                 return IntPoly()
+            tables, plan = _tables(self.n), _sweep(self.n)
+            k = tables.index[w]
             c = plan.classes.index(coxeter.modified_cycle_type(w))
             if tables.lengths[k] == tables.lengths[plan.reps[c]]:
-                at_reps, unpack = self._reps
+                at_reps, unpack, *_ = self._reps
                 return unpack[at_reps[c]] if at_reps[c] else IntPoly()
         return self.terms.get(w, IntPoly())
 
@@ -607,11 +618,12 @@ def _class_element(lam: Partition, n: int) -> HeckeElt:
 
 def _central_mul(left: HeckeElt, right: HeckeElt) -> HeckeElt:
     """
-    left * right for central left and right of H_n, n <= `_DENSE_MAX_RANK`,
-    by the trace pairing at one element of each class (see the module
-    docstring), held at these values and filled in by the sweep when its
-    terms are read. left is stepped along the trie of the classes' words,
-    so each class costs one `_step` and one dot product.
+    left * right for central left and right of H_n, at any rank, by the
+    trace pairing at one element of each class (see the module docstring),
+    held at these values and filled in when its terms are read. left is
+    stepped along the trie of the classes' words, so each class costs one
+    `_step` and one dot product, on the tables of `_tables(n)`, tabulated
+    or per entry.
     """
     n = left.n
     tables, plan = _tables(n), _sweep(n)
@@ -632,7 +644,7 @@ def _central_mul(left: HeckeElt, right: HeckeElt) -> HeckeElt:
             live[c] = vec
         both = vec.keys() & flipped.keys()
         at_reps.append(sum(map(int.__mul__, map(vec.__getitem__, both), map(flipped.__getitem__, both))))
-    return HeckeElt._held(n, at_reps, width)  # sum_C v_C gamma_C is central
+    return HeckeElt._held(n, at_reps, width, left, right)  # sum_C v_C gamma_C is central
 
 
 def mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
@@ -641,12 +653,13 @@ def mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
     the reduced words used to expand basis elements.
 
     When both factors are marked central, by `is_central` or as products
-    of this route (n <= `_DENSE_MAX_RANK`),
-    the product is read at one minimal-length element u of each class by
-    the trace, [T_u](h1 h2) = tau(h1 T_{u^{-1}} h2), on steps of h1, and
-    held at these values: its coefficients at minimal-length elements are
-    read from them, and its terms are filled in by the class-polynomial
-    sweep the first time they are read (see the module docstring).
+    of this route, the product is read, at every rank, at one
+    minimal-length element u of each class by the trace,
+    [T_u](h1 h2) = tau(h1 T_{u^{-1}} h2), on steps of h1, and held at these
+    values: its coefficients at minimal-length elements are read from them,
+    and its terms are filled in the first time they are read, by the
+    class-polynomial sweep up to `coxeter._DENSE_MAX_RANK` and by
+    `_fold_right` above it (see the module docstring).
     Otherwise the cheaper factor is expanded by `_fold_right`. Both read
     the result back at the width of `_product_width`.
     """
@@ -654,7 +667,7 @@ def mul(h1: HeckeElt, h2: HeckeElt) -> HeckeElt:
         raise InvalidInputError(f"rank mismatch: {h1.n} vs {h2.n}")
     if not h1 or not h2:
         return zero(h1.n)
-    if h1._central and h2._central and h1.n <= _DENSE_MAX_RANK:
+    if h1._central and h2._central:
         return _central_mul(h1, h2)
     if _letter_cost(h2) <= _letter_cost(h1):
         return _fold_right(h1, h2, False)

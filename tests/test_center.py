@@ -214,7 +214,7 @@ class TestBasisPerRank:
         want = gamma_basis(4, 3).gamma
         center.clear_caches()
         try:
-            center._worker_init(None, center.GammaBasis(4, 3, dict(want)))
+            center._worker_init(center.GammaBasis(4, 3, dict(want)))
             monkeypatch.setattr(center, "gamma_element", must_not_run)
             assert gamma_basis(4, 3).gamma == want
         finally:
@@ -226,7 +226,7 @@ class TestBasisPerRank:
         assert not any(g._central for g in sent.gamma.values())
         center.clear_caches()
         try:
-            center._worker_init(None, sent)
+            center._worker_init(sent)
             assert all(g._central for g in gamma_basis(5, 3).gamma.values())
         finally:
             center.clear_caches()

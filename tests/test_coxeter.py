@@ -334,6 +334,22 @@ def test_tables_are_read_through_one_record():
     assert private == {"_DENSE_MAX_RANK", "_sweep", "_tables"}
 
 
+# products and expansions of certified central elements take one route at
+# every rank: only the dense tables and the fill arrays stop at that rank
+_ONE_ROUTE = {"hecke": {"mul", "_central_mul"}, "center": {"expand_in_gamma", "_at_reps"}}
+
+
+def test_central_products_take_one_route_at_every_rank():
+    src = Path(coxeter.__file__).resolve().parent
+    for module, names in _ONE_ROUTE.items():
+        tree = ast.parse((src / f"{module}.py").read_text())
+        functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert names <= functions.keys(), module
+        for name in names:
+            used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+            assert "_DENSE_MAX_RANK" not in used, f"{module}.{name}"
+
+
 def test_json_is_read_back_only_as_the_cache_record():
     # grhecke writes its formats and reads none of them back: a reader with
     # no caller is an input surface that nothing exercises
