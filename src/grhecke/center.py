@@ -16,17 +16,16 @@ class-polynomial sweep of the values 1 at its own class and 0 at the others
 (`hecke._class_element`), with no solve and no division.
 
 Monomial symmetric polynomials in the Jucys-Murphy elements span the
-relevant filtration layer of the center, and one exact solve certifies
-that gamma_lam lies in it: a combination of m_mu (|mu| <= |lam|) whose
-coefficients at the canonical minimal representatives realize the identity
-pattern. The fraction-free solver returns numerators y_mu over Z[x] and one
-common denominator d. The combination sum_mu y_mu m_mu is read at the
-sweep's rep of every class of S_n, a coefficient lookup per m_mu, and must
-equal d there on lam's class and 0 on every other; both sides are central,
-so this proves d gamma_lam in the Z[x]-span of those m_mu. Above
-`_DENSE_MAX_RANK`, where no sweep plan exists, the numerators are
-assembled and every coefficient is divided exactly by d, which checks that
-it lands back in Z[x].
+relevant filtration layer of the center, and one exact solve certifies,
+at every rank, that gamma_lam lies in it. Each m_mu (|mu| <= |lam|) is
+read once, at the p(n) reps of `coxeter._sweep` (`_at_reps`). The
+fraction-free solver realizes the identity pattern on the classes of size
+at most |lam| with numerators y_mu over Z[x] and one common denominator d.
+Then sum_mu y_mu m_mu must equal d at the rep of lam's class and 0 at the
+rep of every other class of S_n; both sides are central, so this proves
+d gamma_lam in the Z[x]-span of those m_mu. Only then is gamma_lam built:
+swept up to `_DENSE_MAX_RANK`, and above it assembled from the numerators
+and divided by d, which the certificate has made exact.
 
 Each element is verified once, by the same check whether the certificate
 ran or the disk cache vouches for it: centrality, the class sum at x = 0,
@@ -45,17 +44,17 @@ process sweeps those classes again, checks them, and skips only their
 certificate.
 
 Structure constants come from expanding a product h of two class elements
-in this basis: the coordinates c_nu are its coefficients at the canonical
-minimal representatives, and the residual h - sum_nu c_nu gamma_nu must be
+in this basis: the coordinates c_nu are its values at the p(n) reps of
+`coxeter._sweep`, which exist at every rank, read with those of the class
+elements by `_at_reps`, and the residual h - sum_nu c_nu gamma_nu must be
 zero. h and the class elements are marked central (see `hecke`), so the
 residual is too, and it is fixed by its values at one minimal-length
 element of each class (Geck-Pfeiffer 2000, 8.2): it is checked exactly at
-the p(n) reps of `coxeter._sweep`, which exist at every rank, and no
-element of n! terms is formed. h comes from the trace pairing at every
-rank, held at those values, and every coefficient read here is at a
-minimal-length element, so its terms are never filled in either. Only for
-unmarked input, or a residual that is not zero at the reps, is the whole
-residual formed, whose vanishing also proves h central.
+the same reps, and no element of n! terms is formed. h comes from the
+trace pairing at every rank, held at those values, so its terms are never
+filled in either. Only for unmarked input, or a residual that is not zero
+at the reps, is the whole residual formed, whose vanishing also proves h
+central.
 Each is computed on one memoized path, which the table builder, the
 verification suites and the rank-independent layer share. The center is
 commutative, and every class element passes the centrality test before it
@@ -73,14 +72,13 @@ import tempfile
 from itertools import combinations_with_replacement
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from . import coxeter, hecke
-from .coxeter import _DENSE_MAX_RANK, Partition, Perm, check_partition, fits_rank, min_rep
-from .coxeter import partition_key
+from .coxeter import _DENSE_MAX_RANK, Partition, check_partition, fits_rank, partition_key
 from .errors import (
-    BasisIncompleteError, ConstructionError, ExactDivisionError,
-    InvalidInputError, InvariantViolationError, SingularSystemError,
+    BasisIncompleteError, ConstructionError, InvalidInputError,
+    InvariantViolationError, SingularSystemError,
 )
 from .hecke import HeckeElt, group_mul, is_central, m_sym, mul
 from .polyring import IntPoly, divexact, solve_linear
@@ -206,27 +204,27 @@ def _candidate_classes(size: int, n: int) -> list[Partition]:
 def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
     """
     gamma_lam(n), with the characterization constraints solved in the
-    m_mu, |mu| <= |lam|: swept and certified by the solve up to
-    `_DENSE_MAX_RANK`, assembled from the solve above it.
+    m_mu, |mu| <= |lam|, each read once at the sweep plan's reps. The solve
+    is certified on those rows at every rank; then the element is swept up
+    to `_DENSE_MAX_RANK` and assembled from the solve above it.
     """
     size = sum(lam)
-    candidates = list(coxeter.partitions_up_to(size))
-    msyms = {mu: m_sym(mu, n) for mu in candidates}
+    candidates = coxeter.partitions_up_to(size)
+    msyms = [m_sym(mu, n) for mu in candidates]
+    rows = _at_reps(n, msyms)
     classes = _candidate_classes(size, n)
-    reps = {nu: min_rep(nu, n) for nu in classes}
-    A = [[msyms[mu].coeff(reps[nu]) for mu in candidates] for nu in classes]
     b = [_ONE if nu == lam else IntPoly() for nu in classes]
     try:
-        y, d = solve_linear(A, b)
+        y, d = solve_linear([rows[nu] for nu in classes], b)
     except SingularSystemError as exc:
         raise ConstructionError(
             f"characterization system for gamma_{lam}(n={n}) is unsolvable: {exc}"
         ) from exc
-    combination = [(c, msyms[mu]) for mu, c in zip(candidates, y)]
+    _certify(lam, n, rows, y, d)
     if n <= _DENSE_MAX_RANK:
-        _certify(lam, n, combination, d)
         return hecke._class_element(lam, n)
-    num = hecke.linear_combination(n, combination)
+    # the certificate makes each division exact: see the module docstring
+    num = hecke.linear_combination(n, list(zip(y, msyms)))
     if d == _ONE:
         return num
     terms = {}
@@ -234,41 +232,39 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
     for w, c in num.terms.items():
         q = quotients.get(c.coeffs)
         if q is None:
-            try:
-                q = quotients[c.coeffs] = divexact(c, d)
-            except ExactDivisionError as exc:
-                raise ConstructionError(
-                    f"gamma_{lam}(n={n}): coefficient of T_{w} is not in Z[x]"
-                ) from exc
+            q = quotients[c.coeffs] = divexact(c, d)
         terms[w] = q
     return HeckeElt._raw(n, terms)
 
 
-def _certify(lam: Partition, n: int, combination: list[tuple[IntPoly, HeckeElt]], d: IntPoly) -> None:
+def _certify(lam: Partition, n: int, rows: dict[Partition, list[IntPoly]],
+             y: list[IntPoly], d: IntPoly) -> None:
     """
-    Check that sum_mu y_mu m_mu, the solve's numerators `combination`, is
-    d gamma_lam(n) at the sweep plan's rep of every class of S_n: d at the
-    rep of lam's class and 0 at every other. Both sides are central, and a
-    central element is fixed by its values at these reps, so this proves
-    d gamma_lam in the Z[x]-span of the m_mu, |mu| <= |lam|.
+    Check that sum_mu y_mu m_mu, the solve's numerators over the m_mu read
+    in `rows`, is d gamma_lam(n) at the sweep plan's rep of every class of
+    S_n: d at the rep of lam's class and 0 at every other. Both sides are
+    central, and a central element is fixed by its values at these reps, so
+    this proves d gamma_lam in the Z[x]-span of the m_mu, |mu| <= |lam|.
     """
-    for nu, w, got in _at_reps(n, combination):
+    for c, (nu, row) in enumerate(rows.items()):
+        got = sum((a * v for a, v in zip(y, row) if a), IntPoly())
         want = d if nu == lam else IntPoly()
         if got != want:
+            w = coxeter._tables(n).perms[coxeter._sweep(n).reps[c]]
             raise ConstructionError(
                 f"gamma_{lam}(n={n}) fails its certificate at class {nu}: the solve's "
                 f"combination of m_mu has {got} at {w}, expected {want}"
             )
 
 
-def _at_reps(
-    n: int, combination: list[tuple[IntPoly, HeckeElt]]
-) -> Iterator[tuple[Partition, Perm, IntPoly]]:
-    """(nu, w, [T_w] sum c h over `combination`) at the sweep plan's rep w of each class nu."""
+def _at_reps(n: int, elements: list[HeckeElt]) -> dict[Partition, list[IntPoly]]:
+    """
+    The values of `elements` at the sweep plan's rep of each class nu of
+    S_n: one row per class, keyed by nu in the plan's order.
+    """
     plan, perms = coxeter._sweep(n), coxeter._tables(n).perms
-    for nu, r in zip(plan.classes, plan.reps):
-        w = perms[r]
-        yield nu, w, sum((c * h.coeff(w) for c, h in combination), IntPoly())
+    reps = map(perms.__getitem__, plan.reps)
+    return {nu: [h.coeff(w) for h in elements] for nu, w in zip(plan.classes, reps)}
 
 
 def _element_witnesses(lam: Partition, n: int, elt: HeckeElt, up_to: int) -> tuple[list[str], int]:
@@ -315,11 +311,11 @@ def _pattern_witnesses(
 def gamma_element(lam: Partition, n: int) -> HeckeElt:
     """
     The class element gamma_lam(n), built and verified through size |lam|
-    on every call; the zero element when the class vanishes in S_n. Up to
-    `_DENSE_MAX_RANK` it is swept from its values at the classes' reps and
-    certified by the solve in the m_mu; above it, it is assembled from the
-    solve (see the module docstring). `gamma_basis` keeps the elements it
-    builds.
+    on every call; the zero element when the class vanishes in S_n. At
+    every rank the solve in the m_mu is certified first; then the element
+    is swept from its values at the classes' reps up to `_DENSE_MAX_RANK`
+    and assembled from the solve above it (see the module docstring).
+    `gamma_basis` keeps the elements it builds.
     """
     lam = check_partition(lam)
     if n < 1:
@@ -407,8 +403,10 @@ def gamma_basis(n: int, up_to: int) -> GammaBasis:
     classes the disk cache records as certified and certifies only the
     others; above it, where there is no sweep, the disk cache is not used.
     """
-    if n < 1 or up_to < 0:
-        raise InvalidInputError(f"bad basis request n={n}, up_to={up_to}")
+    if n < 1:
+        raise InvalidInputError(f"rank must be positive, got {n}")
+    if up_to < 0:
+        raise InvalidInputError(f"up_to must be nonnegative, got {up_to}")
     path = None
     if _disk_cache_dir is not None and n <= _DENSE_MAX_RANK:
         path = _disk_cache_dir / f"gamma_n{n}_basis.json"
@@ -428,10 +426,10 @@ def gamma_basis(n: int, up_to: int) -> GammaBasis:
 def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
     """
     Expand a central element in the class-element basis of `gamma_basis` by
-    reading its coefficients c_nu at the canonical minimal representatives,
-    then verifying that the residual h - sum_nu c_nu gamma_nu is zero. If h
-    and each gamma_nu used are marked central, so is the residual, and at
-    any rank only its p(n) values at the reps of `coxeter._sweep` are read.
+    reading its values c_nu at the p(n) reps of `coxeter._sweep`, then
+    verifying that the residual h - sum_nu c_nu gamma_nu is zero. If h and
+    every gamma_nu, all read there once by `_at_reps`, are marked central,
+    so is the residual, and at any rank its values there decide it.
     Otherwise, or if one of them is not zero, the whole residual is formed:
     its vanishing shows h central too, and the centrality test only tells a
     non-central h from an incomplete basis.
@@ -442,15 +440,15 @@ def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
     """
     if h.n != basis.n:
         raise InvalidInputError(f"rank mismatch: element in S_{h.n}, basis for S_{basis.n}")
-    coords: dict[Partition, IntPoly] = {}
-    for nu in basis.valid_partitions():
-        c = h.coeff(min_rep(nu, basis.n))
-        if c:
-            coords[nu] = c
-    combination = [(_ONE, h)] + [(-c, basis.gamma[nu]) for nu, c in coords.items()]
-    if (all(g._central for _, g in combination)
-            and not any(v for _, _, v in _at_reps(h.n, combination))):
+    partitions = basis.valid_partitions()
+    elements = [h] + [basis.gamma[nu] for nu in partitions]
+    rows = _at_reps(h.n, elements)
+    weights = [_ONE] + [-rows[nu][0] for nu in partitions]
+    coords = {nu: rows[nu][0] for nu in partitions if rows[nu][0]}
+    if all(g._central for g in elements) and not any(
+            sum((a * v for a, v in zip(weights, row) if a), IntPoly()) for row in rows.values()):
         return CentralCoords(n=basis.n, coords=coords)
+    combination = [(_ONE, h)] + [(-c, basis.gamma[nu]) for nu, c in coords.items()]
     residual = hecke.linear_combination(h.n, combination)
     if residual:
         if not is_central(h):

@@ -238,9 +238,12 @@ class TestExitCodes:
         ("table", "--n", "0", "--max-size", "2"),
         ("table", "--n", "3", "--max-size", "-1"),
         ("verify", "--n", "3", "--max-size", "-1"),
+        ("gamma", "--n", "0", "--lambda", ""),
+        ("gamma", "--n", "0", "--lambda", "1"),
     ], ids=["jobs-0", "jobs-negative-after-subcommand", "er-negative", "er-at-rank",
             "verify-rank-0", "verify-rank-negative", "mult-rank-0", "mult-rank-negative",
-            "oracle-rank-0", "table-rank-0", "table-size-negative", "verify-size-negative"])
+            "oracle-rank-0", "table-rank-0", "table-size-negative", "verify-size-negative",
+            "gamma-rank-0-empty-class", "gamma-rank-0"])
     def test_out_of_range_count(self, argv):
         assert run_cli(*argv) == (2, "")
 
@@ -253,6 +256,12 @@ class TestExitCodes:
             pairs_of(0, 2)
         with pytest.raises(InvalidInputError, match="^max_size must be nonnegative, got -1$"):
             pairs_of(3, -1)
+
+    def test_out_of_range_basis_names_the_value(self):
+        with pytest.raises(InvalidInputError, match="^rank must be positive, got 0$"):
+            center.gamma_basis(0, 0)
+        with pytest.raises(InvalidInputError, match="^up_to must be nonnegative, got -1$"):
+            center.gamma_basis(3, -1)
 
     def test_unwritable_destination(self, tmp_path):
         dest = tmp_path / "no" / "such" / "dir" / "out.csv"

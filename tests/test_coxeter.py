@@ -336,7 +336,9 @@ def test_tables_are_read_through_one_record():
 
 # products and expansions of certified central elements take one route at
 # every rank: only the dense tables and the fill arrays stop at that rank
-_ONE_ROUTE = {"hecke": {"mul", "_central_mul"}, "center": {"expand_in_gamma", "_at_reps"}}
+_ONE_ROUTE = {
+    "hecke": {"mul", "_central_mul"}, "center": {"expand_in_gamma", "_at_reps", "_certify"},
+}
 
 
 def test_central_products_take_one_route_at_every_rank():
@@ -348,6 +350,20 @@ def test_central_products_take_one_route_at_every_rank():
         for name in names:
             used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
             assert "_DENSE_MAX_RANK" not in used, f"{module}.{name}"
+
+
+def test_every_class_element_is_certified_at_every_rank():
+    # the certificate is a statement of `_solve_gamma`'s own body, under no
+    # branch, and center reads no element at `min_rep`, only at the sweep's reps
+    tree = ast.parse((Path(coxeter.__file__).resolve().parent / "center.py").read_text())
+    solve = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_solve_gamma")
+    assert "_certify" in [ast.unparse(node.value.func) for node in solve.body
+                          if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "min_rep" not in imported | used
 
 
 def test_json_is_read_back_only_as_the_cache_record():

@@ -2,6 +2,9 @@
 No module of the package or of the tests imports a name it never uses. A
 package `__init__.py` re-exports what it imports, and a name listed in a
 module's `__all__` is exported, so both are exempt; so is `__future__`.
+
+Nor does the package define a private function or class that no other
+line of the package names: a helper whose last caller was deleted goes too.
 """
 
 import ast
@@ -35,6 +38,32 @@ def unused_imports(source: str) -> list[str]:
     return [f"{line}: {name}" for name, line in sorted(imported.items()) if name not in used]
 
 
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """
+    The private functions and classes (a leading underscore, not a dunder)
+    defined in `sources`, a map from module name to source, that no name or
+    attribute outside their own definition refers to, as 'module:line: name'.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    # (module, line) of every Name and Attribute, by the name it reads
+    sites: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                sites.setdefault(name, []).append((module, node.lineno))
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                if all(m == module and first <= line <= node.end_lineno
+                       for m, line in sites.get(node.name, [])):
+                    out.append(f"{module}:{node.lineno}: {node.name}")
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -50,3 +79,23 @@ def test_the_check_sees_an_unused_import():
         "read(os.sep)\n"
     )
     assert unused_imports(source) == ["3: dumps"]
+
+
+def test_no_private_definition_is_unreferenced():
+    sources = {p.stem: p.read_text() for p in sorted(ROOT.glob("src/grhecke/*.py"))}
+    assert unreferenced_private(sources) == []
+
+
+def test_the_check_sees_an_unreferenced_private_definition():
+    sources = {
+        "a": (
+            "def _called(): return 1\n"
+            "def _recursive(k): return _recursive(k - 1) if k else 0\n"
+            "class _Orphan:\n"
+            "    def __init__(self): self._used = _called()\n"
+            "    def _method(self): return self\n"
+            "def public(): return _Helper()._method()\n"
+        ),
+        "b": "class _Helper:\n    pass\n",
+    }
+    assert unreferenced_private(sources) == ["a:2: _recursive", "a:3: _Orphan"]

@@ -79,6 +79,21 @@ def test_certificate_names_a_class_above_lam(monkeypatch):
         gamma_element((1,), 5)
 
 
+def test_certificate_runs_above_the_dense_rank(monkeypatch):
+    # m_(1) + x gamma_(2) is central, odd, and equals m_(1) at x = 0 and on
+    # every class of size at most 1: only the certificate at (2,) sees it
+    n = 10
+    assert center._DENSE_MAX_RANK < n
+    perturbed = center.m_sym((1,), n) + gamma_element((2,), n).scale(IntPoly.xi())
+    m_sym = center.m_sym
+    monkeypatch.setattr(center, "m_sym",
+                        lambda mu, k: perturbed if (mu, k) == ((1,), n) else m_sym(mu, k))
+    with pytest.raises(ConstructionError, match=re.escape(
+            f"gamma_(1,)(n={n}) fails its certificate at class (2,): the solve's "
+            f"combination of m_mu has {IntPoly.xi()} at {plan_rep((2,), n)}, expected 0")):
+        gamma_element((1,), n)
+
+
 def test_a_swept_element_changed_off_the_reps_is_not_central(monkeypatch):
     # x^2 T_w on a longest w of the class keeps the x = 0 class sum, the
     # parity and the pattern on the minimal elements: only centrality fails
