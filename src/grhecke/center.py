@@ -66,7 +66,6 @@ swapped product as well, since it checks that the two agree.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from itertools import combinations_with_replacement
@@ -196,6 +195,11 @@ def clear_caches() -> None:
     _struct_memo.clear()
 
 
+def _check_rank(n: int) -> None:
+    if n < 1:
+        raise InvalidInputError(f"rank must be positive, got {n}")
+
+
 def _candidate_classes(size: int, n: int) -> list[Partition]:
     # no class of size n or more fits rank n, so larger sizes add nothing
     return [p for p in coxeter.partitions_up_to(min(size, n - 1)) if fits_rank(p, n)]
@@ -318,8 +322,7 @@ def gamma_element(lam: Partition, n: int) -> HeckeElt:
     `gamma_basis` keeps the elements it builds.
     """
     lam = check_partition(lam)
-    if n < 1:
-        raise InvalidInputError(f"rank must be positive, got {n}")
+    _check_rank(n)
     if not fits_rank(lam, n):
         return hecke.zero(n)
     elt = _solve_gamma(lam, n)
@@ -332,25 +335,24 @@ def gamma_element(lam: Partition, n: int) -> HeckeElt:
 def _record(n: int, level: int) -> str:
     """
     The cache file of rank n, less its final newline: the one fact that
-    its class elements were certified through size `level`.
+    its class elements were certified through size `level`, as one line of
+    JSON.
     """
-    return json.dumps({"format": 2, "n": n, "up_to": level})
+    return f'{{"format": 2, "n": {n}, "up_to": {level}}}'
 
 
 def _load_level(path: Path, n: int) -> int:
     """
-    The level `path` records if it holds the writer's record for rank n,
-    final newline optional; otherwise -1, the level of the empty basis.
+    The level L >= 0 if `path` holds `_record(n, L)`, final newline
+    optional; otherwise -1, the level of the empty basis. L is read after
+    the record's last space, and the whole text must match its record.
     """
     try:
-        text = path.read_text()
-        level = json.loads(text)["up_to"]
-    except (OSError, ValueError, KeyError, TypeError,
-            RecursionError):  # the decoder's answer to deeply nested input
+        text = path.read_text().removesuffix("\n")
+        level = int(text.rpartition(" ")[2].removesuffix("}"))
+    except (OSError, ValueError):
         return -1
-    if type(level) is not int or level < 0 or text.removesuffix("\n") != _record(n, level):
-        return -1
-    return level
+    return level if level >= 0 and text == _record(n, level) else -1
 
 
 def _save_level(path: Path, n: int, level: int) -> None:
@@ -403,8 +405,7 @@ def gamma_basis(n: int, up_to: int) -> GammaBasis:
     classes the disk cache records as certified and certifies only the
     others; above it, where there is no sweep, the disk cache is not used.
     """
-    if n < 1:
-        raise InvalidInputError(f"rank must be positive, got {n}")
+    _check_rank(n)
     if up_to < 0:
         raise InvalidInputError(f"up_to must be nonnegative, got {up_to}")
     path = None
@@ -479,8 +480,7 @@ def structure_constants(lam: Partition, mu: Partition, n: int) -> CentralCoords:
     order of `_ordered_pair`, and (mu, lam) returns the entry of (lam, mu).
     """
     lam, mu = check_partition(lam), check_partition(mu)
-    if n < 1:
-        raise InvalidInputError(f"rank must be positive, got {n}")
+    _check_rank(n)
     if not fits_rank(lam, n) or not fits_rank(mu, n):
         return CentralCoords(n=n, coords={})
     key = (*_ordered_pair(lam, mu), n)
@@ -510,8 +510,7 @@ def class_sum_oracle(lam: Partition, mu: Partition, n: int) -> dict[Partition, i
     off class-indicator coefficients. Entirely independent of the Hecke
     code path; this is the x = 0 oracle.
     """
-    if n < 1:
-        raise InvalidInputError(f"rank must be positive, got {n}")
+    _check_rank(n)
     a = {w: 1 for w in coxeter.conjugacy_class(lam, n)}
     b = {w: 1 for w in coxeter.conjugacy_class(mu, n)}
     product = group_mul(a, b)
@@ -538,8 +537,7 @@ def class_sum_oracle(lam: Partition, mu: Partition, n: int) -> dict[Partition, i
 
 def _pairs_up_to(n: int, max_size: int) -> list[tuple[Partition, Partition]]:
     """The pairs of `_ordered_pair` with |lam| + |mu| <= max_size, by that sum."""
-    if n < 1:
-        raise InvalidInputError(f"rank must be positive, got {n}")
+    _check_rank(n)
     if max_size < 0:
         raise InvalidInputError(f"max_size must be nonnegative, got {max_size}")
     pairs = combinations_with_replacement(_candidate_classes(max_size, n), 2)
@@ -659,9 +657,8 @@ def verify_elementary_sums(n: int, r_max: int) -> CheckReport:
     return report
 
 
-def _pair_worker(args: tuple[Partition, Partition, int]) -> tuple[Partition, Partition, CentralCoords]:
-    lam, mu, n = args
-    return lam, mu, structure_constants(lam, mu, n)
+def _pair_worker(args: tuple[Partition, Partition, int]) -> CentralCoords:
+    return structure_constants(*args)
 
 
 def _worker_init(basis: GammaBasis) -> None:
@@ -681,7 +678,6 @@ def build_struct_table(n: int, max_size: int, jobs: int = 1) -> StructTable:
     """
     pairs = [(lam, mu) for lam, mu in _pairs_up_to(n, max_size) if lam and mu]
     basis = gamma_basis(n, max_size)
-    results: dict[tuple[Partition, Partition], CentralCoords] = {}
     if jobs > 1 and len(pairs) > 1:
         # imported here, so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -690,12 +686,8 @@ def build_struct_table(n: int, max_size: int, jobs: int = 1) -> StructTable:
             max_workers=min(jobs, len(pairs)), initializer=_worker_init,
             initargs=(basis,),
         ) as pool:
-            for lam, mu, coords in pool.map(
-                _pair_worker, [(lam, mu, n) for lam, mu in pairs]
-            ):
-                results[(lam, mu)] = coords
+            coords = list(pool.map(_pair_worker, [(lam, mu, n) for lam, mu in pairs]))
     else:
-        for lam, mu in pairs:
-            results[(lam, mu)] = structure_constants(lam, mu, n)
-    entries = [(lam, mu, results[(lam, mu)]) for lam, mu in pairs]
+        coords = [structure_constants(lam, mu, n) for lam, mu in pairs]
+    entries = [(lam, mu, c) for (lam, mu), c in zip(pairs, coords)]
     return StructTable(n=n, max_size=max_size, entries=entries)

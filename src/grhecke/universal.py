@@ -20,7 +20,7 @@ validation ranks, never a claim.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .center import _ordered_pair, _pairs_up_to, m_sym_in_gamma, structure_constants
 from .coxeter import Partition, check_partition, fits_rank, partitions_of
@@ -47,9 +47,7 @@ def universal_constant(lam: Partition, mu: Partition, nu: Partition) -> IntPoly:
         raise InvalidInputError(
             f"top-degree constant needs |nu| = |lam| + |mu|, got {nu} for ({lam}, {mu})"
         )
-    if size == 0:
-        return IntPoly.const(1)
-    return _universal_row(*_ordered_pair(lam, mu)).get(nu, IntPoly())
+    return graded_product(lam, mu).get(nu, IntPoly())
 
 
 @lru_cache(maxsize=None)
@@ -299,6 +297,30 @@ def _fit_points(
     )
 
 
+def _fit_window(
+    lam: Partition,
+    mu: Partition,
+    nu: Optional[Partition],
+    n_lo: int,
+    n_hi: int,
+    value: Callable[[int], IntPoly],
+) -> FitResult:
+    """
+    The pipeline of both fits: value(n) sampled over the ranks n_lo..n_hi
+    at which the target class (nu, or mu when nu is None) is nonempty, then
+    fitted by `_fit_points`.
+    """
+    if n_hi - n_lo < 2:
+        raise InvalidInputError("need a window of at least 3 ranks")
+    name, target = ("mu", mu) if nu is None else ("nu", nu)
+    samples = [(n, value(n)) for n in range(n_lo, n_hi + 1) if fits_rank(target, n)]
+    if len(samples) < 3:
+        raise InvalidInputError(
+            f"only {len(samples)} usable ranks for {name}={target} in {n_lo}..{n_hi}"
+        )
+    return _fit_points(lam, mu, nu, samples)
+
+
 def fit_structure_constant(
     lam: Partition, mu: Partition, nu: Partition, n_lo: int, n_hi: int
 ) -> FitResult:
@@ -309,22 +331,12 @@ def fit_structure_constant(
     information and are skipped.
     """
     lam, mu, nu = check_partition(lam), check_partition(mu), check_partition(nu)
-    if n_hi - n_lo < 2:
-        raise InvalidInputError("need a window of at least 3 ranks")
     if not fits_rank(lam, n_lo) or not fits_rank(mu, n_lo):
         raise InvalidInputError(
             f"classes {lam}, {mu} must be nonempty at every rank from {n_lo}"
         )
-    samples = [
-        (n, structure_constants(lam, mu, n).get(nu))
-        for n in range(n_lo, n_hi + 1)
-        if fits_rank(nu, n)
-    ]
-    if len(samples) < 3:
-        raise InvalidInputError(
-            f"only {len(samples)} usable ranks for nu={nu} in {n_lo}..{n_hi}"
-        )
-    return _fit_points(lam, mu, nu, samples)
+    return _fit_window(lam, mu, nu, n_lo, n_hi,
+                       lambda n: structure_constants(lam, mu, n).get(nu))
 
 
 def fit_m_sym_coeff(lam: Partition, mu: Partition, n_lo: int, n_hi: int) -> FitResult:
@@ -333,15 +345,4 @@ def fit_m_sym_coeff(lam: Partition, mu: Partition, n_lo: int, n_hi: int) -> FitR
     expansion of the monomial symmetric element m_lam.
     """
     lam, mu = check_partition(lam), check_partition(mu)
-    if n_hi - n_lo < 2:
-        raise InvalidInputError("need a window of at least 3 ranks")
-    samples = [
-        (n, m_sym_in_gamma(lam, n).get(mu))
-        for n in range(n_lo, n_hi + 1)
-        if fits_rank(mu, n)
-    ]
-    if len(samples) < 3:
-        raise InvalidInputError(
-            f"only {len(samples)} usable ranks for mu={mu} in {n_lo}..{n_hi}"
-        )
-    return _fit_points(lam, mu, None, samples)
+    return _fit_window(lam, mu, None, n_lo, n_hi, lambda n: m_sym_in_gamma(lam, n).get(mu))

@@ -7,12 +7,6 @@ import pytest
 from grhecke import cli, center
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_cache(monkeypatch):
-    # keep test runs independent of the caller's environment
-    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
-
-
 def run_cli(*argv):
     """Invoke the CLI in process; returns (exit_code, stdout_text)."""
     buf = io.StringIO()

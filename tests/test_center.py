@@ -866,7 +866,6 @@ class TestStructTable:
         src = str(Path(center.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        env.pop("GRHECKE_CACHE", None)
         out = subprocess.run([sys.executable, "-c", script, method], env=env,
                              capture_output=True, text=True, timeout=300, check=True)
         serial = center.build_struct_table(4, 3, jobs=1)

@@ -207,6 +207,29 @@ class TestUniversalCommand:
         assert run_cli("universal", "--max-grade", "0") == (0, json.dumps(empty, indent=2) + "\n")
 
 
+# command lines with a count out of range: each exits 2 and prints nothing
+OUT_OF_RANGE = {
+    "jobs-0": ("--jobs", "0", "table", "--n", "3", "--max-size", "2"),
+    "jobs-negative-after-subcommand": ("table", "--n", "3", "--max-size", "2", "--jobs", "-1"),
+    "er-negative": ("verify", "--n", "3", "--max-size", "2", "--er", "-1"),
+    "er-at-rank": ("verify", "--n", "4", "--max-size", "2", "--er", "4"),
+    "verify-rank-0": ("verify", "--n", "0", "--max-size", "1"),
+    "verify-rank-negative": ("verify", "--n", "-1", "--max-size", "1"),
+    "verify-rank-0-with-er": ("verify", "--n", "0", "--max-size", "1", "--er", "0"),
+    "mult-rank-0": ("mult", "--n", "0", "--lambda", "1", "--mu", "1"),
+    "mult-rank-negative": ("mult", "--n", "-2", "--lambda", "1", "--mu", "1"),
+    "oracle-rank-0": ("oracle", "--n", "0", "--lambda", "", "--mu", ""),
+    "table-rank-0": ("table", "--n", "0", "--max-size", "2"),
+    "table-size-negative": ("table", "--n", "3", "--max-size", "-1"),
+    "verify-size-negative": ("verify", "--n", "3", "--max-size", "-1"),
+    "gamma-rank-0-empty-class": ("gamma", "--n", "0", "--lambda", ""),
+    "gamma-rank-0": ("gamma", "--n", "0", "--lambda", "1"),
+}
+
+RANK_OUT_OF_RANGE = [case for case in OUT_OF_RANGE
+                     if "-rank-0" in case or "-rank-negative" in case]
+
+
 class TestExitCodes:
     def test_unknown_flag(self):
         code, _ = run_cli("mult", "--n", "3", "--lambda", "1", "--mu", "1",
@@ -225,27 +248,17 @@ class TestExitCodes:
         code, _ = run_cli()
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ("--jobs", "0", "table", "--n", "3", "--max-size", "2"),
-        ("table", "--n", "3", "--max-size", "2", "--jobs", "-1"),
-        ("verify", "--n", "3", "--max-size", "2", "--er", "-1"),
-        ("verify", "--n", "4", "--max-size", "2", "--er", "4"),
-        ("verify", "--n", "0", "--max-size", "1"),
-        ("verify", "--n", "-1", "--max-size", "1"),
-        ("mult", "--n", "0", "--lambda", "1", "--mu", "1"),
-        ("mult", "--n", "-2", "--lambda", "1", "--mu", "1"),
-        ("oracle", "--n", "0", "--lambda", "", "--mu", ""),
-        ("table", "--n", "0", "--max-size", "2"),
-        ("table", "--n", "3", "--max-size", "-1"),
-        ("verify", "--n", "3", "--max-size", "-1"),
-        ("gamma", "--n", "0", "--lambda", ""),
-        ("gamma", "--n", "0", "--lambda", "1"),
-    ], ids=["jobs-0", "jobs-negative-after-subcommand", "er-negative", "er-at-rank",
-            "verify-rank-0", "verify-rank-negative", "mult-rank-0", "mult-rank-negative",
-            "oracle-rank-0", "table-rank-0", "table-size-negative", "verify-size-negative",
-            "gamma-rank-0-empty-class", "gamma-rank-0"])
+    @pytest.mark.parametrize("argv", list(OUT_OF_RANGE.values()), ids=list(OUT_OF_RANGE))
     def test_out_of_range_count(self, argv):
         assert run_cli(*argv) == (2, "")
+
+    @pytest.mark.parametrize("case", RANK_OUT_OF_RANGE)
+    def test_out_of_range_rank_has_one_message(self, case, capsys):
+        # every command rejects a rank below 1 with the same words
+        argv = OUT_OF_RANGE[case]
+        rank = argv[argv.index("--n") + 1]
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err == f"error: rank must be positive, got {rank}\n"
 
     @pytest.mark.parametrize("pairs_of", [
         center.build_struct_table, center.verify_structure_constants,
@@ -305,13 +318,6 @@ class TestCacheFlag:
                           "--max-size", "3", "--format", "csv")
         assert code == 0
         assert [p.name for p in tmp_path.iterdir()] == ["gamma_n4_basis.json"]
-
-    def test_cache_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-        code, _ = run_cli("gamma", "--n", "3", "--lambda", "1")
-        assert code == 0
-        assert list(tmp_path.glob("gamma_n3_*.json"))
-        center.clear_caches()
 
 
 def test_import_loads_no_process_pool():
