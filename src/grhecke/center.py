@@ -15,17 +15,30 @@ element of each class, so up to `_DENSE_MAX_RANK` gamma_lam is the
 class-polynomial sweep of the values 1 at its own class and 0 at the others
 (`hecke._class_element`), with no solve and no division.
 
-Monomial symmetric polynomials in the Jucys-Murphy elements span the
-relevant filtration layer of the center, and one exact solve certifies,
-at every rank, that gamma_lam lies in it. Each m_mu (|mu| <= |lam|) is
-read once, at the p(n) reps of `coxeter._sweep` (`_at_reps`). The
-fraction-free solver realizes the identity pattern on the classes of size
-at most |lam| with numerators y_mu over Z[x] and one common denominator d.
-Then sum_mu y_mu m_mu must equal d at the rep of lam's class and 0 at the
-rep of every other class of S_n; both sides are central, so this proves
-d gamma_lam in the Z[x]-span of those m_mu. Only then is gamma_lam built:
-swept up to `_DENSE_MAX_RANK`, and above it assembled from the numerators
-and divided by d, which the certificate has made exact.
+Monomial symmetric polynomials m_mu(L) in the Jucys-Murphy elements span
+the relevant filtration layer of the center, and one exact solve
+certifies, at every rank, that gamma_lam lies in it. At each degree k the
+elementary products e_rho = e_rho_1 ... e_rho_l, |rho| = k, span the same
+Z-lattice of symmetric functions as the m_mu, |mu| = k: e_rho =
+sum_mu M_{rho mu} m_mu, where M counts 0-1 matrices and is unitriangular
+in dominance order (Macdonald, Symmetric Functions and Hall Polynomials,
+I.2 and I.6). So up to `_DENSE_MAX_RANK` the solve reads the e_rho(L),
+|rho| <= |lam| (`_e_product`): each e_r(L) comes from `hecke.e_sym` and is
+marked central by `is_central`, and each longer product is formed by the
+trace pairing, which holds it at its values at the p(n) reps of
+`coxeter._sweep`. Above that rank it reads the m_mu(L), |mu| <= |lam|,
+which the assembly below combines. Each element of the family is read
+once, at those reps (`_at_reps`). The fraction-free solver realizes the
+identity pattern on the classes of size at most |lam| with numerators y
+over Z[x] and one common denominator d. Then the combination sum y h must
+equal d at the rep of lam's class and 0 at the rep of every other class
+of S_n; both sides are central, so this proves d gamma_lam in the
+Z[x]-span of the family, which is the span of the m_mu with
+|mu| <= |lam|. Up to `_DENSE_MAX_RANK` the proof rests on `e_sym`, on
+`is_central` and on the pairing, and no m_mu(L) is formed but the e_r(L).
+Only then is gamma_lam built: swept up to `_DENSE_MAX_RANK`, and above it
+assembled from the numerators and divided by d, which the certificate has
+made exact.
 
 Each element is verified once, by the same check whether the certificate
 ran or the disk cache vouches for it: centrality, the class sum at x = 0,
@@ -180,6 +193,8 @@ class CheckReport:
 
 # the one store of class elements: the largest verified basis of each rank
 _bases: dict[int, GammaBasis] = {}
+# the elementary products e_rho(L) of each rank up to `_DENSE_MAX_RANK`
+_e_products: dict[int, dict[Partition, HeckeElt]] = {}
 _disk_cache_dir: Optional[Path] = None
 
 
@@ -193,6 +208,7 @@ def clear_caches() -> None:
     """Drop the in-process memos (used when testing the disk cache)."""
     _bases.clear()
     _struct_memo.clear()
+    _e_products.clear()
 
 
 def _check_rank(n: int) -> None:
@@ -205,17 +221,45 @@ def _candidate_classes(size: int, n: int) -> list[Partition]:
     return [p for p in coxeter.partitions_up_to(min(size, n - 1)) if fits_rank(p, n)]
 
 
+def _e_product(rho: Partition, n: int) -> HeckeElt:
+    """
+    The elementary product e_rho(L) = e_rho_1(L) ... e_rho_l(L) in H_n,
+    n <= `_DENSE_MAX_RANK`, memoized per rank: the unit for rho = (), zero
+    when rho_1 >= n (L_1 = 0 leaves n - 1 variables), e_r by `hecke.e_sym`
+    marked by `is_central`, and for two parts or more the product, on the
+    trace pairing, of e_rho_1 and e_rho without rho_1.
+    """
+    memo = _e_products.setdefault(n, {})
+    e = memo.get(rho)
+    if e is None:
+        if not rho:
+            e = hecke.unit(n)
+        elif rho[0] >= n:
+            e = hecke.zero(n)
+        elif len(rho) == 1:
+            e = hecke.e_sym(rho[0], n)
+            if not is_central(e):
+                raise ConstructionError(f"e_{rho[0]}(n={n}) is not central")
+        else:
+            e = mul(_e_product(rho[:1], n), _e_product(rho[1:], n))
+        memo[rho] = e
+    return e
+
+
 def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
     """
-    gamma_lam(n), with the characterization constraints solved in the
-    m_mu, |mu| <= |lam|, each read once at the sweep plan's reps. The solve
-    is certified on those rows at every rank; then the element is swept up
-    to `_DENSE_MAX_RANK` and assembled from the solve above it.
+    gamma_lam(n), with the characterization constraints solved in one
+    family of central elements indexed by the partitions of size at most
+    |lam|, each read once at the sweep plan's reps: up to `_DENSE_MAX_RANK`
+    the elementary products e_rho(L) of `_e_product`, above it the m_mu(L).
+    The solve is certified on those rows at every rank; then the element
+    is swept up to `_DENSE_MAX_RANK` and assembled from the solve above it.
     """
     size = sum(lam)
+    dense = n <= _DENSE_MAX_RANK
     candidates = coxeter.partitions_up_to(size)
-    msyms = [m_sym(mu, n) for mu in candidates]
-    rows = _at_reps(n, msyms)
+    elements = [_e_product(rho, n) if dense else m_sym(rho, n) for rho in candidates]
+    rows = _at_reps(n, elements)
     classes = _candidate_classes(size, n)
     b = [_ONE if nu == lam else IntPoly() for nu in classes]
     try:
@@ -224,11 +268,12 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
         raise ConstructionError(
             f"characterization system for gamma_{lam}(n={n}) is unsolvable: {exc}"
         ) from exc
-    _certify(lam, n, rows, y, d)
-    if n <= _DENSE_MAX_RANK:
+    # below size 2 the two families are the same elements, 1 and e_1 = m_1
+    _certify(lam, n, rows, y, d, "e_rho" if dense and size > 1 else "m_mu")
+    if dense:
         return hecke._class_element(lam, n)
     # the certificate makes each division exact: see the module docstring
-    num = hecke.linear_combination(n, list(zip(y, msyms)))
+    num = hecke.linear_combination(n, list(zip(y, elements)))
     if d == _ONE:
         return num
     terms = {}
@@ -242,13 +287,18 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
 
 
 def _certify(lam: Partition, n: int, rows: dict[Partition, list[IntPoly]],
-             y: list[IntPoly], d: IntPoly) -> None:
+             y: list[IntPoly], d: IntPoly, family: str) -> None:
     """
-    Check that sum_mu y_mu m_mu, the solve's numerators over the m_mu read
-    in `rows`, is d gamma_lam(n) at the sweep plan's rep of every class of
-    S_n: d at the rep of lam's class and 0 at every other. Both sides are
-    central, and a central element is fixed by its values at these reps, so
-    this proves d gamma_lam in the Z[x]-span of the m_mu, |mu| <= |lam|.
+    Check that sum y h, the solve's numerators over the family of
+    `_solve_gamma` read in `rows` (named by `family` in the message), is
+    d gamma_lam(n) at the sweep plan's rep of every class of S_n: d at the
+    rep of lam's class and 0 at every other. Both sides are central, and a
+    central element is fixed by its values at these reps, so this proves
+    d gamma_lam in the Z[x]-span of the family, which is the span of the
+    m_mu(L), |mu| <= |lam|. Up to `_DENSE_MAX_RANK` the proof rests on
+    `hecke.e_sym` for the e_r(L), on `is_central` for their marks, and on
+    the trace pairing for the values of their products at the reps; above
+    it, on `m_sym` alone.
     """
     for c, (nu, row) in enumerate(rows.items()):
         got = sum((a * v for a, v in zip(y, row) if a), IntPoly())
@@ -257,7 +307,7 @@ def _certify(lam: Partition, n: int, rows: dict[Partition, list[IntPoly]],
             w = coxeter._tables(n).perms[coxeter._sweep(n).reps[c]]
             raise ConstructionError(
                 f"gamma_{lam}(n={n}) fails its certificate at class {nu}: the solve's "
-                f"combination of m_mu has {got} at {w}, expected {want}"
+                f"combination of {family} has {got} at {w}, expected {want}"
             )
 
 
@@ -316,9 +366,10 @@ def gamma_element(lam: Partition, n: int) -> HeckeElt:
     """
     The class element gamma_lam(n), built and verified through size |lam|
     on every call; the zero element when the class vanishes in S_n. At
-    every rank the solve in the m_mu is certified first; then the element
-    is swept from its values at the classes' reps up to `_DENSE_MAX_RANK`
-    and assembled from the solve above it (see the module docstring).
+    every rank the solve in the e_rho (the m_mu above `_DENSE_MAX_RANK`) is
+    certified first; then the element is swept from its values at the
+    classes' reps up to `_DENSE_MAX_RANK` and assembled from the solve
+    above it (see the module docstring).
     `gamma_basis` keeps the elements it builds.
     """
     lam = check_partition(lam)

@@ -64,15 +64,17 @@ def test_above_the_dense_rank_the_solve_is_assembled():
 
 
 def test_certificate_names_a_class_above_lam(monkeypatch):
-    # m_(1) = gamma_(1) is changed at the rep of (2,) only, which the solve
-    # for gamma_(1) does not read: only the certificate at (2,) can see it
-    m_sym = center.m_sym
+    # e_(1) = gamma_(1) is changed at the rep of (2,) only, which the solve
+    # for gamma_(1) does not read: only the certificate at (2,) can see it.
+    # Below size 2 the e_rho are the m_mu, 1 and e_1 = m_1, and the message
+    # names them so
+    e_product = center._e_product
     w = plan_rep((2,), 5)
-    m1 = m_sym((1,), 5)
-    assert m1.coeff(w) == IntPoly()
-    perturbed = HeckeElt(5, {**m1.terms, w: ONE})
-    monkeypatch.setattr(center, "m_sym",
-                        lambda mu, n: perturbed if (mu, n) == ((1,), 5) else m_sym(mu, n))
+    e1 = e_product((1,), 5)
+    assert e1.coeff(w) == IntPoly()
+    perturbed = HeckeElt(5, {**e1.terms, w: ONE})
+    monkeypatch.setattr(center, "_e_product",
+                        lambda rho, n: perturbed if (rho, n) == ((1,), 5) else e_product(rho, n))
     with pytest.raises(ConstructionError, match=re.escape(
             f"gamma_(1,)(n=5) fails its certificate at class (2,): the solve's "
             f"combination of m_mu has 1 at {w}, expected 0")):
