@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import center, coxeter, universal
-from .center import CheckReport, StructTable
+from .center import StructTable
 from .coxeter import Partition
 from .errors import (
     BasisIncompleteError, ConstructionError, InvalidInputError, InvariantViolationError,
@@ -134,14 +134,6 @@ def export_table(table: StructTable, fmt: str, destination=None) -> None:
         raise InvalidInputError(f"unknown format {fmt!r}")
 
 
-def _print_report(report: CheckReport) -> bool:
-    status = "PASS" if report.ok else "FAIL"
-    print(f"{status} {report.name} (checks={report.checks})")
-    for w in report.witnesses:
-        print(f"WITNESS {w}")
-    return report.ok
-
-
 def _cmd_gamma(args) -> int:
     if coxeter.fits_rank(args.lam, args.n):
         basis = center.gamma_basis(args.n, sum(args.lam))
@@ -179,13 +171,17 @@ def _cmd_verify(args) -> int:
     # a rank below 1 is left to the suites, which reject it as every command does
     if r_max >= args.n >= 1:
         raise InvalidInputError(f"--er must be below n, got {r_max} for n={args.n}")
-    ok = True
-    ok &= _print_report(center.verify_structure_constants(args.n, args.max_size))
-    ok &= _print_report(center.verify_gamma_characterization(args.n, args.max_size))
-    ok &= _print_report(center.verify_zero_specialization(args.n, args.max_size))
+    suites = (center.verify_structure_constants, center.verify_gamma_characterization,
+              center.verify_zero_specialization)
+    reports = [suite(args.n, args.max_size) for suite in suites]
     if r_max >= 1:
-        ok &= _print_report(center.verify_elementary_sums(args.n, r_max))
-    return 0 if ok else 1
+        reports.append(center.verify_elementary_sums(args.n, r_max))
+    lines = []
+    for report in reports:
+        lines.append(f"{'PASS' if report.ok else 'FAIL'} {report.name} (checks={report.checks})")
+        lines += [f"WITNESS {w}" for w in report.witnesses]
+    _emit("\n".join(lines), args.out)
+    return 0 if all(report.ok for report in reports) else 1
 
 
 def _cmd_universal(args) -> int:

@@ -25,10 +25,10 @@ k > j with w[k] < w[j]). Right multiplication by s_i changes only the digits
 w s_i has digits (c, a - 1), otherwise (c + 1, a). The length of w is the
 sum of its Lehmer digits. Each rank has one record of tables over indices,
 `_tables(n)`: permutations, inverses, indices, step rows and lengths,
-tabulated up to `_DENSE_MAX_RANK` and computed per entry above it. Classes
-are walked on it, or, when a class is small against S_n, on the per-entry
-record at any rank. Other modules read the tables through `_tables`,
-`_class_tables` and `_DENSE_MAX_RANK` alone. Beside them, `_sweep(n)` holds
+tabulated up to `_DENSE_MAX_RANK` and computed per entry above it. They
+serve the Hecke engine and the sweep alone: classes are built from their
+cycle lengths on plain tuples. Other modules read the tables through
+`_tables` and `_DENSE_MAX_RANK` alone. Beside them, `_sweep(n)` holds
 one minimal-length element of each class, reached along a trie of words, at
 every rank, and up to `_DENSE_MAX_RANK` the plan by which a central element
 of H_n is filled in from its values at these elements, on the same indices.
@@ -37,10 +37,10 @@ of H_n is filled in from its values at these elements, on the same indices.
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from functools import lru_cache
-from itertools import compress, permutations
-from math import factorial, prod
+from itertools import combinations, compress, permutations
+from math import factorial
+from operator import sub
 from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EmptyClassError, InvalidInputError, InvariantViolationError
@@ -107,14 +107,7 @@ def length(w: Perm) -> int:
     >>> length((3, 2, 1))
     3
     """
-    n = len(w)
-    total = 0
-    for a in range(n):
-        wa = w[a]
-        for b in range(a + 1, n):
-            if wa > w[b]:
-                total += 1
-    return total
+    return sum(a > b for i, a in enumerate(w) for b in w[i + 1 :])
 
 
 def right_gen(w: Perm, i: int) -> Perm:
@@ -234,39 +227,67 @@ def class_representative(lam: Partition, n: int) -> Perm:
 
 
 @lru_cache(maxsize=None)
+def _moving_every_point(lam: Partition) -> tuple[Perm, ...]:
+    """
+    The permutations of 1, ..., |lam| + len(lam) of modified type lam, which
+    move every point. The cycle through the least free point s is s followed
+    by an arrangement of larger free points, of one length per distinct part,
+    so cycles of equal length take increasing s and each is built once.
+
+    >>> _moving_every_point((2,))
+    ((2, 3, 1), (3, 1, 2))
+    """
+    def place(free: tuple[int, ...], parts: Partition) -> Iterator[dict[int, int]]:
+        if not free:
+            yield {}
+        for j, part in enumerate(parts):
+            if part in parts[:j]:
+                continue
+            for arc in permutations(free[1:], part):
+                cycle = dict(zip(free[:1] + arc, arc + free[:1]))
+                rest = tuple(p for p in free if p not in cycle)
+                for w in place(rest, parts[:j] + parts[j + 1 :]):
+                    yield {**cycle, **w}
+
+    points = range(1, sum(lam) + len(lam) + 1)
+    return tuple(tuple(map(w.__getitem__, points)) for w in place(tuple(points), lam))
+
+
+@lru_cache(maxsize=None)
 def conjugacy_class(lam: Partition, n: int) -> frozenset[Perm]:
     """
-    All w in S_n of modified type lam, by closing one representative under
-    conjugation by the adjacent transpositions, on indices.
+    All w in S_n of modified type lam. Each moves k = |lam| + len(lam)
+    points, so the class is `_moving_every_point(lam)` relabeled onto every
+    k-subset of 1, ..., n.
 
     >>> sorted(conjugacy_class((1,), 3))
     [(1, 3, 2), (2, 1, 3), (3, 2, 1)]
     """
-    rep = class_representative(lam, n)
-    if not lam:
-        return frozenset((rep,))
-    tables = _class_tables(lam, n)
-    inv = tables.inverse
-    queue = [tables.index[rep]]
-    seen = set(queue)
-    for k in queue:
-        for row in tables.steps:
-            j = row[k]  # w s_i
-            j = row[inv[j if j >= 0 else ~j]]  # (s_i w s_i)^{-1}
-            j = inv[j if j >= 0 else ~j]
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return frozenset(map(tables.perms.__getitem__, seen))
+    class_representative(lam, n)  # rejects a malformed or empty class
+    moving, base, out = _moving_every_point(lam), list(range(1, n + 1)), []
+    for points in combinations(base, sum(lam) + len(lam)):
+        for u in moving:
+            w = base.copy()
+            for p, v in zip(points, u):
+                w[p - 1] = points[v - 1]
+            out.append(tuple(w))
+    return frozenset(out)
 
 
 @lru_cache(maxsize=None)
 def minimal_length_elements(lam: Partition, n: int) -> frozenset[Perm]:
-    """The elements of minimal Coxeter length within the class of lam."""
-    tables = _class_tables(lam, n)
-    by_w = {w: tables.lengths[tables.index[w]] for w in conjugacy_class(lam, n)}
-    best = min(by_w.values())
-    return frozenset(w for w, m in by_w.items() if m == best)
+    """
+    The elements of minimal Coxeter length within the class of lam. That
+    length is |lam| = n - #cycles (Geck-Pfeiffer 2000, ch. 3), and every w
+    has sum |w(i) - i| <= 2 length(w) (Diaconis-Graham 1977), so only
+    members of footrule at most 2|lam| have their lengths read.
+    """
+    size, ident = sum(lam), identity(n)
+    out = frozenset(w for w in conjugacy_class(lam, n)
+                    if sum(map(abs, map(sub, w, ident))) <= 2 * size and length(w) == size)
+    if not out:
+        raise InvariantViolationError(f"no element of length {size} in class {lam} of S_{n}")
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -284,19 +305,6 @@ def min_rep(lam: Partition, n: int) -> Perm:
 
 
 _DENSE_MAX_RANK = 9  # the tables: 88 MB at n = 9; the step rows alone, 131 MB at n = 10
-
-
-# a class walks on per-entry tables when it holds under 1/_SPARSE_CLASS of S_n,
-# that is when its centralizer is larger; up to rank 7, whose tables the
-# engine's products build anyway, only the identity's is (z = 240 for (1,))
-_SPARSE_CLASS = 500
-
-
-def _class_tables(lam: Partition, n: int) -> _Tables:
-    """The tables to walk the class of lam on."""
-    cycles = Counter([p + 1 for p in lam] + [1] * (n - sum(lam) - len(lam)))
-    z = prod(k ** m * factorial(m) for k, m in cycles.items())  # the centralizer's order
-    return _tables(n, False) if z > _SPARSE_CLASS else _tables(n)
 
 
 def _perm_index(w: Perm) -> int:
@@ -396,14 +404,13 @@ class _Tables(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _tables(n: int, dense: bool = True) -> _Tables:
+def _tables(n: int) -> _Tables:
     """
-    The tables of S_n: tabulated up to `_DENSE_MAX_RANK`, and computed per
-    entry above it or when not dense. Spelled ``_tables(n)`` or
-    ``_tables(n, False)`` only, so that the cache holds each record once.
+    The tables of S_n, tabulated up to `_DENSE_MAX_RANK` and computed per
+    entry above it; spelled ``_tables(n)`` only, so the cache holds each once.
     """
     steps = tuple(_StepRow(n, i) for i in range(1, n))
-    if not dense or n > _DENSE_MAX_RANK:
+    if n > _DENSE_MAX_RANK:
         places = tuple(factorial(j) for j in range(n - 1, -1, -1))
         return _Tables(
             _PerEntry(lambda k: _index_perm(k, places)),
@@ -588,10 +595,7 @@ def partitions_up_to(k: int) -> tuple[Partition, ...]:
     """
     if k < 0:
         raise InvalidInputError("k must be nonnegative")
-    out: list[Partition] = []
-    for size in range(k + 1):
-        out.extend(partitions_of(size))
-    return tuple(out)
+    return tuple(lam for size in range(k + 1) for lam in partitions_of(size))
 
 
 def partition_key(lam: Partition) -> tuple[int, tuple[int, ...]]:

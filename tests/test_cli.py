@@ -134,6 +134,15 @@ class TestVerify:
         assert code == 1
         assert "WITNESS injected failure" in out
 
+    def test_out_file_holds_the_stdout_bytes(self, tmp_path):
+        argv = ("verify", "--n", "4", "--max-size", "2")
+        code, want = run_cli(*argv)
+        dest = tmp_path / "verify.txt"
+        code_out, out = run_cli(*argv, "--out", str(dest))
+        assert code == code_out == 0 and want.count("PASS") == 4
+        assert out == ""
+        assert dest.read_bytes() == want.encode()
+
 
 FIT_GOLDEN = Path(__file__).resolve().parent / "fit_golden"
 

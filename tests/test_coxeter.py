@@ -157,7 +157,7 @@ class TestConjugacyClass:
 
 
 def tuple_conjugacy_class(lam, n):
-    """The class walked on tuples: the oracle of the walk on indices."""
+    """The class walked on tuples: the oracle of `conjugacy_class`."""
     rep = class_representative(lam, n)
     seen = {rep}
     queue = deque([rep])
@@ -173,11 +173,11 @@ def tuple_conjugacy_class(lam, n):
 
 class TestClassWalk:
     @staticmethod
-    def _check(lam, n, walk=conjugacy_class, minimal=minimal_length_elements):
+    def _check(lam, n):
         want = tuple_conjugacy_class(lam, n)
-        assert walk(lam, n) == want
+        assert conjugacy_class(lam, n) == want
         best = min(map(length, want))
-        assert minimal(lam, n) == {w for w in want if length(w) == best}
+        assert minimal_length_elements(lam, n) == {w for w in want if length(w) == best}
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_matches_tuple_walk(self, n):
@@ -186,46 +186,46 @@ class TestClassWalk:
                 self._check(lam, n)
 
     def test_above_dense_rank(self):
-        for lam in [(), (1,), (2,), (1, 1)]:
+        for lam in partitions_up_to(3):
             self._check(lam, coxeter._DENSE_MAX_RANK + 1)
 
     @pytest.mark.parametrize("n", range(0, 8))
     def test_per_entry_rows_match_tuple_walk(self, n, monkeypatch):
-        # every class but the identity's walks on per-entry rows, uncached
-        monkeypatch.setattr(coxeter, "_SPARSE_CLASS", 0)
+        # conjugating by each s_i on the indices of the per-entry record, as
+        # the engine steps above the dense rank, walks every class
+        monkeypatch.setattr(coxeter, "_DENSE_MAX_RANK", 0)
+        tables = coxeter._tables.__wrapped__(n)  # uncached
+        inv = tables.inverse
         for lam in partitions_up_to(n):
-            if fits_rank(lam, n):
-                self._check(lam, n, conjugacy_class.__wrapped__,
-                            minimal_length_elements.__wrapped__)
+            if not fits_rank(lam, n):
+                continue
+            queue = [tables.index[class_representative(lam, n)]]
+            seen = set(queue)
+            for k in queue:
+                for row in tables.steps:
+                    j = row[k]  # w s_i
+                    j = row[inv[j if j >= 0 else ~j]]  # (s_i w s_i)^{-1}
+                    j = inv[j if j >= 0 else ~j]
+                    if j not in seen:
+                        seen.add(j)
+                        queue.append(j)
+            assert {tables.perms[k] for k in seen} == tuple_conjugacy_class(lam, n)
 
     def test_small_classes_build_no_tables(self, monkeypatch):
-        # the classes of the oracle's (1) * (1) at rank 9 hold under 1/900 of S_9
-        from grhecke import center
+        # classes, their minimal elements and the x = 0 oracle read no index
+        # tables at any rank
+        from grhecke import center, hecke
 
-        built = coxeter._tables
-
-        def tables(n, dense=True):
-            if dense and n >= 9:
-                pytest.fail("the rank-9 tables were built")
-            return built(n) if dense else built(n, False)
+        def tables(n):
+            pytest.fail(f"the rank-{n} tables were read")
 
         monkeypatch.setattr(coxeter, "_tables", tables)
+        monkeypatch.setattr(hecke, "_tables", tables)
         conjugacy_class.cache_clear()
         minimal_length_elements.cache_clear()
-        # the answer of the walk on the rank-9 tables
+        assert center.class_sum_oracle((2,), (1,), 8) == {(3,): 4, (2, 1): 1, (1,): 12}
         assert center.class_sum_oracle((1,), (1,), 9) == {(): 36, (2,): 3, (1, 1): 2}
-
-    def test_rank_seven_classes_walk_on_the_tables(self, monkeypatch):
-        # up to rank 7 every class but the identity's walks on the rank's tables
-        monkeypatch.setattr(coxeter, "_PerEntry", None)
-        for n in range(8):
-            for lam in partitions_up_to(n):
-                if lam and fits_rank(lam, n):
-                    assert coxeter._class_tables(lam, n) is coxeter._tables(n)
-
-    def test_class_members_are_the_rank_tuples(self):
-        perms = coxeter._tables(4).perms
-        assert all(w is perms[coxeter._perm_index(w)] for w in conjugacy_class((1, 1), 4))
+        self._check((2, 1), 10)
 
     @pytest.mark.parametrize("n", range(0, 9))
     def test_length_table(self, n):
@@ -234,8 +234,11 @@ class TestClassWalk:
         assert list(lengths) == [length(w) for w in all_perms(n)]
 
     @pytest.mark.parametrize("n", range(1, 8))
-    def test_dense_and_per_entry_records_agree(self, n):
-        dense, per_entry = coxeter._tables(n), coxeter._tables(n, False)
+    def test_dense_and_per_entry_records_agree(self, n, monkeypatch):
+        dense = coxeter._tables(n)
+        # the record above the dense rank, built uncached at rank n
+        monkeypatch.setattr(coxeter, "_DENSE_MAX_RANK", 0)
+        per_entry = coxeter._tables.__wrapped__(n)
         assert isinstance(dense.perms, tuple) and isinstance(per_entry.perms, coxeter._PerEntry)
         assert len(dense.steps) == len(per_entry.steps) == n - 1
         for k, w in enumerate(dense.perms):
@@ -295,11 +298,11 @@ def test_coxeter_loads_no_hecke():
 # what only coxeter may name: the record's parts, and the names it replaced
 _TABLE_INTERNALS = {
     "_Tables", "_StepRow", "_tabulate", "_PerEntry", "_perm_index", "_index_perm", "_digits",
-    "_SPARSE_CLASS", "_Sweep",
+    "_Sweep",
 }
 _REMOVED = {
     "_perm_tables", "_step_rows", "_lengths", "_PermRow", "_InverseRow", "_LengthRow",
-    "_IndexRow",
+    "_IndexRow", "_SPARSE_CLASS", "_class_tables",
 }
 
 
@@ -316,12 +319,9 @@ def test_tables_are_read_through_one_record():
             elif isinstance(node, ast.alias):
                 names.add(node.name)
             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_tables":
-                # each kind of record spelled one way, so the cache holds it once:
-                # _tables(n) or _tables(n, False)
+                # spelled one way, _tables(n), so the cache holds each record once
                 calls.append(ast.unparse(node))
-                assert not node.keywords and len(node.args) in (1, 2) and all(
-                    isinstance(a, ast.Constant) and a.value is False for a in node.args[1:]
-                ), (path.name, calls[-1])
+                assert not node.keywords and len(node.args) == 1, (path.name, calls[-1])
         assert not names & _REMOVED, path.name
         if path.name != "coxeter.py":
             assert not names & _TABLE_INTERNALS, path.name
@@ -332,6 +332,27 @@ def test_tables_are_read_through_one_record():
                and node.module == "coxeter" for alias in node.names if alias.name[0] == "_"}
     # the tables' record and the sweep's, which products of central elements read
     assert private == {"_DENSE_MAX_RANK", "_sweep", "_tables"}
+
+
+# classes, their minimal elements and the x = 0 oracle stand apart from the
+# engine's index tables and sweep plan, which they are used to check
+_TABLE_FREE = {
+    "coxeter": {"conjugacy_class", "_moving_every_point", "minimal_length_elements", "min_rep"},
+    "center": {"class_sum_oracle"},
+}
+
+
+def test_classes_read_no_tables():
+    src = Path(coxeter.__file__).resolve().parent
+    for module, names in _TABLE_FREE.items():
+        tree = ast.parse((src / f"{module}.py").read_text())
+        functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert names <= functions.keys(), module
+        for name in names:
+            used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+            used |= {node.attr for node in ast.walk(functions[name])
+                     if isinstance(node, ast.Attribute)}
+            assert not used & {"_tables", "_sweep"}, f"{module}.{name}"
 
 
 # products and expansions of certified central elements take one route at

@@ -30,7 +30,9 @@ def test_per_entry_pairing_equals_the_dense_one(n, monkeypatch):
     gamma = center.gamma_basis(n, 4).gamma
     pairs = [(lam, mu) for lam in gamma for mu in gamma if sum(lam) + sum(mu) <= 4]
     dense = [hecke._central_mul(gamma[lam], gamma[mu])._reps[:2] for lam, mu in pairs]
-    monkeypatch.setattr(hecke, "_tables", lambda n: coxeter._tables(n, False))
+    # the record above the dense rank, built uncached at rank n
+    monkeypatch.setattr(coxeter, "_DENSE_MAX_RANK", 0)
+    monkeypatch.setattr(hecke, "_tables", coxeter._tables.__wrapped__)
     for (lam, mu), (at_reps, unpack) in zip(pairs, dense):
         got, got_unpack = hecke._central_mul(gamma[lam], gamma[mu])._reps[:2]
         assert (got, got_unpack.width) == (at_reps, unpack.width), (lam, mu, n)
