@@ -278,11 +278,11 @@ def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
         return num
     terms = {}
     quotients: dict[tuple, IntPoly] = {}  # each distinct coefficient divided once
-    for w, c in num.terms.items():
+    for k, c in num._by_index().items():
         q = quotients.get(c.coeffs)
         if q is None:
             q = quotients[c.coeffs] = divexact(c, d)
-        terms[w] = q
+        terms[k] = q
     return HeckeElt._raw(n, terms)
 
 
@@ -316,9 +316,8 @@ def _at_reps(n: int, elements: list[HeckeElt]) -> dict[Partition, list[IntPoly]]
     The values of `elements` at the sweep plan's rep of each class nu of
     S_n: one row per class, keyed by nu in the plan's order.
     """
-    plan, perms = coxeter._sweep(n), coxeter._tables(n).perms
-    reps = map(perms.__getitem__, plan.reps)
-    return {nu: [h.coeff(w) for h in elements] for nu, w in zip(plan.classes, reps)}
+    columns = [h._at_reps() for h in elements]
+    return {nu: [col[c] for col in columns] for c, nu in enumerate(coxeter._sweep(n).classes)}
 
 
 def _element_witnesses(lam: Partition, n: int, elt: HeckeElt, up_to: int) -> tuple[list[str], int]:

@@ -23,15 +23,18 @@ order, the factorial-base number of their Lehmer code L (L[j] counts the
 k > j with w[k] < w[j]). Right multiplication by s_i changes only the digits
 (a, c) = (L[i-1], L[i]); i is a right descent exactly when a > c, and then
 w s_i has digits (c, a - 1), otherwise (c + 1, a). The length of w is the
-sum of its Lehmer digits. Each rank has one record of tables over indices,
-`_tables(n)`: permutations, inverses, indices, step rows and lengths,
-tabulated up to `_DENSE_MAX_RANK` and computed per entry above it. They
-serve the Hecke engine and the sweep alone: classes are built from their
-cycle lengths on plain tuples. Other modules read the tables through
-`_tables` and `_DENSE_MAX_RANK` alone. Beside them, `_sweep(n)` holds
-one minimal-length element of each class, reached along a trie of words, at
-every rank, and up to `_DENSE_MAX_RANK` the plan by which a central element
-of H_n is filled in from its values at these elements, on the same indices.
+sum of its Lehmer digits. The index is the only key the Hecke engine gives
+a permutation. Each rank has one record of tables over indices,
+`_tables(n)`: the codec between permutations and indices, computed per
+entry at every rank, and the inverses, step rows and lengths, tabulated up
+to `_DENSE_MAX_RANK` and computed per entry above it; no table holds a
+permutation. They serve the Hecke engine and the sweep alone: classes are
+built from their cycle lengths on plain tuples. Other modules read the
+tables through `_tables` and `_DENSE_MAX_RANK` alone. Beside them,
+`_sweep(n)` holds one minimal-length element of each class, reached along
+a trie of words, at every rank, and up to `_DENSE_MAX_RANK` the plan by
+which a central element of H_n is filled in from its values at these
+elements, on the same indices.
 """
 
 from __future__ import annotations
@@ -124,32 +127,23 @@ def left_gen(w: Perm, i: int) -> Perm:
     return tuple(i + 1 if x == i else i if x == i + 1 else x for x in w)
 
 
-@lru_cache(maxsize=None)
 def reduced_word(w: Perm) -> tuple[int, ...]:
     """
     Canonical reduced word for w, as generator indices read left to right.
 
     Repeatedly strips the smallest descent on the right, so the emitted word
     recomposes to w via ``from_word`` and has exactly ``length(w)`` letters.
+    The letters come from `_reversed_word` on per-entry step rows.
 
     >>> reduced_word((2, 1, 3))
     (1,)
     >>> from_word(3, reduced_word((2, 3, 1))) == (2, 3, 1)
     True
     """
-    cur = list(w)
-    n = len(w)
-    out: list[int] = []
-    while True:
-        for i in range(n - 1):
-            if cur[i] > cur[i + 1]:
-                cur[i], cur[i + 1] = cur[i + 1], cur[i]
-                out.append(i + 1)
-                break
-        else:
-            break
-    out.reverse()
-    return tuple(out)
+    n, k = len(w), _perm_index(w)
+    if k < 0:
+        raise InvalidInputError(f"not a permutation: {w}")
+    return tuple(reversed(_reversed_word(k, [_StepRow(n, i) for i in range(1, n)])))
 
 
 def from_word(n: int, word: Iterable[int]) -> Perm:
@@ -237,20 +231,25 @@ def _moving_every_point(lam: Partition) -> tuple[Perm, ...]:
     >>> _moving_every_point((2,))
     ((2, 3, 1), (3, 1, 2))
     """
-    def place(free: tuple[int, ...], parts: Partition) -> Iterator[dict[int, int]]:
-        if not free:
-            yield {}
+    word, out = [0] * (sum(lam) + len(lam) + 1), []  # word[p] = w(p); slot 0 unused
+
+    def place(free: tuple[int, ...], parts: Partition) -> None:
+        # a leaf has written every point on its own path, so nothing is undone
+        if not parts:
+            out.append(tuple(word[1:]))
+            return
+        s, others = free[0], free[1:]
         for j, part in enumerate(parts):
             if part in parts[:j]:
                 continue
-            for arc in permutations(free[1:], part):
-                cycle = dict(zip(free[:1] + arc, arc + free[:1]))
-                rest = tuple(p for p in free if p not in cycle)
-                for w in place(rest, parts[:j] + parts[j + 1 :]):
-                    yield {**cycle, **w}
+            rest = parts[:j] + parts[j + 1 :]
+            for arc in permutations(others, part):
+                for p, q in zip((s,) + arc, arc + (s,)):
+                    word[p] = q
+                place(tuple(p for p in others if p not in arc), rest)
 
-    points = range(1, sum(lam) + len(lam) + 1)
-    return tuple(tuple(map(w.__getitem__, points)) for w in place(tuple(points), lam))
+    place(tuple(range(1, len(word))), lam)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -304,11 +303,17 @@ def min_rep(lam: Partition, n: int) -> Perm:
     return min(minimal_length_elements(lam, n))
 
 
-_DENSE_MAX_RANK = 9  # the tables: 88 MB at n = 9; the step rows alone, 131 MB at n = 10
+_DENSE_MAX_RANK = 9  # the tables: 13 MB at n = 9; the step rows alone, 131 MB at n = 10
 
 
 def _perm_index(w: Perm) -> int:
+    """
+    The index of w, or -1 when w is no permutation of 1, ..., len(w): the
+    digits below would give such a w the index of another permutation.
+    """
     rest = sorted(w)
+    if rest != list(range(1, len(w) + 1)):
+        return -1
     k = 0
     for a in w:
         d = rest.index(a)
@@ -326,8 +331,13 @@ def _digits(k: int, places: tuple[int, ...]) -> Iterator[int]:
 
 def _index_perm(k: int, places: tuple[int, ...]) -> Perm:
     """The permutation of index k; places are (n-1)!, ..., 1!, 0!."""
-    rest = list(range(1, len(places) + 1))
-    return tuple(rest.pop(d) for d in _digits(k, places))
+    # the loop of `_digits` written out: a third faster than the generator,
+    # and every permutation leaving the engine is decoded here
+    rest, out = list(range(1, len(places) + 1)), []
+    for f in places:
+        d, k = divmod(k, f)
+        out.append(rest.pop(d))
+    return tuple(out)
 
 
 class _StepRow:
@@ -349,6 +359,25 @@ class _StepRow:
         if a <= c:
             return k + (c + 1 - a) * self.f1 + (a - c) * self.f0
         return ~(k + (c - a) * self.f1 + (a - 1 - c) * self.f0)
+
+
+def _reversed_word(k: int, steps) -> list[int]:
+    """
+    The canonical reduced word of the permutation of index k, last letter
+    first: strip the smallest right descent i, where steps[i - 1][k] < 0,
+    until none is left. Stripping i leaves the letters below i - 1 ascents,
+    so the search resumes there. steps are step rows of its rank, tabulated
+    (the Hecke engine's) or per entry (`reduced_word`'s).
+    """
+    word, i = [], 0
+    while i < len(steps):
+        j = steps[i][k]
+        if j < 0:
+            word.append(i + 1)
+            k, i = ~j, max(i - 1, 0)
+        else:
+            i += 1
+    return word
 
 
 def _tabulate(row: _StepRow, size: int) -> array:
@@ -389,11 +418,12 @@ class _PerEntry:
 class _Tables(NamedTuple):
     """
     The index tables of one rank. perms[k] is the permutation of index k,
-    inverse[k] the index of its inverse, index[w] the index of w, steps[i - 1]
-    steps every index by s_i (a `_StepRow`), and lengths[k] is the length of
-    the permutation of index k. Tabulated, perms is a tuple, whose entries
-    serve as the keys of every unpacked product, inverse and each step are
-    int32 arrays, index is a dict and lengths bytes.
+    inverse[k] the index of its inverse, index[w] the index of w (-1 if w
+    is no permutation), steps[i - 1] steps every index by s_i (a
+    `_StepRow`), and lengths[k] is the length of the permutation of index
+    k. perms and index are the codec, computed per entry at every rank and
+    read only where permutations enter or leave the engine. Tabulated,
+    inverse and each step are int32 arrays and lengths bytes.
     """
 
     perms: Any
@@ -403,29 +433,50 @@ class _Tables(NamedTuple):
     lengths: Any
 
 
+def _inverse_indices(n: int) -> array:
+    """
+    inverse[k] for every index k of S_n, by Lehmer arithmetic on no
+    permutation. Digit v of the index of w^{-1}, at place (n - v)!, counts
+    the values above v that w places before v. So placing a first among the
+    unplaced values R adds (n - v)! for each v < a in R, and the parts of
+    these indices over R's arrangements, in lexicographic order, are that
+    sum for each a in R ascending plus the parts for R without a. They are
+    built for every R, a bit mask with bit v - 1 for v, by size: about e n!
+    entries in all, dropped when the build returns.
+    """
+    parts = {0: array("i", [0])}
+    for rest in sorted(range(1, 1 << n), key=int.bit_count):
+        out, below = array("i"), 0
+        for v in range(n):
+            if rest >> v & 1:
+                out.extend(map(below.__add__, parts[rest ^ (1 << v)]))
+                below += factorial(n - 1 - v)
+        parts[rest] = out
+    return parts[(1 << n) - 1]
+
+
 @lru_cache(maxsize=None)
 def _tables(n: int) -> _Tables:
     """
     The tables of S_n, tabulated up to `_DENSE_MAX_RANK` and computed per
-    entry above it; spelled ``_tables(n)`` only, so the cache holds each once.
+    entry above it, but for the codec, per entry at every rank; spelled
+    ``_tables(n)`` only, so the cache holds each once.
     """
+    places = tuple(factorial(j) for j in range(n - 1, -1, -1))
+    perms, index = _PerEntry(lambda k: _index_perm(k, places)), _PerEntry(_perm_index)
     steps = tuple(_StepRow(n, i) for i in range(1, n))
     if n > _DENSE_MAX_RANK:
-        places = tuple(factorial(j) for j in range(n - 1, -1, -1))
-        return _Tables(
-            _PerEntry(lambda k: _index_perm(k, places)),
-            _PerEntry(lambda k: _perm_index(inverse(_index_perm(k, places)))),
-            _PerEntry(_perm_index),
-            steps,
-            _PerEntry(lambda k: sum(_digits(k, places))),
-        )
-    perms = tuple(permutations(range(1, n + 1)))
-    index = dict(zip(perms, range(len(perms))))
+        # memoized, and bounded: gamma_basis(10, 3) reads about 1.2 * 10^5
+        # distinct inverses, most of them several times
+        inv = lru_cache(maxsize=1 << 17)(lambda k: _perm_index(inverse(_index_perm(k, places))))
+        return _Tables(perms, _PerEntry(inv), index, steps,
+                       _PerEntry(lambda k: sum(_digits(k, places))))
     lengths = b"\0"  # S_{m-1}'s lengths plus each first digit d < m
     for m in range(2, n + 1):
         lengths = b"".join(lengths.translate(bytes(range(d, 256)) + bytes(d)) for d in range(m))
-    inv = array("i", map(index.__getitem__, map(inverse, perms)))
-    return _Tables(perms, inv, index, tuple(_tabulate(row, len(perms)) for row in steps), lengths)
+    size = len(lengths)
+    return _Tables(perms, _inverse_indices(n), index,
+                   tuple(_tabulate(row, size) for row in steps), lengths)
 
 
 class _Sweep(NamedTuple):
@@ -497,7 +548,7 @@ def _sweep(n: int) -> _Sweep:
     reps = tuple(inv[tables.index[class_representative(lam, n)]] for lam in classes)
     if n > _DENSE_MAX_RANK:
         return _Sweep(tuple(classes), parents, letters, reps, None, None, None)
-    size = len(tables.perms)
+    size = len(lengths)
     # bit i - 1 of byte k of `right` (of `left`) is set when s_i is a right
     # (a left) descent of the permutation of index k; n - 1 <= 8 bits
     right = 0
@@ -541,10 +592,11 @@ def _sweep(n: int) -> _Sweep:
             break
         pending = rest
     position = {lam: c for c, lam in enumerate(classes)}
-    for k in pending:
-        rep = reps[position[modified_cycle_type(tables.perms[k])]]
+    for k in pending:  # only these, the minimal elements but the reps, are decoded
+        w = tables.perms[k]
+        rep = reps[position[modified_cycle_type(w)]]
         if lengths[k] != lengths[rep]:  # a failure of the theorems cited above
-            raise InvariantViolationError(f"{tables.perms[k]} of S_{n} is not swept")
+            raise InvariantViolationError(f"{w} of S_{n} is not swept")
         first[k], second[k] = rep, size
     swept = bytearray(b"\1") * size
     for rep in reps:

@@ -2,9 +2,12 @@
 The Iwahori-Hecke algebra of the symmetric group over Z[x].
 
 Elements are finitely supported maps from permutations to `IntPoly`, the
-basis being {T_w}. Multiplication uses only the quadratic relation
-``T_i^2 = 1 + x T_i`` together with the length dichotomy: for a generator
-T_i and a basis element T_w,
+basis being {T_w}, held by the index of each permutation in lexicographic
+order (see `coxeter`): permutations are encoded or decoded only where they
+enter or leave a `HeckeElt`, never on a per-term path of the engine.
+Multiplication uses only the quadratic relation ``T_i^2 = 1 + x T_i``
+together with the length dichotomy: for a generator T_i and a basis
+element T_w,
 
     T_w T_i = T_{w s_i}              if length(w s_i) > length(w),
     T_w T_i = T_{w s_i} + x T_w      otherwise,
@@ -19,14 +22,13 @@ Products of two certified central elements take the trace route below.
 The expansion runs on Python integers (Kronecker substitution). Each
 coefficient is packed once as its value at x = 2^B, so sums, shifts by x
 and products of coefficients become single integer operations, and each
-permutation as its index in lexicographic order, stepped through the
-tables of `coxeter`: unpacking is a lookup, so the unpacked terms share the
-table's tuples, and the transpose T_w -> T_{w^{-1}} is a relabeling of
-indices (the reduced words of w^{-1} are those of w reversed). The width B
-comes from a proven bound, `_product_width`, which both product routes
-use. A generator step at most doubles |h|_1, the sum of the absolute
-values of all integer coefficients of h. The Horner value at
-a trie node y is R(y) = sum c_w A T_{w y^{-1}} over the words w ending in
+index is stepped through the tables of `coxeter`: the transpose
+T_w -> T_{w^{-1}} is a relabeling of indices (the reduced words of w^{-1}
+are those of w reversed), and each canonical reduced word is read off the
+step rows. The width B comes from a proven bound, `_product_width`, which
+both product routes use. A generator step at most doubles |h|_1, the sum
+of the absolute values of all integer coefficients of h. The Horner value
+at a trie node y is R(y) = sum c_w A T_{w y^{-1}} over the words w ending in
 y, with A = left, and stepping a child's value R(s_i y) by T_i gives terms
 within |c_w|_1 |A|_1 2^(l(w y^{-1} s_i) + 1), where
 l(w y^{-1} s_i) + 1 = l(w y^{-1}) <= l(w). So no coefficient of a product,
@@ -119,13 +121,12 @@ and B = M.bit_length() + 2 reads it back exactly.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from functools import lru_cache
 from math import factorial
-from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from . import coxeter
-from .coxeter import Partition, Perm, check_partition, reduced_word
+from .coxeter import Partition, Perm, check_partition
 from .coxeter import _DENSE_MAX_RANK, _sweep, _tables
 from .errors import InvalidInputError
 from .polyring import IntPoly
@@ -141,7 +142,10 @@ _MINUS_ONE = IntPoly.const(-1)
 
 class HeckeElt:
     """
-    A sparse element of H_n; zero coefficients are never stored. Immutable,
+    A sparse element of H_n; zero coefficients are never stored. Its terms
+    are held by the index of each permutation (see `coxeter`), the only key
+    the engine uses; `terms` and the other public methods take and return
+    permutations, encoding and decoding them as they are read. Immutable,
     since memoized elements are shared with every caller: `terms` is a
     read-only view of a dict nobody else holds. A product of two certified
     central elements is held at its values at the sweep plan's class reps
@@ -150,6 +154,7 @@ class HeckeElt:
     Horner fold of its two factors above it.
     """
 
+    # _terms maps index -> coefficient, or is None for a held product.
     # _central is True once `is_central` has returned True on the element,
     # or on a product of two such from `_central_mul`; a pickle drops it.
     # _reps is (packed values at the plan's reps, their unpack memo, the two
@@ -157,13 +162,14 @@ class HeckeElt:
     __slots__ = ("n", "_terms", "_central", "_reps", "_norms")
 
     def __init__(self, n: int, terms: Mapping[Perm, IntPoly] = ()):
-        clean: dict[Perm, IntPoly] = {}
+        clean: dict[int, IntPoly] = {}
         for w, c in dict(terms).items():
-            if len(w) != n or not coxeter.is_permutation(w):
+            k = _index_of(n, w)
+            if k < 0:
                 raise InvalidInputError(f"term {w} is not a permutation in S_{n}")
             if c:
-                clean[w] = c
-        self._init(n, MappingProxyType(clean), None)
+                clean[k] = c
+        self._init(n, clean, None)
 
     def _init(self, n: int, terms, reps) -> None:
         object.__setattr__(self, "n", n)
@@ -173,12 +179,21 @@ class HeckeElt:
         object.__setattr__(self, "_norms", None)
 
     @classmethod
-    def _raw(cls, n: int, terms: dict[Perm, IntPoly]) -> "HeckeElt":
-        # caller guarantees consistency, no zero values, and hands over
+    def _raw(cls, n: int, terms: dict[int, IntPoly]) -> "HeckeElt":
+        # caller guarantees indices of S_n, no zero values, and hands over
         # the only reference to `terms`
         h = object.__new__(cls)
-        h._init(n, MappingProxyType(terms), None)
+        h._init(n, terms, None)
         return h
+
+    @classmethod
+    def _unpickled(cls, n: int, terms: dict[int, IntPoly]) -> "HeckeElt":
+        # the index-keyed terms of `__reduce__`, checked but not decoded
+        size = factorial(n)
+        for k in terms:
+            if type(k) is not int or not 0 <= k < size:
+                raise InvalidInputError(f"term index {k!r} is not an index of S_{n}")
+        return cls._raw(n, terms)
 
     @classmethod
     def _held(cls, n: int, at_reps: list[int], width: int, *factors: "HeckeElt") -> "HeckeElt":
@@ -190,8 +205,8 @@ class HeckeElt:
         h._init(n, None, (at_reps, _Memo(_unpack, width), *factors))
         return h
 
-    @property
-    def terms(self) -> Mapping[Perm, IntPoly]:
+    def _by_index(self) -> dict[int, IntPoly]:
+        """The terms by index, a held product's filled in on the first call."""
         terms = self._terms
         if terms is None:
             at_reps, unpack, *factors = self._reps
@@ -203,11 +218,15 @@ class HeckeElt:
             object.__setattr__(self, "_reps", None)
         return terms
 
+    @property
+    def terms(self) -> Mapping[Perm, IntPoly]:
+        return _Terms(self.n, self._by_index())
+
     def __setattr__(self, name, value):
         raise AttributeError("HeckeElt is immutable")
 
     def __reduce__(self):
-        return (HeckeElt, (self.n, self.terms.copy()))
+        return (HeckeElt._unpickled, (self.n, self._by_index().copy()))
 
     def __bool__(self) -> bool:
         if self._terms is None:
@@ -215,26 +234,33 @@ class HeckeElt:
         return bool(self._terms)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._by_index())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, HeckeElt):
-            return self.n == other.n and self.terms == other.terms
+            return self.n == other.n and self._by_index() == other._by_index()
         return NotImplemented
 
     def coeff(self, w: Perm) -> IntPoly:
+        k = _index_of(self.n, w)
+        if k < 0:
+            return IntPoly()
         if self._terms is None:
             # a central element is constant on the minimal-length elements
             # of each class, so at any of them the class's rep value holds
-            if len(w) != self.n or not coxeter.is_permutation(w):
-                return IntPoly()
-            tables, plan = _tables(self.n), _sweep(self.n)
-            k = tables.index[w]
+            lengths, plan = _tables(self.n).lengths, _sweep(self.n)
             c = plan.classes.index(coxeter.modified_cycle_type(w))
-            if tables.lengths[k] == tables.lengths[plan.reps[c]]:
-                at_reps, unpack, *_ = self._reps
-                return unpack[at_reps[c]] if at_reps[c] else IntPoly()
-        return self.terms.get(w, IntPoly())
+            if lengths[k] == lengths[plan.reps[c]]:
+                return self._at_reps()[c]
+        return self._by_index().get(k, IntPoly())
+
+    def _at_reps(self) -> list[IntPoly]:
+        """The values at the reps of `_sweep(n)`, in the plan's order: a held product's own."""
+        if self._terms is None:
+            at_reps, unpack, *_ = self._reps
+            return [unpack[v] if v else IntPoly() for v in at_reps]
+        get = self._terms.get
+        return [get(k, IntPoly()) for k in _sweep(self.n).reps]
 
     def __add__(self, other: "HeckeElt") -> "HeckeElt":
         return linear_combination(self.n, [(_ONE, self), (_ONE, other)])
@@ -260,18 +286,18 @@ class HeckeElt:
         return mul(_generator(self.n, i), self)
 
     def transpose(self) -> "HeckeElt":
-        """The anti-automorphism T_w -> T_{w^{-1}}."""
-        return HeckeElt._raw(
-            self.n, {coxeter.inverse(w): c for w, c in self.terms.items()}
-        )
+        """The anti-automorphism T_w -> T_{w^{-1}}, a relabeling through the inverse table."""
+        inverse = _tables(self.n).inverse
+        return HeckeElt._raw(self.n, {inverse[k]: c for k, c in self._by_index().items()})
 
     def specialize_group(self) -> dict[Perm, int]:
         """Set x = 0, landing in the integral group algebra."""
+        perms = _tables(self.n).perms
         out = {}
-        for w, c in self.terms.items():
+        for k, c in self._by_index().items():
             v = c.constant_term()
             if v:
-                out[w] = v
+                out[perms[k]] = v
         return out
 
     def homogeneous_parity(self):
@@ -282,7 +308,7 @@ class HeckeElt:
         """
         par = None
         x_parity: dict[tuple, int] = {}  # 0 or 1, or -1 for mixed x-degrees
-        for lw, c in zip(_term_lengths(self), self.terms.values()):
+        for lw, c in zip(_term_lengths(self), self._by_index().values()):
             q = x_parity.get(c.coeffs)
             if q is None:
                 q = x_parity[c.coeffs] = {"even": 0, "odd": 1}.get(c.parity(), -1)
@@ -297,8 +323,10 @@ class HeckeElt:
 
     def sorted_terms(self) -> list[tuple[Perm, IntPoly]]:
         """Terms sorted by (length, lex) of the permutation."""
-        # the permutations are distinct, so no coefficient is ever compared
-        return [wc for _, wc in sorted(zip(_term_lengths(self), self.terms.items()))]
+        # lexicographic order is index order
+        tables, terms = _tables(self.n), self._by_index()
+        order = sorted(terms, key=lambda k: (tables.lengths[k], k))
+        return [(tables.perms[k], terms[k]) for k in order]
 
     def to_json_dict(self) -> dict:
         return {
@@ -311,19 +339,57 @@ class HeckeElt:
         return f"HeckeElt(n={self.n}: " + (" + ".join(parts) or "0") + ")"
 
 
+def _index_of(n: int, w: Perm) -> int:
+    """The index of w in S_n, or -1 when w is no permutation of S_n."""
+    return _tables(n).index[w] if len(w) == n else -1
+
+
+class _Terms(Mapping):
+    """
+    The terms of one element by permutation: a read-only view of its dict
+    by index, which encodes or decodes each key as it is read and keeps no
+    copy of the terms.
+    """
+
+    __slots__ = ("n", "by_index")
+
+    def __init__(self, n: int, by_index: dict[int, IntPoly]):
+        self.n, self.by_index = n, by_index
+
+    def __getitem__(self, w: Perm) -> IntPoly:
+        c = self.by_index.get(_index_of(self.n, w))
+        if c is None:
+            raise KeyError(w)
+        return c
+
+    def __iter__(self) -> Iterator[Perm]:
+        return map(_tables(self.n).perms.__getitem__, self.by_index)
+
+    def __len__(self) -> int:
+        return len(self.by_index)
+
+    def items(self) -> ItemsView[Perm, IntPoly]:
+        # each key decoded once, where Mapping's would decode and encode it
+        return dict(zip(self, self.by_index.values())).items()
+
+    def values(self) -> ValuesView[IntPoly]:
+        return self.by_index.values()
+
+
 def zero(n: int) -> HeckeElt:
     return HeckeElt._raw(n, {})
 
 
 def unit(n: int) -> HeckeElt:
-    return HeckeElt._raw(n, {coxeter.identity(n): _ONE})
+    return HeckeElt._raw(n, {0: _ONE})  # the identity has index 0
 
 
 def t_basis(w: Perm) -> HeckeElt:
     """The basis element T_w."""
-    if not coxeter.is_permutation(w):
+    k = _index_of(len(w), w)
+    if k < 0:
         raise InvalidInputError(f"not a permutation: {w}")
-    return HeckeElt._raw(len(w), {w: _ONE})
+    return HeckeElt._raw(len(w), {k: _ONE})
 
 
 def _generator(n: int, i: int) -> HeckeElt:
@@ -333,8 +399,7 @@ def _generator(n: int, i: int) -> HeckeElt:
 
 def _term_lengths(h: HeckeElt) -> Iterable[int]:
     """The length of each w in h's support, in its order, from the rank's tables."""
-    tables = _tables(h.n)
-    return map(tables.lengths.__getitem__, map(tables.index.__getitem__, h.terms))
+    return map(_tables(h.n).lengths.__getitem__, h._by_index())
 
 
 def _letter_cost(h: HeckeElt) -> int:
@@ -347,7 +412,7 @@ def _l1(c: IntPoly) -> int:
 
 def _max_l1(h: HeckeElt) -> int:
     """max_w |h[w]|_1 for nonzero h, reading each distinct coefficient once."""
-    return max(sum(map(abs, cs)) for cs in {c.coeffs for c in h.terms.values()})
+    return max(sum(map(abs, cs)) for cs in {c.coeffs for c in h._by_index().values()})
 
 
 def _pack(coeffs: tuple[int, ...], width: int) -> int:
@@ -377,8 +442,7 @@ class _Memo(dict):
 
 def _packed(h: HeckeElt, pack: _Memo) -> dict[int, int]:
     """h packed: the index of each w -> h[w] at x = 2^width, through `pack`."""
-    index = _tables(h.n).index
-    return {index[w]: pack[c.coeffs] for w, c in h.terms.items()}
+    return {k: pack[c.coeffs] for k, c in h._by_index().items()}
 
 
 def _unpack(v: int, width: int) -> IntPoly:
@@ -411,31 +475,31 @@ def linear_combination(n: int, summands: Iterable[tuple[IntPoly, HeckeElt]]) -> 
 
     >>> s, one = t_basis((2, 1)), IntPoly.const(1)
     >>> inverse = linear_combination(2, [(one, s), (-IntPoly.xi(), unit(2))])
-    >>> linear_combination(2, [(one, mul(inverse, s)), (-one, unit(2))]).terms
-    mappingproxy({})
+    >>> dict(linear_combination(2, [(one, mul(inverse, s)), (-one, unit(2))]).terms)
+    {}
     """
     summands = list(summands)
     bound = 0
     for c, h in summands:
         if h.n != n:
             raise InvalidInputError(f"rank mismatch: element of H_{h.n} in a sum in H_{n}")
-        if c and h.terms:
+        if c and h._by_index():
             bound += _l1(c) * _max_l1(h)
     width = bound.bit_length() + 2
     pack = _Memo(_pack, width)
-    acc: dict[Perm, int] = {}
+    acc: dict[int, int] = {}
     get = acc.get
     for c, h in summands:
         if c:
             pc = pack[c.coeffs]
             scaled: dict[tuple, int] = {}  # c * h[w] packed, for this summand only
-            for w, v in h.terms.items():
+            for k, v in h._by_index().items():
                 s = scaled.get(v.coeffs)
                 if s is None:
                     s = scaled[v.coeffs] = pack[v.coeffs] * pc
-                acc[w] = get(w, 0) + s
+                acc[k] = get(k, 0) + s
     unpack = _Memo(_unpack, width)
-    return HeckeElt._raw(n, {w: unpack[v] for w, v in acc.items() if v})
+    return HeckeElt._raw(n, {k: unpack[v] for k, v in acc.items() if v})
 
 
 def _step(vec: dict[int, int], row, width: int) -> dict[int, int]:
@@ -496,14 +560,14 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
     """
     n = left.n
     tables = _tables(n)
-    perms, inverse, steps = tables.perms, tables.inverse, tables.steps
+    inverse, steps = tables.inverse, tables.steps
     # trie of the reduced words of right's support read from the last
     # letter; key 0 marks a terminal and holds the coefficient
     root: dict = {}
-    for w, c in right.terms.items():
+    for k, c in right._by_index().items():
         node = root
-        word = reduced_word(w)
-        for i in word if flip else reversed(word):
+        word = coxeter._reversed_word(k, steps)
+        for i in reversed(word) if flip else word:
             node = node.setdefault(i, {})
         node[0] = c
     width = _product_width(left, right)
@@ -539,11 +603,11 @@ def _fold_right(left: HeckeElt, right: HeckeElt, flip: bool) -> HeckeElt:
     acc = horner(root)
     # unpack, draining acc as the terms fill
     unpack = _Memo(_unpack, width)
-    terms: dict[Perm, IntPoly] = {}
+    terms: dict[int, IntPoly] = {}
     while acc:
         k, v = acc.popitem()
         if v:
-            terms[perms[inverse[k] if flip else k]] = unpack[v]
+            terms[inverse[k] if flip else k] = unpack[v]
     return HeckeElt._raw(n, terms)
 
 
@@ -551,7 +615,7 @@ def _l1_norms(h: HeckeElt) -> tuple[int, int]:
     """(|h|_1, sum_w |h[w]|_1 2^l(w)), computed once per element."""
     norms = h._norms
     if norms is None:
-        l1 = list(map(_l1, h.terms.values()))
+        l1 = list(map(_l1, h._by_index().values()))
         norms = (sum(l1), sum(map(int.__lshift__, l1, _term_lengths(h))))
         object.__setattr__(h, "_norms", norms)
     return norms
@@ -581,8 +645,8 @@ def _swept(n: int, at_reps: Iterable[int], width: int, unpack: _Memo | None = No
     `_unpack`. unpack, if given, is the memo that already unpacked some
     of these values at this width.
     """
-    plan, perms = _sweep(n), _tables(n).perms
-    h = [0] * (len(perms) + 1)  # the last slot stays zero
+    plan = _sweep(n)
+    h = [0] * (factorial(n) + 1)  # the last slot stays zero
     for k, v in zip(plan.reps, at_reps):
         h[k] = v
     for k, a, b in zip(plan.order, plan.first, plan.second):
@@ -590,7 +654,7 @@ def _swept(n: int, at_reps: Iterable[int], width: int, unpack: _Memo | None = No
     h.pop()
     if unpack is None:
         unpack = _Memo(_unpack, width)
-    return HeckeElt._raw(n, {perms[k]: unpack[v] for k, v in enumerate(h) if v})
+    return HeckeElt._raw(n, {k: unpack[v] for k, v in enumerate(h) if v})
 
 
 def _class_element(lam: Partition, n: int) -> HeckeElt:
@@ -707,7 +771,8 @@ def _m_sym_upto(lam: Partition, k: int, n: int) -> HeckeElt:
     terms = {p: _m_sym_upto(lam[:i] + lam[i + 1 :], k - 1, n) for i, p in enumerate(lam)}
     terms[0] = _m_sym_upto(lam, k - 1, n)
     g = (2 ** (2 * k - 1) - 2) // 3  # G_k
-    width = sum(sum(map(_l1, h.terms.values())) * g**p for p, h in terms.items()).bit_length() + 2
+    width = sum(sum(map(_l1, h._by_index().values())) * g**p
+                for p, h in terms.items()).bit_length() + 2
     tables = _tables(n)
     pack = _Memo(_pack, width)
     acc: dict[int, int] = {}
@@ -718,9 +783,8 @@ def _m_sym_upto(lam: Partition, k: int, n: int) -> HeckeElt:
                 acc[j] = get(j, 0) + v
         if p:
             acc = _times_jm(acc, k, tables.steps, width)
-    perms = tables.perms
     unpack = _Memo(_unpack, width)
-    return HeckeElt._raw(n, {perms[j]: unpack[v] for j, v in acc.items() if v})
+    return HeckeElt._raw(n, {j: unpack[v] for j, v in acc.items() if v})
 
 
 def m_sym(lam: Partition, n: int) -> HeckeElt:
@@ -754,7 +818,7 @@ def is_central(h: HeckeElt) -> bool:
     (True, False)
     """
     n = h.n
-    if not h.terms:
+    if not h._by_index():
         object.__setattr__(h, "_central", True)
         return True
     tables = _tables(n)

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from collections import deque
 from itertools import permutations
 from pathlib import Path
@@ -80,6 +81,13 @@ class TestReducedWord:
         word = reduced_word((2, 3, 1))
         assert len(word) == 2
         assert from_word(3, word) == (2, 3, 1)
+
+    @pytest.mark.parametrize("w", [(1, 1, 1), (0, 1, 2), (1, 2, 4), (2, 3, 3)])
+    def test_non_permutation_has_no_index_and_no_word(self, w):
+        # unchecked, the Lehmer digits would name another permutation
+        assert coxeter._perm_index(w) == -1
+        with pytest.raises(InvalidInputError):
+            reduced_word(w)
 
     @given(perm_strategy(6))
     def test_recomposition_and_length(self, w):
@@ -233,18 +241,23 @@ class TestClassWalk:
         assert isinstance(lengths, bytes) and len(lengths) == math.factorial(n)
         assert list(lengths) == [length(w) for w in all_perms(n)]
 
-    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_dense_and_per_entry_records_agree(self, n, monkeypatch):
+        # the dense inverse is built by Lehmer arithmetic on no permutation;
+        # the codec is the same per-entry one at every rank
         dense = coxeter._tables(n)
         # the record above the dense rank, built uncached at rank n
         monkeypatch.setattr(coxeter, "_DENSE_MAX_RANK", 0)
         per_entry = coxeter._tables.__wrapped__(n)
-        assert isinstance(dense.perms, tuple) and isinstance(per_entry.perms, coxeter._PerEntry)
+        assert isinstance(dense.inverse, array) and isinstance(per_entry.inverse, coxeter._PerEntry)
+        assert len(dense.inverse) == len(dense.lengths) == math.factorial(n)
         assert len(dense.steps) == len(per_entry.steps) == n - 1
-        for k, w in enumerate(dense.perms):
-            assert per_entry.perms[k] == w
+        places = tuple(math.factorial(j) for j in range(n - 1, -1, -1))
+        for k, w in enumerate(all_perms(n)):
+            assert per_entry.perms[k] == dense.perms[k] == w
             assert per_entry.index[w] == dense.index[w] == k
-            assert per_entry.inverse[k] == dense.inverse[k]
+            want = coxeter._perm_index(inverse(coxeter._index_perm(k, places)))
+            assert per_entry.inverse[k] == dense.inverse[k] == want
             assert per_entry.lengths[k] == dense.lengths[k]
             assert [row[k] for row in per_entry.steps] == [row[k] for row in dense.steps]
 
@@ -266,7 +279,7 @@ class TestClassWalk:
     def test_mirror_index_formula(self, n):
         tables = coxeter._tables(n)
         w0 = tuple(range(n, 0, -1))
-        for k, w in enumerate(tables.perms):
+        for k, w in enumerate(all_perms(n)):
             assert self._mirror_index(k, n) == tables.index[compose(w0, compose(w, w0))]
 
     def test_mirror_index_formula_above_dense_rank(self):
@@ -371,6 +384,29 @@ def test_central_products_take_one_route_at_every_rank():
         for name in names:
             used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
             assert "_DENSE_MAX_RANK" not in used, f"{module}.{name}"
+
+
+# the per-term kernels run on indices alone: they name neither the codec's
+# decoder, perms, nor its encoder, index
+_INDEX_ONLY = {
+    "hecke": {"_packed", "_swept", "_fold_right", "_central_mul", "_m_sym_upto", "_times_jm",
+              "linear_combination", "is_central"},
+    "center": {"_at_reps"},
+    "coxeter": {"_reversed_word"},
+}
+
+
+def test_per_term_kernels_name_no_permutation():
+    src = Path(coxeter.__file__).resolve().parent
+    for module, names in _INDEX_ONLY.items():
+        tree = ast.parse((src / f"{module}.py").read_text())
+        functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert names <= functions.keys(), module
+        for name in names:
+            used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+            used |= {node.attr for node in ast.walk(functions[name])
+                     if isinstance(node, ast.Attribute)}
+            assert not used & {"perms", "index"}, f"{module}.{name}"
 
 
 def test_every_class_element_is_certified_at_every_rank():

@@ -1,5 +1,6 @@
 """The Hecke algebra: relations, Jucys-Murphy elements, centrality."""
 
+import pickle
 import random
 from collections import Counter
 from itertools import permutations
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import intpoly_fold
-from grhecke import coxeter
+from grhecke import center, coxeter, hecke
 from grhecke.coxeter import (
     identity, length, partitions_up_to, reduced_word, right_gen,
 )
@@ -316,3 +317,53 @@ class TestSerialization:
         with pytest.raises(InvalidInputError):
             HeckeElt(3, {w: ONE})
 
+
+def element_states(n):
+    """An element in each state the engine keeps: filled with every term, the
+    swept unit gamma_(), and a held product gamma_(1)^2, whose terms are not
+    filled in. Each has a nonzero coefficient at the identity, index 0."""
+    filled = HeckeElt(n, {w: IntPoly((k + 1, -k)) for k, w in
+                          enumerate(permutations(range(1, n + 1)))})
+    g = center.gamma_basis(n, 1).gamma[(1,)]
+    held = mul(g, g)
+    assert held._terms is None
+    return {"filled": filled, "swept": hecke._class_element((), n), "held": held}
+
+
+STATES = ["filled", "swept", "held"]
+
+
+class TestIndexBoundary:
+    # unchecked, the Lehmer digits of every w below name another permutation,
+    # the identity
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("state", STATES)
+    def test_coeff_of_a_non_permutation_is_zero(self, n, state):
+        h = element_states(n)[state]
+        assert h.coeff(identity(n))
+        for w in [(1, 1, 1), (0, 1, 2), (1, 2, 4), (1, 2), identity(n + 1)]:
+            assert h.coeff(w) == IntPoly(), w
+            assert w not in h.terms and h.terms.get(w) is None, w
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    @pytest.mark.parametrize("state", STATES)
+    def test_round_trips_and_order(self, n, state):
+        h = element_states(n)[state]
+        terms = dict(h.terms.items())
+        assert dict(h.terms) == terms and len(h.terms) == len(h) == len(terms)
+        assert HeckeElt(n, h.terms) == h == HeckeElt(n, terms)
+        # pickling ships the dict by index, checked but not decoded
+        shipped = h.__reduce__()[1][1]
+        assert all(type(k) is int for k in shipped)
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy == h and dict(copy.terms.items()) == terms
+        want = sorted(terms.items(), key=lambda wc: (length(wc[0]), wc[0]))
+        assert h.sorted_terms() == want
+        assert [t["w"] for t in h.to_json_dict()["terms"]] == [list(w) for w, _ in want]
+        assert specialize_group(h) == {w: c.constant_term() for w, c in want if c.constant_term()}
+
+    @pytest.mark.parametrize("k", [-1, 24, True, 1.0])
+    def test_unpickling_rejects_a_bad_index(self, k):
+        with pytest.raises(InvalidInputError):
+            HeckeElt._unpickled(4, {k: ONE})
+        assert HeckeElt._unpickled(4, {23: ONE}) == t_basis((4, 3, 2, 1))

@@ -103,18 +103,22 @@ def test_perm_tables_follow_lexicographic_order_and_inverse(n):
     places = tuple(factorial(j) for j in range(n - 1, -1, -1))
     tables = coxeter._tables(n)
     perms, inverse, index = tables.perms, tables.inverse, tables.index
-    assert len(perms) == len(inverse) == len(index) == factorial(n)
-    for k in range(factorial(n)):
-        assert perms[k] == coxeter._index_perm(k, places)
-        assert perms[inverse[k]] == coxeter.inverse(perms[k])
-        assert index[perms[k]] == coxeter._perm_index(perms[k]) == k
+    assert len(inverse) == len(tables.lengths) == factorial(n)
+    for k, w in enumerate(permutations(range(1, n + 1))):
+        assert perms[k] == coxeter._index_perm(k, places) == w
+        assert perms[inverse[k]] == coxeter.inverse(w)
+        assert index[w] == coxeter._perm_index(w) == k
 
 
-def test_product_terms_share_the_rank_tuples():
-    perms = coxeter._tables(4).perms
+def test_product_terms_are_keyed_by_index():
+    # the engine keys terms by index alone; `terms` decodes them as read
     light, heavy = t_basis((2, 1, 3, 4)), jucys_murphy(4, 4) + t_basis((4, 3, 2, 1))
-    for got in (mul(heavy, light), mul(light, heavy)):
-        assert all(w is perms[coxeter._perm_index(w)] for w in got.terms)
+    for left, right in ((heavy, light), (light, heavy)):
+        got = mul(left, right)
+        assert got._terms and all(type(k) is int for k in got._terms)
+        assert dict(got.terms) == {coxeter._index_perm(k, (6, 2, 1, 1)): c
+                                   for k, c in got._terms.items()}
+        assert dict(got.terms) == dict(intpoly_fold.mul(left, right).terms)
 
 
 def test_large_rank_tables_are_per_entry():
@@ -150,6 +154,28 @@ def test_large_rank_steps_without_a_table(monkeypatch):
     assert mul(a, b) == intpoly_fold.mul(a, b)
     assert mul(b, a) == intpoly_fold.mul(b, a)
     assert flips == [False, True]  # both orientations of the fold
+
+
+def _canonical_word(w):
+    """The canonical reduced word on the one-line word itself: strip the
+    smallest right descent, swapping it away, until none is left."""
+    cur, out = list(w), []
+    while True:
+        i = next((i for i in range(len(cur) - 1) if cur[i] > cur[i + 1]), None)
+        if i is None:
+            return tuple(reversed(out))
+        cur[i], cur[i + 1] = cur[i + 1], cur[i]
+        out.append(i + 1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_words_from_the_step_rows_are_the_canonical_ones(n):
+    # `_fold_right` reads each reduced word off the tabulated step rows, last
+    # letter first, and `reduced_word` off per-entry ones
+    steps = coxeter._tables(n).steps
+    for k, w in enumerate(permutations(range(1, n + 1))):
+        want = _canonical_word(w)
+        assert tuple(coxeter._reversed_word(k, steps)[::-1]) == reduced_word(w) == want, w
 
 
 BIG = 2 ** 70

@@ -16,7 +16,7 @@ from grhecke.polyring import IntPoly
 
 def unmarked(h):
     """An uncertified copy of h: `expand_in_gamma` forms its whole residual."""
-    return HeckeElt._raw(h.n, dict(h.terms))
+    return HeckeElt(h.n, h.terms)
 
 
 def count_linear_combinations(monkeypatch):
