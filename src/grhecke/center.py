@@ -304,7 +304,7 @@ def _certify(lam: Partition, n: int, rows: dict[Partition, list[IntPoly]],
         got = sum((a * v for a, v in zip(y, row) if a), IntPoly())
         want = d if nu == lam else IntPoly()
         if got != want:
-            w = coxeter._tables(n).perms[coxeter._sweep(n).reps[c]]
+            w = coxeter._index_perm(coxeter._sweep(n).reps[c], n)
             raise ConstructionError(
                 f"gamma_{lam}(n={n}) fails its certificate at class {nu}: the solve's "
                 f"combination of {family} has {got} at {w}, expected {want}"

@@ -24,17 +24,19 @@ k > j with w[k] < w[j]). Right multiplication by s_i changes only the digits
 (a, c) = (L[i-1], L[i]); i is a right descent exactly when a > c, and then
 w s_i has digits (c, a - 1), otherwise (c + 1, a). The length of w is the
 sum of its Lehmer digits. The index is the only key the Hecke engine gives
-a permutation. Each rank has one record of tables over indices,
-`_tables(n)`: the codec between permutations and indices, computed per
-entry at every rank, and the inverses, step rows and lengths, tabulated up
-to `_DENSE_MAX_RANK` and computed per entry above it; no table holds a
-permutation. They serve the Hecke engine and the sweep alone: classes are
-built from their cycle lengths on plain tuples. Other modules read the
-tables through `_tables` and `_DENSE_MAX_RANK` alone. Beside them,
-`_sweep(n)` holds one minimal-length element of each class, reached along
-a trie of words, at every rank, and up to `_DENSE_MAX_RANK` the plan by
-which a central element of H_n is filled in from its values at these
-elements, on the same indices.
+a permutation. The codec between permutations and indices is two
+functions, the encoder `_perm_index` and the decoder `_index_perm`, which
+read no table. Each rank also has one record of tables over
+indices, `_tables(n)`: the inverses, step rows and lengths that the
+packed kernels step through, tabulated up to `_DENSE_MAX_RANK` and
+computed per entry above it; no table holds a permutation. They serve the
+Hecke engine and the sweep's fill arrays alone: classes are built from
+their cycle lengths on plain tuples. Other modules read the tables
+through `_tables` and `_DENSE_MAX_RANK` alone. Beside them, `_sweep(n)`
+holds one minimal-length element of each class, reached along a trie of
+words, at every rank, and up to `_DENSE_MAX_RANK` the plan by which a
+central element of H_n is filled in from its values at these elements, on
+the same indices.
 """
 
 from __future__ import annotations
@@ -322,19 +324,25 @@ def _perm_index(w: Perm) -> int:
     return k
 
 
-def _digits(k: int, places: tuple[int, ...]) -> Iterator[int]:
-    """The Lehmer digits of index k; places are (n-1)!, ..., 1!, 0!."""
-    for f in places:
+@lru_cache(maxsize=None)
+def _places(n: int) -> tuple[int, ...]:
+    """The places of the Lehmer digits of an index of S_n: (n-1)!, ..., 1!, 0!."""
+    return tuple(factorial(j) for j in range(n - 1, -1, -1))
+
+
+def _digits(k: int, n: int) -> Iterator[int]:
+    """The Lehmer digits of the index k of S_n."""
+    for f in _places(n):
         d, k = divmod(k, f)
         yield d
 
 
-def _index_perm(k: int, places: tuple[int, ...]) -> Perm:
-    """The permutation of index k; places are (n-1)!, ..., 1!, 0!."""
+def _index_perm(k: int, n: int) -> Perm:
+    """The permutation of S_n of index k."""
     # the loop of `_digits` written out: a third faster than the generator,
     # and every permutation leaving the engine is decoded here
-    rest, out = list(range(1, len(places) + 1)), []
-    for f in places:
+    rest, out = list(range(1, n + 1)), []
+    for f in _places(n):
         d, k = divmod(k, f)
         out.append(rest.pop(d))
     return tuple(out)
@@ -417,18 +425,15 @@ class _PerEntry:
 
 class _Tables(NamedTuple):
     """
-    The index tables of one rank. perms[k] is the permutation of index k,
-    inverse[k] the index of its inverse, index[w] the index of w (-1 if w
-    is no permutation), steps[i - 1] steps every index by s_i (a
-    `_StepRow`), and lengths[k] is the length of the permutation of index
-    k. perms and index are the codec, computed per entry at every rank and
-    read only where permutations enter or leave the engine. Tabulated,
-    inverse and each step are int32 arrays and lengths bytes.
+    The index tables of one rank, which the packed kernels step through:
+    inverse[k] is the index of the inverse of the permutation of index k,
+    steps[i - 1] steps every index by s_i (a `_StepRow`), and lengths[k] is
+    the length of the permutation of index k. Tabulated, inverse and each
+    step are int32 arrays and lengths bytes. The codec, `_perm_index` and
+    `_index_perm`, is no part of the record.
     """
 
-    perms: Any
     inverse: Any
-    index: Any
     steps: tuple
     lengths: Any
 
@@ -459,29 +464,25 @@ def _inverse_indices(n: int) -> array:
 def _tables(n: int) -> _Tables:
     """
     The tables of S_n, tabulated up to `_DENSE_MAX_RANK` and computed per
-    entry above it, but for the codec, per entry at every rank; spelled
-    ``_tables(n)`` only, so the cache holds each once.
+    entry above it; spelled ``_tables(n)`` only, so the cache holds each
+    once.
     """
-    places = tuple(factorial(j) for j in range(n - 1, -1, -1))
-    perms, index = _PerEntry(lambda k: _index_perm(k, places)), _PerEntry(_perm_index)
     steps = tuple(_StepRow(n, i) for i in range(1, n))
     if n > _DENSE_MAX_RANK:
         # memoized, and bounded: gamma_basis(10, 3) reads about 1.2 * 10^5
         # distinct inverses, most of them several times
-        inv = lru_cache(maxsize=1 << 17)(lambda k: _perm_index(inverse(_index_perm(k, places))))
-        return _Tables(perms, _PerEntry(inv), index, steps,
-                       _PerEntry(lambda k: sum(_digits(k, places))))
+        inv = lru_cache(maxsize=1 << 17)(lambda k: _perm_index(inverse(_index_perm(k, n))))
+        return _Tables(_PerEntry(inv), steps, _PerEntry(lambda k: sum(_digits(k, n))))
     lengths = b"\0"  # S_{m-1}'s lengths plus each first digit d < m
     for m in range(2, n + 1):
         lengths = b"".join(lengths.translate(bytes(range(d, 256)) + bytes(d)) for d in range(m))
     size = len(lengths)
-    return _Tables(perms, _inverse_indices(n), index,
-                   tuple(_tabulate(row, size) for row in steps), lengths)
+    return _Tables(_inverse_indices(n), tuple(_tabulate(row, size) for row in steps), lengths)
 
 
 class _Sweep(NamedTuple):
     """
-    The class-polynomial sweep of one rank, on the indices of `_tables(n)`.
+    The class-polynomial sweep of one rank, on Lehmer indices.
 
     classes lists every class of S_n in the preorder of a trie of words:
     the word of `class_representative(lam, n)` is one block of consecutive
@@ -513,8 +514,8 @@ class _Sweep(NamedTuple):
 def _sweep(n: int) -> _Sweep:
     """
     The sweep of S_n. The trie of classes and its reps are built at every
-    rank, the reps read through the tables of `_tables(n)`, per entry above
-    `_DENSE_MAX_RANK`. The fill arrays are built up to that rank only, from
+    rank, the reps encoded by `_perm_index` without the tables of
+    `_tables(n)`. The fill arrays are built up to that rank only, from
     the step rows' descent signs. With s a simple reflection, comparing the
     coefficients of T_w in h T_s and T_s h (at sw in place of w) shows that
     a central h has
@@ -529,8 +530,6 @@ def _sweep(n: int) -> _Sweep:
     takes over here; the elements left over are of minimal length and copy
     their class's rep.
     """
-    tables = _tables(n)
-    inv, steps, lengths = tables.inverse, tables.steps, tables.lengths
     classes, parents, letters = [], array("i"), array("i")
 
     def visit(lam: Partition, parent: int, letter: int) -> None:
@@ -545,9 +544,10 @@ def _sweep(n: int) -> _Sweep:
             visit(lam[:-1] + (lam[-1] + 1,), c, free)
 
     visit((), -1, 0)
-    reps = tuple(inv[tables.index[class_representative(lam, n)]] for lam in classes)
+    reps = tuple(_perm_index(inverse(class_representative(lam, n))) for lam in classes)
     if n > _DENSE_MAX_RANK:
         return _Sweep(tuple(classes), parents, letters, reps, None, None, None)
+    inv, steps, lengths = _tables(n)
     size = len(lengths)
     # bit i - 1 of byte k of `right` (of `left`) is set when s_i is a right
     # (a left) descent of the permutation of index k; n - 1 <= 8 bits
@@ -593,7 +593,7 @@ def _sweep(n: int) -> _Sweep:
         pending = rest
     position = {lam: c for c, lam in enumerate(classes)}
     for k in pending:  # only these, the minimal elements but the reps, are decoded
-        w = tables.perms[k]
+        w = _index_perm(k, n)
         rep = reps[position[modified_cycle_type(w)]]
         if lengths[k] != lengths[rep]:  # a failure of the theorems cited above
             raise InvariantViolationError(f"{w} of S_{n} is not swept")

@@ -123,11 +123,12 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from functools import lru_cache
+from itertools import repeat
 from math import factorial
 
 from . import coxeter
 from .coxeter import Partition, Perm, check_partition
-from .coxeter import _DENSE_MAX_RANK, _sweep, _tables
+from .coxeter import _DENSE_MAX_RANK, _index_perm, _perm_index, _sweep, _tables
 from .errors import InvalidInputError
 from .polyring import IntPoly
 
@@ -167,6 +168,8 @@ class HeckeElt:
             k = _index_of(n, w)
             if k < 0:
                 raise InvalidInputError(f"term {w} is not a permutation in S_{n}")
+            if not isinstance(c, IntPoly):
+                raise InvalidInputError(f"coefficient {c!r} of {w} is not an IntPoly")
             if c:
                 clean[k] = c
         self._init(n, clean, None)
@@ -292,12 +295,11 @@ class HeckeElt:
 
     def specialize_group(self) -> dict[Perm, int]:
         """Set x = 0, landing in the integral group algebra."""
-        perms = _tables(self.n).perms
         out = {}
         for k, c in self._by_index().items():
             v = c.constant_term()
             if v:
-                out[perms[k]] = v
+                out[_index_perm(k, self.n)] = v
         return out
 
     def homogeneous_parity(self):
@@ -324,9 +326,9 @@ class HeckeElt:
     def sorted_terms(self) -> list[tuple[Perm, IntPoly]]:
         """Terms sorted by (length, lex) of the permutation."""
         # lexicographic order is index order
-        tables, terms = _tables(self.n), self._by_index()
-        order = sorted(terms, key=lambda k: (tables.lengths[k], k))
-        return [(tables.perms[k], terms[k]) for k in order]
+        lengths, terms = _tables(self.n).lengths, self._by_index()
+        order = sorted(terms, key=lambda k: (lengths[k], k))
+        return [(_index_perm(k, self.n), terms[k]) for k in order]
 
     def to_json_dict(self) -> dict:
         return {
@@ -341,7 +343,10 @@ class HeckeElt:
 
 def _index_of(n: int, w: Perm) -> int:
     """The index of w in S_n, or -1 when w is no permutation of S_n."""
-    return _tables(n).index[w] if len(w) == n else -1
+    try:
+        return _perm_index(w) if len(w) == n else -1
+    except TypeError:  # w has no length, or unorderable entries
+        return -1
 
 
 class _Terms(Mapping):
@@ -363,7 +368,7 @@ class _Terms(Mapping):
         return c
 
     def __iter__(self) -> Iterator[Perm]:
-        return map(_tables(self.n).perms.__getitem__, self.by_index)
+        return map(_index_perm, self.by_index, repeat(self.n))
 
     def __len__(self) -> int:
         return len(self.by_index)

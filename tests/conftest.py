@@ -1,10 +1,12 @@
 import io
 import json
+import os
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
-from grhecke import cli, center
+from grhecke import center, cli, coxeter, hecke
 
 
 def run_cli(*argv):
@@ -17,6 +19,13 @@ def run_cli(*argv):
     return code, buf.getvalue()
 
 
+def child_env():
+    """os.environ with this checkout's package first on PYTHONPATH, for child processes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
 def run_cli_json(*argv):
     code, out = run_cli(*argv)
     assert code == 0, out
@@ -26,6 +35,16 @@ def run_cli_json(*argv):
 @pytest.fixture
 def cli_runner():
     return run_cli
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """Any read of a rank's index tables, in `coxeter` or `hecke`, fails the test."""
+    def tables(n):
+        pytest.fail(f"the rank-{n} tables were read")
+
+    monkeypatch.setattr(coxeter, "_tables", tables)
+    monkeypatch.setattr(hecke, "_tables", tables)
 
 
 @pytest.fixture

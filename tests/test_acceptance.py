@@ -21,7 +21,7 @@ from grhecke.center import m_sym_in_gamma
 from grhecke.coxeter import fits_rank, partitions_up_to
 from grhecke.polyring import NPoly, RatPoly
 
-from conftest import run_cli, run_cli_json
+from conftest import child_env, run_cli, run_cli_json
 from goldens import GOLDEN
 
 
@@ -60,7 +60,7 @@ def test_criterion_01_golden_n3(self=None):
     proc = subprocess.run(
         [sys.executable, "-m", "grhecke", "mult", "--n", "3",
          "--lambda", "1", "--mu", "1", "--format", "pretty"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     elapsed = time.monotonic() - t0
     ok = (proc.returncode == 0

@@ -6,12 +6,10 @@ for the one corrected line.
 
 import json
 import multiprocessing
-import os
 import pickle
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -79,7 +77,7 @@ def gamma_by_central_constraints(lam, n):
     return HeckeElt(n, {w: divexact(y[k], d) for k, w in enumerate(perms)})
 
 
-from conftest import run_cli
+from conftest import child_env, run_cli
 from goldens import GOLDEN
 
 
@@ -863,10 +861,7 @@ class TestStructTable:
             "    print(repr([(l, m, sorted((nu, c.coeffs) for nu, c in k.coords.items()))\n"
             "                for l, m, k in table.entries]))\n"
         )
-        src = str(Path(center.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        out = subprocess.run([sys.executable, "-c", script, method], env=env,
+        out = subprocess.run([sys.executable, "-c", script, method], env=child_env(),
                              capture_output=True, text=True, timeout=300, check=True)
         serial = center.build_struct_table(4, 3, jobs=1)
         assert out.stdout.strip() == repr([

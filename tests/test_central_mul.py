@@ -46,11 +46,11 @@ def test_equals_horner_fold_at_rank_eight():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_sweep_rebuilds_each_class_element(n):
-    plan, perms = coxeter._sweep(n), coxeter._tables(n).perms
+    plan = coxeter._sweep(n)
     for lam, g in certified_basis(n, 4).items():
         width = (2 * max(sum(map(abs, c.coeffs)) for c in g.terms.values())).bit_length() + 2
         pack = hecke._Memo(hecke._pack, width)
-        at_reps = [pack[g.coeff(perms[k]).coeffs] for k in plan.reps]
+        at_reps = [pack[g.coeff(coxeter._index_perm(k, n)).coeffs] for k in plan.reps]
         assert hecke._swept(n, at_reps, width) == g, (lam, n)
 
 
@@ -72,7 +72,8 @@ def test_plan_covers_the_group_once_in_order(n):
     for k, a, b in zip(plan.order, plan.first, plan.second):
         lk = tables.lengths[k]
         if b == size:
-            assert a == rep_of[modified_cycle_type(tables.perms[k])] and tables.lengths[a] == lk
+            w = coxeter._index_perm(k, n)
+            assert a == rep_of[modified_cycle_type(w)] and tables.lengths[a] == lk
         else:
             assert (tables.lengths[a], tables.lengths[b]) == (lk - 2, lk - 1), (n, k)
 
@@ -91,11 +92,11 @@ def test_plan_arrays_are_pinned_at_rank_seven():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_plan_has_one_minimal_rep_per_class(n):
-    plan, tables = coxeter._sweep(n), coxeter._tables(n)
+    plan = coxeter._sweep(n)
     classes = [lam for lam in coxeter.partitions_up_to(n - 1) if coxeter.fits_rank(lam, n)]
     assert sorted(plan.classes) == sorted(classes)
     for c, (lam, k) in enumerate(zip(plan.classes, plan.reps)):
-        assert tables.perms[k] in minimal_length_elements(lam, n)
+        assert coxeter._index_perm(k, n) in minimal_length_elements(lam, n)
         # the class's word extends its parent's by one letter, and spells the
         # inverse of the rep; the parents come first
         word, d = [], c
@@ -104,7 +105,7 @@ def test_plan_has_one_minimal_rep_per_class(n):
             assert plan.parents[d] < d
             d = plan.parents[d]
         w = from_word(n, reversed(word))
-        assert w == class_representative(lam, n) == inverse(tables.perms[k])
+        assert w == class_representative(lam, n) == inverse(coxeter._index_perm(k, n))
 
 
 def test_dispatch_needs_two_certified_factors(monkeypatch):

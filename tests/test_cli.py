@@ -4,17 +4,16 @@ import csv
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from grhecke import center, cli
+from grhecke import center
 from grhecke.errors import InvalidInputError
 
-from conftest import run_cli, run_cli_json
+from conftest import child_env, run_cli, run_cli_json
 
 
 class TestMult:
@@ -336,10 +335,7 @@ def test_import_loads_no_process_pool():
         "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
         " if m in sys.modules])\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run([sys.executable, "-c", script], env=env,
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(),
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"
 
@@ -352,9 +348,6 @@ def test_import_loads_no_dataclasses():
         "import grhecke.cli\n"
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    out = subprocess.run([sys.executable, "-c", script], env=env,
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(),
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"

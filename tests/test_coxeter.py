@@ -207,7 +207,7 @@ class TestClassWalk:
         for lam in partitions_up_to(n):
             if not fits_rank(lam, n):
                 continue
-            queue = [tables.index[class_representative(lam, n)]]
+            queue = [coxeter._perm_index(class_representative(lam, n))]
             seen = set(queue)
             for k in queue:
                 for row in tables.steps:
@@ -217,18 +217,13 @@ class TestClassWalk:
                     if j not in seen:
                         seen.add(j)
                         queue.append(j)
-            assert {tables.perms[k] for k in seen} == tuple_conjugacy_class(lam, n)
+            assert {coxeter._index_perm(k, n) for k in seen} == tuple_conjugacy_class(lam, n)
 
-    def test_small_classes_build_no_tables(self, monkeypatch):
+    def test_small_classes_build_no_tables(self, no_tables):
         # classes, their minimal elements and the x = 0 oracle read no index
         # tables at any rank
-        from grhecke import center, hecke
+        from grhecke import center
 
-        def tables(n):
-            pytest.fail(f"the rank-{n} tables were read")
-
-        monkeypatch.setattr(coxeter, "_tables", tables)
-        monkeypatch.setattr(hecke, "_tables", tables)
         conjugacy_class.cache_clear()
         minimal_length_elements.cache_clear()
         assert center.class_sum_oracle((2,), (1,), 8) == {(3,): 4, (2, 1): 1, (1,): 12}
@@ -244,7 +239,7 @@ class TestClassWalk:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dense_and_per_entry_records_agree(self, n, monkeypatch):
         # the dense inverse is built by Lehmer arithmetic on no permutation;
-        # the codec is the same per-entry one at every rank
+        # the codec, beside both records, is the same at every rank
         dense = coxeter._tables(n)
         # the record above the dense rank, built uncached at rank n
         monkeypatch.setattr(coxeter, "_DENSE_MAX_RANK", 0)
@@ -252,21 +247,19 @@ class TestClassWalk:
         assert isinstance(dense.inverse, array) and isinstance(per_entry.inverse, coxeter._PerEntry)
         assert len(dense.inverse) == len(dense.lengths) == math.factorial(n)
         assert len(dense.steps) == len(per_entry.steps) == n - 1
-        places = tuple(math.factorial(j) for j in range(n - 1, -1, -1))
         for k, w in enumerate(all_perms(n)):
-            assert per_entry.perms[k] == dense.perms[k] == w
-            assert per_entry.index[w] == dense.index[w] == k
-            want = coxeter._perm_index(inverse(coxeter._index_perm(k, places)))
+            assert coxeter._index_perm(k, n) == w
+            assert coxeter._perm_index(w) == k
+            want = coxeter._perm_index(inverse(coxeter._index_perm(k, n)))
             assert per_entry.inverse[k] == dense.inverse[k] == want
             assert per_entry.lengths[k] == dense.lengths[k]
             assert [row[k] for row in per_entry.steps] == [row[k] for row in dense.steps]
 
     def test_length_row_above_dense_rank(self):
         n = coxeter._DENSE_MAX_RANK + 1
-        tables = coxeter._tables(n)
-        perms, lengths = tables.perms, tables.lengths
+        lengths = coxeter._tables(n).lengths
         for k in random.Random(n).sample(range(math.factorial(n)), 200):
-            assert lengths[k] == length(perms[k])
+            assert lengths[k] == length(coxeter._index_perm(k, n))
 
     @staticmethod
     def _mirror_index(k, n):
@@ -277,18 +270,16 @@ class TestClassWalk:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_mirror_index_formula(self, n):
-        tables = coxeter._tables(n)
         w0 = tuple(range(n, 0, -1))
         for k, w in enumerate(all_perms(n)):
-            assert self._mirror_index(k, n) == tables.index[compose(w0, compose(w, w0))]
+            assert self._mirror_index(k, n) == coxeter._perm_index(compose(w0, compose(w, w0)))
 
     def test_mirror_index_formula_above_dense_rank(self):
         n = coxeter._DENSE_MAX_RANK + 1
-        tables = coxeter._tables(n)
         w0 = tuple(range(n, 0, -1))
         for k in random.Random(n).sample(range(math.factorial(n)), 200):
-            w = tables.perms[k]
-            assert self._mirror_index(k, n) == tables.index[compose(w0, compose(w, w0))]
+            w = coxeter._index_perm(k, n)
+            assert self._mirror_index(k, n) == coxeter._perm_index(compose(w0, compose(w, w0)))
 
 
 def test_coxeter_loads_no_hecke():
@@ -308,10 +299,10 @@ def test_coxeter_loads_no_hecke():
     assert out.stdout.strip() == "['grhecke.coxeter', 'grhecke.errors']"
 
 
-# what only coxeter may name: the record's parts, and the names it replaced
+# what only coxeter may name: the record's parts, and the names it replaced;
+# the codec, `_perm_index` and `_index_perm`, stands beside the record
 _TABLE_INTERNALS = {
-    "_Tables", "_StepRow", "_tabulate", "_PerEntry", "_perm_index", "_index_perm", "_digits",
-    "_Sweep",
+    "_Tables", "_StepRow", "_tabulate", "_PerEntry", "_places", "_digits", "_Sweep",
 }
 _REMOVED = {
     "_perm_tables", "_step_rows", "_lengths", "_PermRow", "_InverseRow", "_LengthRow",
@@ -343,8 +334,11 @@ def test_tables_are_read_through_one_record():
     hecke = ast.parse((src / "hecke.py").read_text())
     private = {alias.name for node in ast.walk(hecke) if isinstance(node, ast.ImportFrom)
                and node.module == "coxeter" for alias in node.names if alias.name[0] == "_"}
-    # the tables' record and the sweep's, which products of central elements read
-    assert private == {"_DENSE_MAX_RANK", "_sweep", "_tables"}
+    # the tables' record and the sweep's, which products of central elements
+    # read, and the codec, which the boundary of HeckeElt reads
+    assert private == {"_DENSE_MAX_RANK", "_sweep", "_tables", "_perm_index", "_index_perm"}
+    # the arrays the packed kernels step through, and no codec
+    assert coxeter._Tables._fields == ("inverse", "steps", "lengths")
 
 
 # classes, their minimal elements and the x = 0 oracle stand apart from the
@@ -387,7 +381,7 @@ def test_central_products_take_one_route_at_every_rank():
 
 
 # the per-term kernels run on indices alone: they name neither the codec's
-# decoder, perms, nor its encoder, index
+# decoder, _index_perm, nor its encoder, _perm_index
 _INDEX_ONLY = {
     "hecke": {"_packed", "_swept", "_fold_right", "_central_mul", "_m_sym_upto", "_times_jm",
               "linear_combination", "is_central"},
@@ -397,6 +391,9 @@ _INDEX_ONLY = {
 
 
 def test_per_term_kernels_name_no_permutation():
+    codec = {"_index_perm", "_perm_index"}
+    # names that exist, so the guard cannot pass by naming nothing
+    assert all(callable(getattr(coxeter, name)) for name in codec)
     src = Path(coxeter.__file__).resolve().parent
     for module, names in _INDEX_ONLY.items():
         tree = ast.parse((src / f"{module}.py").read_text())
@@ -406,7 +403,7 @@ def test_per_term_kernels_name_no_permutation():
             used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
             used |= {node.attr for node in ast.walk(functions[name])
                      if isinstance(node, ast.Attribute)}
-            assert not used & {"perms", "index"}, f"{module}.{name}"
+            assert not used & codec, f"{module}.{name}"
 
 
 def test_every_class_element_is_certified_at_every_rank():

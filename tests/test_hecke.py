@@ -317,6 +317,17 @@ class TestSerialization:
         with pytest.raises(InvalidInputError):
             HeckeElt(3, {w: ONE})
 
+    @pytest.mark.parametrize("c", [3, 1.5, 0, None, (1, 2)])
+    def test_constructor_rejects_coefficients_not_in_z_x(self, c):
+        # stored, an int would fail only later, inside a product
+        with pytest.raises(InvalidInputError):
+            HeckeElt(2, {(2, 1): c})
+
+    @pytest.mark.parametrize("w", [5, None, (1, None)])
+    def test_constructor_rejects_keys_that_are_no_words(self, w):
+        with pytest.raises(InvalidInputError):
+            HeckeElt(2, {w: ONE})
+
 
 def element_states(n):
     """An element in each state the engine keeps: filled with every term, the
@@ -361,6 +372,21 @@ class TestIndexBoundary:
         assert h.sorted_terms() == want
         assert [t["w"] for t in h.to_json_dict()["terms"]] == [list(w) for w, _ in want]
         assert specialize_group(h) == {w: c.constant_term() for w, c in want if c.constant_term()}
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_the_boundary_builds_no_tables(self, n, no_tables):
+        # encoding and decoding a key read the codec alone, at every rank
+        e, w0 = identity(n), tuple(range(n, 0, -1))
+        s2 = right_gen(e, 2)
+        terms = {e: ONE, w0: XI, s2: IntPoly((3, -1))}
+        h = HeckeElt(n, terms)
+        assert t_basis(w0) == HeckeElt(n, {w0: ONE}) and t_basis(w0).coeff(w0) == ONE
+        assert h.coeff(w0) == XI and h.coeff(right_gen(w0, 1)) == IntPoly()
+        assert [h.terms[w] for w in terms] == list(terms.values())
+        assert set(h.terms) == set(terms) and dict(h.terms.items()) == terms
+        assert specialize_group(h) == {e: 1, s2: 3}
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy == h and dict(copy.terms.items()) == terms
 
     @pytest.mark.parametrize("k", [-1, 24, True, 1.0])
     def test_unpickling_rejects_a_bad_index(self, k):

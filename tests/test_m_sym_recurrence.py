@@ -79,10 +79,9 @@ def _times_jm(h, k):
     """h L_k through the packed kernel, at the width the bound G_k gives."""
     width = (_norm(h) * _g(k)).bit_length() + 2
     vec = hecke._packed(h, hecke._Memo(hecke._pack, width))
-    tables = coxeter._tables(h.n)
-    vec = hecke._times_jm(vec, k, tables.steps, width)
-    perms = tables.perms
-    return HeckeElt(h.n, {perms[j]: hecke._unpack(v, width) for j, v in vec.items()})
+    vec = hecke._times_jm(vec, k, coxeter._tables(h.n).steps, width)
+    return HeckeElt(h.n, {coxeter._index_perm(j, h.n): hecke._unpack(v, width)
+                          for j, v in vec.items()})
 
 
 def _random_element(n, rng, nterms, bits):

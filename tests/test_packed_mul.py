@@ -79,10 +79,9 @@ def test_mixed_signs_beyond_64_bits():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_indices_are_lexicographic(n):
-    places = tuple(factorial(j) for j in range(n - 1, -1, -1))
     for k, w in enumerate(permutations(range(1, n + 1))):
         assert coxeter._perm_index(w) == k
-        assert coxeter._index_perm(k, places) == w
+        assert coxeter._index_perm(k, n) == w
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -100,14 +99,13 @@ def test_step_rows_follow_right_multiplication(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_perm_tables_follow_lexicographic_order_and_inverse(n):
-    places = tuple(factorial(j) for j in range(n - 1, -1, -1))
     tables = coxeter._tables(n)
-    perms, inverse, index = tables.perms, tables.inverse, tables.index
+    inverse = tables.inverse
     assert len(inverse) == len(tables.lengths) == factorial(n)
     for k, w in enumerate(permutations(range(1, n + 1))):
-        assert perms[k] == coxeter._index_perm(k, places) == w
-        assert perms[inverse[k]] == coxeter.inverse(w)
-        assert index[w] == coxeter._perm_index(w) == k
+        assert coxeter._index_perm(k, n) == w
+        assert coxeter._index_perm(inverse[k], n) == coxeter.inverse(w)
+        assert coxeter._perm_index(w) == k
 
 
 def test_product_terms_are_keyed_by_index():
@@ -116,21 +114,20 @@ def test_product_terms_are_keyed_by_index():
     for left, right in ((heavy, light), (light, heavy)):
         got = mul(left, right)
         assert got._terms and all(type(k) is int for k in got._terms)
-        assert dict(got.terms) == {coxeter._index_perm(k, (6, 2, 1, 1)): c
+        assert dict(got.terms) == {coxeter._index_perm(k, 4): c
                                    for k, c in got._terms.items()}
         assert dict(got.terms) == dict(intpoly_fold.mul(left, right).terms)
 
 
 def test_large_rank_tables_are_per_entry():
     n = coxeter._DENSE_MAX_RANK + 1
-    places = tuple(factorial(j) for j in range(n - 1, -1, -1))
     tables = coxeter._tables(n)
-    perms, inverse, index = tables.perms, tables.inverse, tables.index
-    assert all(isinstance(table, coxeter._PerEntry) for table in (perms, inverse, index))
+    inverse, lengths = tables.inverse, tables.lengths
+    assert all(isinstance(table, coxeter._PerEntry) for table in (inverse, lengths))
     for k in (0, 1, 2, 1234567, factorial(n) - 1):
-        assert perms[k] == coxeter._index_perm(k, places)
-        assert perms[inverse[k]] == coxeter.inverse(perms[k])
-        assert index[perms[k]] == k
+        w = coxeter._index_perm(k, n)
+        assert coxeter._index_perm(inverse[k], n) == coxeter.inverse(w)
+        assert coxeter._perm_index(w) == k
     a, b = e_sym(1, n), jucys_murphy(n, n)
     tracemalloc.start()
     try:

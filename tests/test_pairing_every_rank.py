@@ -38,15 +38,16 @@ def test_per_entry_pairing_equals_the_dense_one(n, monkeypatch):
         assert (got, got_unpack.width) == (at_reps, unpack.width), (lam, mu, n)
 
 
-def test_the_trie_is_built_above_the_dense_rank():
-    plan, perms = coxeter._sweep(N), coxeter._tables(N).perms
+def test_the_trie_is_built_above_the_dense_rank(no_tables):
+    plan = coxeter._sweep.__wrapped__(N)  # uncached, and reading no tables
     assert plan.order is plan.first is plan.second is None
     for c, (lam, k) in enumerate(zip(plan.classes, plan.reps)):
         word, d = [], c
         while plan.parents[d] >= 0:
             word.append(plan.letters[d])
             d = plan.parents[d]
-        assert from_word(N, reversed(word)) == class_representative(lam, N) == inverse(perms[k])
+        w = coxeter._index_perm(k, N)
+        assert from_word(N, reversed(word)) == class_representative(lam, N) == inverse(w)
     # an index of S_13 can exceed int32, so the reps are no int32 array
     assert max(coxeter._sweep(13).reps) > 2 ** 31 - 1
 
@@ -88,9 +89,9 @@ def held():
 def test_held_product_answers_at_minimal_elements_without_a_fill(held, monkeypatch):
     product, g = held
     monkeypatch.setattr(hecke, "_fold_right", must_not_run)
-    plan, perms = coxeter._sweep(N), coxeter._tables(N).perms
+    plan = coxeter._sweep(N)
     minimal = [w for lam in coxeter.partitions_up_to(2) for w in minimal_length_elements(lam, N)]
-    minimal += [perms[k] for k in plan.reps]
+    minimal += [coxeter._index_perm(k, N) for k in plan.reps]
     values = [product.coeff(w) for w in minimal]
     for w in [(1, 2, 3), (1,) * N, tuple(range(N, 0, -1))[:-1] + (N,)]:
         assert product.coeff(w) == IntPoly()

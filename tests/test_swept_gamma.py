@@ -25,7 +25,7 @@ def classes(n, up_to):
 def plan_rep(lam, n):
     """The sweep plan's rep of the class of lam in S_n."""
     plan = coxeter._sweep(n)
-    return coxeter._tables(n).perms[plan.reps[plan.classes.index(lam)]]
+    return coxeter._index_perm(plan.reps[plan.classes.index(lam)], n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
