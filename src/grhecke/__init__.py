@@ -15,11 +15,11 @@ from .coxeter import (
     partitions_of, partitions_up_to, reduced_word,
 )
 from .polyring import (
-    IntPoly, NPoly, RatPoly, interpolate_in_n, solve_linear, specialize_zero,
+    IntPoly, NPoly, RatPoly, interpolate_in_n, solve_linear,
 )
 from .hecke import (
-    HeckeElt, e_sym, group_mul, is_central, jucys_murphy, m_sym, mul,
-    specialize_group, t_basis, unit, zero,
+    HeckeElt, e_sym, group_mul, is_central, jucys_murphy, m_sym, mul, t_basis,
+    unit, zero,
 )
 from .center import (
     CentralCoords, CheckReport, GammaBasis, StructTable, build_struct_table,

@@ -92,7 +92,7 @@ from .errors import (
     BasisIncompleteError, ConstructionError, InvalidInputError,
     InvariantViolationError, SingularSystemError,
 )
-from .hecke import HeckeElt, group_mul, is_central, m_sym, mul
+from .hecke import HeckeElt, _kept, group_mul, is_central, m_sym, mul
 from .polyring import IntPoly, divexact, solve_linear
 
 __all__ = [
@@ -109,9 +109,9 @@ _ONE = IntPoly.const(1)
 
 class CentralCoords:
     """
-    A central element written in the class-element basis. Immutable, since
-    memoized values are shared with every caller: `coords` is a read-only
-    view of a private copy.
+    A central element written in the class-element basis; zero coordinates
+    are never stored. Immutable, since memoized values are shared with every
+    caller: `coords` is a read-only view of a private copy.
     """
 
     __slots__ = ("n", "coords")
@@ -122,8 +122,9 @@ class CentralCoords:
                 raise InvalidInputError(
                     f"class {lam} vanishes in S_{n} and may not carry a coordinate"
                 )
+        clean = {lam: c for lam, c in coords.items() if _kept(c, lam)}
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coords", MappingProxyType(dict(coords)))
+        object.__setattr__(self, "coords", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("CentralCoords is immutable")
@@ -712,10 +713,12 @@ def _pair_worker(args: tuple[Partition, Partition, int]) -> CentralCoords:
 
 
 def _worker_init(basis: GammaBasis) -> None:
-    # the basis arrives pickled, which drops the centrality mark that lets
-    # `hecke.mul` multiply class elements by the trace pairing: check again
+    # under spawn and forkserver the basis arrives pickled, which drops the
+    # centrality mark that lets `hecke.mul` multiply class elements by the
+    # trace pairing: check again. Under fork it is the parent's own, marked
     for elt in basis.gamma.values():
-        is_central(elt)
+        if not elt._central:
+            is_central(elt)
     _bases[basis.n] = basis
 
 

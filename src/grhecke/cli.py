@@ -167,10 +167,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    r_max = args.er if args.er is not None else min(args.max_size, args.n - 1)
-    # a rank below 1 is left to the suites, which reject it as every command does
-    if r_max >= args.n >= 1:
-        raise InvalidInputError(f"--er must be below n, got {r_max} for n={args.n}")
+    r_max = min(args.max_size, args.n - 1)
     suites = (center.verify_structure_constants, center.verify_gamma_characterization,
               center.verify_zero_specialization)
     reports = [suite(args.n, args.max_size) for suite in suites]
@@ -305,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("verify", _cmd_verify, help="run the verification suites")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-size", type=int, required=True)
-    p.add_argument("--er", type=_int_at_least(0), default=None,
-                   help="check elementary symmetric sums up to this degree")
 
     p = add("universal", _cmd_universal, help="graded products and one-row matrices")
     p.add_argument("--max-grade", type=int, required=True)

@@ -52,7 +52,7 @@ from .errors import EmptyClassError, InvalidInputError, InvariantViolationError
 
 __all__ = [
     "Perm", "Partition",
-    "identity", "is_permutation", "compose", "inverse", "length",
+    "identity", "compose", "inverse", "length",
     "right_gen", "left_gen", "reduced_word", "from_word", "transposition",
     "modified_cycle_type", "fits_rank", "class_representative",
     "conjugacy_class", "minimal_length_elements", "min_rep",
@@ -72,14 +72,6 @@ def identity(n: int) -> Perm:
     (1, 2, 3)
     """
     return tuple(range(1, n + 1))
-
-
-def is_permutation(word: Sequence[int]) -> bool:
-    """
-    >>> [is_permutation(w) for w in [(), (1, 2), (2, 2), (3, 1, 2)]]
-    [True, True, False, True]
-    """
-    return sorted(word) == list(range(1, len(word) + 1))
 
 
 def compose(u: Perm, v: Perm) -> Perm:

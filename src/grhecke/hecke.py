@@ -134,11 +134,22 @@ from .polyring import IntPoly
 
 __all__ = [
     "HeckeElt", "zero", "unit", "t_basis", "mul", "linear_combination",
-    "jucys_murphy", "m_sym", "e_sym", "is_central", "specialize_group", "group_mul",
+    "jucys_murphy", "m_sym", "e_sym", "is_central", "group_mul",
 ]
 
 _ONE = IntPoly.const(1)
 _MINUS_ONE = IntPoly.const(-1)
+
+
+def _kept(c, of) -> bool:
+    """
+    Whether the coefficient c of `of` is stored: an `IntPoly` is, unless it
+    is zero, and any other value raises. The one rule for every constructor
+    of `HeckeElt` and `center.CentralCoords`, unpickling included.
+    """
+    if not isinstance(c, IntPoly):
+        raise InvalidInputError(f"coefficient {c!r} of {of} is not an IntPoly")
+    return bool(c)
 
 
 class HeckeElt:
@@ -168,9 +179,7 @@ class HeckeElt:
             k = _index_of(n, w)
             if k < 0:
                 raise InvalidInputError(f"term {w} is not a permutation in S_{n}")
-            if not isinstance(c, IntPoly):
-                raise InvalidInputError(f"coefficient {c!r} of {w} is not an IntPoly")
-            if c:
+            if _kept(c, w):
                 clean[k] = c
         self._init(n, clean, None)
 
@@ -193,10 +202,13 @@ class HeckeElt:
     def _unpickled(cls, n: int, terms: dict[int, IntPoly]) -> "HeckeElt":
         # the index-keyed terms of `__reduce__`, checked but not decoded
         size = factorial(n)
-        for k in terms:
+        clean: dict[int, IntPoly] = {}
+        for k, c in terms.items():
             if type(k) is not int or not 0 <= k < size:
                 raise InvalidInputError(f"term index {k!r} is not an index of S_{n}")
-        return cls._raw(n, terms)
+            if _kept(c, f"index {k}"):
+                clean[k] = c
+        return cls._raw(n, clean)
 
     @classmethod
     def _held(cls, n: int, at_reps: list[int], width: int, *factors: "HeckeElt") -> "HeckeElt":
@@ -841,11 +853,6 @@ def is_central(h: HeckeElt) -> bool:
             return False
     object.__setattr__(h, "_central", True)
     return True
-
-
-def specialize_group(h: HeckeElt) -> dict[Perm, int]:
-    """Set x = 0; the result is an element of the group algebra Z S_n."""
-    return h.specialize_group()
 
 
 def group_mul(a: Mapping[Perm, int], b: Mapping[Perm, int]) -> dict[Perm, int]:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from .errors import ExactDivisionError, InvalidInputError, SingularSystemError
 
 __all__ = [
-    "IntPoly", "RatPoly", "NPoly", "specialize_zero", "divexact",
+    "IntPoly", "RatPoly", "NPoly", "divexact",
     "solve_linear", "determinant", "interpolate_in_n",
 ]
 
@@ -211,11 +211,6 @@ class IntPoly(_Poly):
 
 _ZERO = IntPoly._raw(())
 _ONE = IntPoly._raw((1,))
-
-
-def specialize_zero(p: IntPoly) -> int:
-    """Evaluate at x = 0, i.e. the constant term."""
-    return p.constant_term()
 
 
 class RatPoly(_Poly):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import pickle
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -17,6 +18,22 @@ def run_cli(*argv):
     # the CLI mutates the module-level cache dir; restore the default
     center.set_cache_dir(None)
     return code, buf.getvalue()
+
+
+class _Reduces:
+    def __init__(self, call):
+        self.call = call
+
+    def __reduce__(self):
+        return self.call
+
+
+def unpickle_call(make, *args):
+    """
+    Load a pickle stream that calls make(*args), as `__reduce__` of an object
+    of make's class writes it, with arguments no such object would ship.
+    """
+    return pickle.loads(pickle.dumps(_Reduces((make, args))))
 
 
 def child_env():

@@ -77,7 +77,7 @@ def gamma_by_central_constraints(lam, n):
     return HeckeElt(n, {w: divexact(y[k], d) for k, w in enumerate(perms)})
 
 
-from conftest import child_env, run_cli
+from conftest import child_env, run_cli, unpickle_call
 from goldens import GOLDEN
 
 
@@ -254,6 +254,22 @@ class TestSharedValuesReadOnly:
             )
         finally:
             center.clear_caches()
+
+
+class TestCentralCoords:
+    def test_coordinates_follow_the_coefficient_rule(self):
+        # a value that is not an IntPoly is refused, and a zero is dropped
+        with pytest.raises(InvalidInputError):
+            CentralCoords(4, {(1,): 5})
+        assert CentralCoords(4, {(1,): IntPoly()}) == CentralCoords(4, {})
+        assert dict(CentralCoords(4, {(1,): IntPoly(), (2,): ONE}).coords) == {(2,): ONE}
+
+    def test_a_pickled_result_is_checked(self):
+        # pool results pass through the constructor by `__reduce__`
+        with pytest.raises(InvalidInputError):
+            unpickle_call(CentralCoords, 4, {(1,): 5})
+        loaded = unpickle_call(CentralCoords, 4, {(1,): IntPoly()})
+        assert loaded == CentralCoords(4, {}) and not loaded.coords
 
 
 class TestExpand:
@@ -847,6 +863,16 @@ class TestStructTable:
         center.build_struct_table(4, 3, jobs=64)
         center.build_struct_table(4, 3, jobs=2)
         assert sizes == [pairs, 2]
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="only a forked worker inherits the parent's marks")
+    def test_forked_workers_keep_the_inherited_marks(self, monkeypatch):
+        # a forked worker's basis is the parent's own, already marked, so its
+        # initializer runs no centrality test
+        want = center.build_struct_table(5, 4)
+        center._struct_memo.clear()
+        monkeypatch.setattr(center, "is_central", must_not_run)
+        assert center.build_struct_table(5, 4, jobs=2) == want
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_parallel_matches_serial_without_fork(self, method):

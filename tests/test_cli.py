@@ -219,11 +219,8 @@ class TestUniversalCommand:
 OUT_OF_RANGE = {
     "jobs-0": ("--jobs", "0", "table", "--n", "3", "--max-size", "2"),
     "jobs-negative-after-subcommand": ("table", "--n", "3", "--max-size", "2", "--jobs", "-1"),
-    "er-negative": ("verify", "--n", "3", "--max-size", "2", "--er", "-1"),
-    "er-at-rank": ("verify", "--n", "4", "--max-size", "2", "--er", "4"),
     "verify-rank-0": ("verify", "--n", "0", "--max-size", "1"),
     "verify-rank-negative": ("verify", "--n", "-1", "--max-size", "1"),
-    "verify-rank-0-with-er": ("verify", "--n", "0", "--max-size", "1", "--er", "0"),
     "mult-rank-0": ("mult", "--n", "0", "--lambda", "1", "--mu", "1"),
     "mult-rank-negative": ("mult", "--n", "-2", "--lambda", "1", "--mu", "1"),
     "oracle-rank-0": ("oracle", "--n", "0", "--lambda", "", "--mu", ""),

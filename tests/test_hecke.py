@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import intpoly_fold
+from conftest import unpickle_call
 from grhecke import center, coxeter, hecke
 from grhecke.coxeter import (
     identity, length, partitions_up_to, reduced_word, right_gen,
 )
 from grhecke.errors import InvalidInputError
 from grhecke.hecke import (
-    HeckeElt, e_sym, group_mul, is_central, jucys_murphy, m_sym, mul,
-    specialize_group, t_basis, unit, zero,
+    HeckeElt, e_sym, group_mul, is_central, jucys_murphy, m_sym, mul, t_basis,
+    unit, zero,
 )
 from grhecke.polyring import IntPoly
 
@@ -260,19 +261,19 @@ class TestHomogeneousParity:
 class TestSpecialization:
     def test_drops_x_terms(self):
         h = unit(3) + t_basis(S1).scale(XI)
-        assert specialize_group(h) == {identity(3): 1}
+        assert h.specialize_group() == {identity(3): 1}
 
     def test_keeps_constants(self):
         h = t_basis(S1) + t_basis(S2)
-        assert specialize_group(h) == {S1: 1, S2: 1}
+        assert h.specialize_group() == {S1: 1, S2: 1}
 
     def test_homomorphism_property(self):
         rng = random.Random(99)
         for _ in range(8):
             a = random_element(4, rng)
             b = random_element(4, rng)
-            assert specialize_group(mul(a, b)) == group_mul(
-                specialize_group(a), specialize_group(b)
+            assert mul(a, b).specialize_group() == group_mul(
+                a.specialize_group(), b.specialize_group()
             )
 
 
@@ -371,7 +372,7 @@ class TestIndexBoundary:
         want = sorted(terms.items(), key=lambda wc: (length(wc[0]), wc[0]))
         assert h.sorted_terms() == want
         assert [t["w"] for t in h.to_json_dict()["terms"]] == [list(w) for w, _ in want]
-        assert specialize_group(h) == {w: c.constant_term() for w, c in want if c.constant_term()}
+        assert h.specialize_group() == {w: c.constant_term() for w, c in want if c.constant_term()}
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_the_boundary_builds_no_tables(self, n, no_tables):
@@ -384,9 +385,23 @@ class TestIndexBoundary:
         assert h.coeff(w0) == XI and h.coeff(right_gen(w0, 1)) == IntPoly()
         assert [h.terms[w] for w in terms] == list(terms.values())
         assert set(h.terms) == set(terms) and dict(h.terms.items()) == terms
-        assert specialize_group(h) == {e: 1, s2: 3}
+        assert h.specialize_group() == {e: 1, s2: 3}
         copy = pickle.loads(pickle.dumps(h))
         assert copy == h and dict(copy.terms.items()) == terms
+
+    @pytest.mark.parametrize("route", ["call", "pickle"])
+    def test_unpickling_follows_the_coefficient_rule(self, route):
+        # a value that is not an IntPoly is refused, and a zero is dropped
+        def load(terms):
+            if route == "call":
+                return HeckeElt._unpickled(3, terms)
+            return unpickle_call(HeckeElt._unpickled, 3, terms)
+
+        with pytest.raises(InvalidInputError):
+            load({0: 5})
+        stored_zero = load({0: IntPoly()})
+        assert not stored_zero and stored_zero == zero(3)
+        assert load({0: IntPoly(), 5: ONE}) == t_basis((3, 2, 1))
 
     @pytest.mark.parametrize("k", [-1, 24, True, 1.0])
     def test_unpickling_rejects_a_bad_index(self, k):

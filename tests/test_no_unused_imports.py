@@ -5,6 +5,8 @@ module's `__all__` is exported, so both are exempt; so is `__future__`.
 
 Nor does the package define a private function or class that no other
 line of the package names: a helper whose last caller was deleted goes too.
+Nor does a module export, in its `__all__`, a name that no other line of the
+package or of the tests reads.
 """
 
 import ast
@@ -45,13 +47,7 @@ def unreferenced_private(sources: dict[str, str]) -> list[str]:
     attribute outside their own definition refers to, as 'module:line: name'.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    # (module, line) of every Name and Attribute, by the name it reads
-    sites: dict[str, list[tuple[str, int]]] = {}
-    for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                sites.setdefault(name, []).append((module, node.lineno))
+    sites = _sites(trees)
     out = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -62,6 +58,44 @@ def unreferenced_private(sources: dict[str, str]) -> list[str]:
                        for m, line in sites.get(node.name, [])):
                     out.append(f"{module}:{node.lineno}: {node.name}")
     return sorted(out)
+
+
+def unread_exports(package: dict[str, str], tests: dict[str, str]) -> list[str]:
+    """
+    The names listed in the `__all__` of a module of `package` that no name or
+    attribute of `package` or `tests` reads outside the top-level statement
+    defining it, as 'module: name'. Both are maps from module name to source.
+    """
+    trees = {module: ast.parse(source) for module, source in {**tests, **package}.items()}
+    sites = _sites(trees)
+    out = []
+    for module in package:
+        spans, exported = {}, []
+        for node in trees[module].body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                spans[node.name] = (first, node.end_lineno)
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                if isinstance(target, ast.Name):
+                    spans[target.id] = (node.lineno, node.end_lineno)
+                    if target.id == "__all__":
+                        exported = ast.literal_eval(node.value)
+        for name in exported:
+            first, last = spans.get(name, (0, -1))
+            if all(m == module and first <= line <= last for m, line in sites.get(name, [])):
+                out.append(f"{module}: {name}")
+    return sorted(out)
+
+
+def _sites(trees: dict[str, ast.Module]) -> dict[str, list[tuple[str, int]]]:
+    """(module, line) of every Name and Attribute, by the name it reads."""
+    sites: dict[str, list[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                sites.setdefault(name, []).append((module, node.lineno))
+    return sites
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
@@ -99,3 +133,27 @@ def test_the_check_sees_an_unreferenced_private_definition():
         "b": "class _Helper:\n    pass\n",
     }
     assert unreferenced_private(sources) == ["a:2: _recursive", "a:3: _Orphan"]
+
+
+def test_every_export_is_read():
+    package = {p.stem: p.read_text() for p in sorted(ROOT.glob("src/grhecke/*.py"))}
+    tests = {f"tests/{p.stem}": p.read_text() for p in sorted(ROOT.glob("tests/*.py"))}
+    assert unread_exports(package, tests) == []
+
+
+def test_the_check_sees_an_unread_export():
+    package = {
+        "a": (
+            "__all__ = ['Alias', 'CONST', 'called', 'orphan', 'recursive', 'Tested']\n"
+            "Alias = tuple[int, ...]\n"
+            "CONST: int = 3\n"
+            "def called(x: Alias): return x\n"
+            "def orphan(): return called(())\n"
+            "def recursive(k): return recursive(k - 1) if k else 0\n"
+            "class Tested:\n"
+            "    pass\n"
+        ),
+        "b": "from .a import orphan\nfrom . import a\nprint(a.CONST)\n",
+    }
+    tests = {"tests/test_a": "from a import Tested\nTested()\n"}
+    assert unread_exports(package, tests) == ["a: orphan", "a: recursive"]
