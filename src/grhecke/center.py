@@ -16,29 +16,27 @@ class-polynomial sweep of the values 1 at its own class and 0 at the others
 (`hecke._class_element`), with no solve and no division.
 
 Monomial symmetric polynomials m_mu(L) in the Jucys-Murphy elements span
-the relevant filtration layer of the center, and one exact solve
-certifies, at every rank, that gamma_lam lies in it. At each degree k the
-elementary products e_rho = e_rho_1 ... e_rho_l, |rho| = k, span the same
-Z-lattice of symmetric functions as the m_mu, |mu| = k: e_rho =
-sum_mu M_{rho mu} m_mu, where M counts 0-1 matrices and is unitriangular
-in dominance order (Macdonald, Symmetric Functions and Hall Polynomials,
-I.2 and I.6). So up to `_DENSE_MAX_RANK` the solve reads the e_rho(L),
-|rho| <= |lam| (`_e_product`): each e_r(L) comes from `hecke.e_sym` and is
-marked central by `is_central`, and each longer product is formed by the
-trace pairing, which holds it at its values at the p(n) reps of
-`coxeter._sweep`. Above that rank it reads the m_mu(L), |mu| <= |lam|,
-which the assembly below combines. Each element of the family is read
-once, at those reps (`_at_reps`). The fraction-free solver realizes the
-identity pattern on the classes of size at most |lam| with numerators y
-over Z[x] and one common denominator d. Then the combination sum y h must
-equal d at the rep of lam's class and 0 at the rep of every other class
-of S_n; both sides are central, so this proves d gamma_lam in the
-Z[x]-span of the family, which is the span of the m_mu with
-|mu| <= |lam|. Up to `_DENSE_MAX_RANK` the proof rests on `e_sym`, on
-`is_central` and on the pairing, and no m_mu(L) is formed but the e_r(L).
-Only then is gamma_lam built: swept up to `_DENSE_MAX_RANK`, and above it
-assembled from the numerators and divided by d, which the certificate has
-made exact.
+the relevant filtration layer of the center, and exact solves certify, at
+every rank, that gamma_lam lies in it. At each degree k the elementary
+products e_rho = e_rho_1 ... e_rho_l, |rho| = k, span the same Z-lattice
+of symmetric functions as the m_mu, |mu| = k: e_rho = sum_mu M_{rho mu}
+m_mu, M counting 0-1 matrices, unitriangular in dominance order
+(Macdonald, Symmetric Functions and Hall Polynomials, I.2 and I.6). So up
+to `_DENSE_MAX_RANK` the family read is the e_rho(L), |rho| <= |lam|
+(`_e_product`): each e_r(L) from `hecke.e_sym`, marked central by
+`is_central`, and each longer product by the trace pairing, held at its
+values at the p(n) reps of `coxeter._sweep`; above it, the m_mu(L),
+|mu| <= |lam|. Each is read once, at those reps (`_at_reps`). Every lam
+of one size has the same matrix, the family at the classes of size at
+most |lam|, so one fraction-free elimination per level (`_level_solve`)
+gives each lam numerators y over Z[x] with a common denominator d. Then
+sum y h must equal d at the rep of lam's class and 0 at the rep of every
+other class of S_n; both sides are central, so this proves d gamma_lam in
+the Z[x]-span of the family, that of the m_mu with |mu| <= |lam|. Up
+to `_DENSE_MAX_RANK` the proof rests on `e_sym`, `is_central` and the
+pairing, and no m_mu(L) is formed but the e_r(L). Only then is gamma_lam
+built: swept up to `_DENSE_MAX_RANK`, and above it assembled from the
+numerators and divided by d, which the certificate has made exact.
 
 Each element is verified once, by the same check whether the certificate
 ran or the disk cache vouches for it: centrality, the class sum at x = 0,
@@ -196,6 +194,8 @@ class CheckReport:
 _bases: dict[int, GammaBasis] = {}
 # the elementary products e_rho(L) of each rank up to `_DENSE_MAX_RANK`
 _e_products: dict[int, dict[Partition, HeckeElt]] = {}
+# the solve of each size level of each rank, by `_level_solve`
+_level_solves: dict[int, dict[int, tuple]] = {}
 _disk_cache_dir: Optional[Path] = None
 
 
@@ -210,6 +210,7 @@ def clear_caches() -> None:
     _bases.clear()
     _struct_memo.clear()
     _e_products.clear()
+    _level_solves.clear()
 
 
 def _check_rank(n: int) -> None:
@@ -228,7 +229,9 @@ def _e_product(rho: Partition, n: int) -> HeckeElt:
     n <= `_DENSE_MAX_RANK`, memoized per rank: the unit for rho = (), zero
     when rho_1 >= n (L_1 = 0 leaves n - 1 variables), e_r by `hecke.e_sym`
     marked by `is_central`, and for two parts or more the product, on the
-    trace pairing, of e_rho_1 and e_rho without rho_1.
+    trace pairing, of e_rho_1 and e_rest (rho less rho_1), the lighter on
+    the left, which the pairing steps once per class: e_rest when |rho| -
+    rho_1 < rho_1. Both are central, so either order is exact.
     """
     memo = _e_products.setdefault(n, {})
     e = memo.get(rho)
@@ -242,39 +245,51 @@ def _e_product(rho: Partition, n: int) -> HeckeElt:
             if not is_central(e):
                 raise ConstructionError(f"e_{rho[0]}(n={n}) is not central")
         else:
-            e = mul(_e_product(rho[:1], n), _e_product(rho[1:], n))
+            first, rest = _e_product(rho[:1], n), _e_product(rho[1:], n)
+            e = mul(rest, first) if sum(rho) - rho[0] < rho[0] else mul(first, rest)
         memo[rho] = e
     return e
 
 
+def _level_solve(size: int, n: int) -> tuple:
+    """
+    The family of every gamma_lam(n), |lam| = size (see the module
+    docstring), its rows at the reps of all classes, and each lam's
+    numerators y with the shared d: one elimination solves them all, as
+    they differ only in lam's unit column. Memoized per rank.
+    """
+    memo = _level_solves.setdefault(n, {})
+    if size not in memo:
+        dense = n <= _DENSE_MAX_RANK
+        family = [_e_product(rho, n) if dense else m_sym(rho, n)
+                  for rho in coxeter.partitions_up_to(size)]
+        rows, classes = _at_reps(n, family), _candidate_classes(size, n)
+        lams = [lam for lam in classes if sum(lam) == size]
+        ys, d = solve_linear([rows[nu] for nu in classes],
+                             [[_ONE if nu == lam else IntPoly() for nu in classes] for lam in lams])
+        memo[size] = (family, rows, dict(zip(lams, ys)), d)
+    return memo[size]
+
+
 def _solve_gamma(lam: Partition, n: int) -> HeckeElt:
     """
-    gamma_lam(n), with the characterization constraints solved in one
-    family of central elements indexed by the partitions of size at most
-    |lam|, each read once at the sweep plan's reps: up to `_DENSE_MAX_RANK`
-    the elementary products e_rho(L) of `_e_product`, above it the m_mu(L).
-    The solve is certified on those rows at every rank; then the element
-    is swept up to `_DENSE_MAX_RANK` and assembled from the solve above it.
+    gamma_lam(n): lam's solve from `_level_solve` is certified at every rank,
+    then the element is swept up to `_DENSE_MAX_RANK`, assembled above it.
     """
     size = sum(lam)
     dense = n <= _DENSE_MAX_RANK
-    candidates = coxeter.partitions_up_to(size)
-    elements = [_e_product(rho, n) if dense else m_sym(rho, n) for rho in candidates]
-    rows = _at_reps(n, elements)
-    classes = _candidate_classes(size, n)
-    b = [_ONE if nu == lam else IntPoly() for nu in classes]
     try:
-        y, d = solve_linear([rows[nu] for nu in classes], b)
+        family, rows, ys, d = _level_solve(size, n)
     except SingularSystemError as exc:
         raise ConstructionError(
             f"characterization system for gamma_{lam}(n={n}) is unsolvable: {exc}"
         ) from exc
     # below size 2 the two families are the same elements, 1 and e_1 = m_1
-    _certify(lam, n, rows, y, d, "e_rho" if dense and size > 1 else "m_mu")
+    _certify(lam, n, rows, ys[lam], d, "e_rho" if dense and size > 1 else "m_mu")
     if dense:
         return hecke._class_element(lam, n)
     # the certificate makes each division exact: see the module docstring
-    num = hecke.linear_combination(n, list(zip(y, elements)))
+    num = hecke.linear_combination(n, list(zip(ys[lam], family)))
     if d == _ONE:
         return num
     terms = {}

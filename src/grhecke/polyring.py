@@ -307,46 +307,46 @@ def _echelon(mat: list[list[IntPoly]], ncols: int):
 
 
 def solve_linear(
-    A: Sequence[Sequence[IntPoly]], b: Sequence[IntPoly]
-) -> tuple[list[IntPoly], IntPoly]:
+    A: Sequence[Sequence[IntPoly]], columns: Sequence[Sequence[IntPoly]]
+) -> tuple[list[list[IntPoly]], IntPoly]:
     """
-    Solve A x = b exactly, returning (y, d) with x = y / d, every y_i in
+    Solve A x = b exactly for every b in `columns` by one elimination of A,
+    returning (ys, d): x = y / d for the y of each column, every y_i in
     Z[x] and d the last Bareiss pivot (the determinant of the pivot minor
-    up to sign, or 1 when the rank is 0). Free variables are set to zero.
-
-    Raises SingularSystemError (carrying the rank) when the system is
-    inconsistent.
+    up to sign, or 1 when the rank is 0). The pivots are chosen from A
+    alone, so each column gets the (y, d) it would get alone. Free
+    variables are set to zero. Raises SingularSystemError (carrying the
+    rank) when the system of any column is inconsistent.
 
     >>> one = IntPoly.const(1)
-    >>> y, d = solve_linear([[one, one], [one, -one]], [IntPoly.xi(), one])
-    >>> [v.coeffs for v in y], d.coeffs
-    ([(-1, -1), (1, -1)], (-2,))
+    >>> ys, d = solve_linear([[one, one], [one, -one]], [[IntPoly.xi(), one], [one, one]])
+    >>> [[v.coeffs for v in y] for y in ys], d.coeffs
+    ([[(-1, -1), (1, -1)], [(-2,), ()]], (-2,))
     """
     nrows = len(A)
-    if nrows != len(b):
+    if any(len(b) != nrows for b in columns):
         raise InvalidInputError("matrix/vector size mismatch")
     ncols = len(A[0]) if nrows else 0
-    mat = [list(row) + [b[r]] for r, row in enumerate(A)]
-    for row in mat:
-        if len(row) != ncols + 1:
-            raise InvalidInputError("ragged matrix")
+    mat = [list(row) + [b[r] for b in columns] for r, row in enumerate(A)]
+    if any(len(row) != ncols + len(columns) for row in mat):
+        raise InvalidInputError("ragged matrix")
     pivots, _ = _echelon(mat, ncols)
     rank = len(pivots)
-    for r in range(rank, nrows):
-        if mat[r][ncols]:
-            raise SingularSystemError("inconsistent linear system", rank)
+    if any(any(row[ncols:]) for row in mat[rank:]):
+        raise SingularSystemError("inconsistent linear system", rank)
     d = mat[pivots[-1][0]][pivots[-1][1]] if pivots else _ONE
     # back-substitution scaled by d stays in Z[x]: by Cramer's rule on the
     # pivot minor, d * x_pc is a polynomial, so each division is exact
-    y = [_ZERO] * ncols
-    for pr, pc in reversed(pivots):
-        row = mat[pr]
-        acc = d * row[ncols]
-        for cc in range(pc + 1, ncols):
-            if row[cc] and y[cc]:
-                acc = acc - row[cc] * y[cc]
-        y[pc] = divexact(acc, row[pc])
-    return y, d
+    ys = [[_ZERO] * ncols for _ in columns]
+    for j, y in enumerate(ys, ncols):
+        for pr, pc in reversed(pivots):
+            row = mat[pr]
+            acc = d * row[j]
+            for cc in range(pc + 1, ncols):
+                if row[cc] and y[cc]:
+                    acc = acc - row[cc] * y[cc]
+            y[pc] = divexact(acc, row[pc])
+    return ys, d
 
 
 def determinant(A: Sequence[Sequence[IntPoly]]) -> IntPoly:

@@ -23,6 +23,6 @@ def gamma(lam, n):
     msyms = {mu: m_sym(mu, n) for mu in candidates}
     classes = _candidate_classes(sum(lam), n)
     A = [[msyms[mu].coeff(min_rep(nu, n)) for mu in candidates] for nu in classes]
-    y, d = solve_linear(A, [ONE if nu == lam else IntPoly() for nu in classes])
+    (y,), d = solve_linear(A, [[ONE if nu == lam else IntPoly() for nu in classes]])
     num = hecke.linear_combination(n, [(c, msyms[mu]) for mu, c in zip(candidates, y)])
     return HeckeElt(n, {w: divexact(c, d) for w, c in num.terms.items()})

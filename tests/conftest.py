@@ -65,6 +65,14 @@ def no_tables(monkeypatch):
 
 
 @pytest.fixture
+def fresh_memos():
+    """No memos before the test or after it: a memoized solve would skip a patch."""
+    center.clear_caches()
+    yield
+    center.clear_caches()
+
+
+@pytest.fixture
 def disk_cache(tmp_path):
     """The disk cache pointed at tmp_path; afterwards, no cache and no memos."""
     center.set_cache_dir(tmp_path)

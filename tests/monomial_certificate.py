@@ -33,7 +33,7 @@ def certify(lam, n, want=None):
     msyms = [m_sym(mu, n) for mu in partitions_up_to(sum(lam))]
     rows = {nu: [m.coeff(min_rep(nu, n)) for m in msyms] for nu in want}
     classes = _candidate_classes(sum(lam), n)
-    y, d = solve_linear([rows[nu] for nu in classes], [want[nu] for nu in classes])
+    (y,), d = solve_linear([rows[nu] for nu in classes], [[want[nu] for nu in classes]])
     for nu, row in rows.items():
         got = sum((a * v for a, v in zip(y, row) if a), IntPoly())
         if got != d * want[nu]:

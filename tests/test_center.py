@@ -73,7 +73,7 @@ def gamma_by_central_constraints(lam, n):
         row[index[min_rep(nu, n)]] = ONE
         rows.append(row)
         rhs.append(ONE if nu == lam else IntPoly())
-    y, d = solve_linear(rows, rhs)
+    (y,), d = solve_linear(rows, [rhs])
     return HeckeElt(n, {w: divexact(y[k], d) for k, w in enumerate(perms)})
 
 
@@ -754,22 +754,22 @@ class TestWitnessesFire:
         code, out = run_cli("verify", "--n", "4", "--max-size", "2")
         assert code == 1 and all(f"WITNESS {w}\n" in out for w in want)
 
-    def test_unsolvable_system_raises(self, monkeypatch):
+    def test_unsolvable_system_raises(self, monkeypatch, fresh_memos):
         solve = center.solve_linear
         # the system with its matrix zeroed: b != 0 has no solution
-        monkeypatch.setattr(center, "solve_linear", lambda A, b: solve(
-            [[IntPoly()] * len(row) for row in A], b))
+        monkeypatch.setattr(center, "solve_linear", lambda A, columns: solve(
+            [[IntPoly()] * len(row) for row in A], columns))
         with pytest.raises(ConstructionError, match=re.escape(
                 "characterization system for gamma_(1,)(n=4) is unsolvable: "
                 "inconsistent linear system (rank 0)")):
             center._solve_gamma((1,), 4)
 
-    def test_inexact_division_raises(self, monkeypatch):
+    def test_inexact_division_raises(self, monkeypatch, fresh_memos):
         solve = center.solve_linear
 
-        def doubled_denominator(A, b):
-            y, d = solve(A, b)
-            return y, d * IntPoly.const(2)
+        def doubled_denominator(A, columns):
+            ys, d = solve(A, columns)
+            return ys, d * IntPoly.const(2)
 
         monkeypatch.setattr(center, "solve_linear", doubled_denominator)
         # at every rank, above the dense one too, the certificate sees

@@ -62,12 +62,17 @@ def unreferenced_private(sources: dict[str, str]) -> list[str]:
 
 def unread_exports(package: dict[str, str], tests: dict[str, str]) -> list[str]:
     """
-    The names listed in the `__all__` of a module of `package` that no name or
-    attribute of `package` or `tests` reads outside the top-level statement
-    defining it, as 'module: name'. Both are maps from module name to source.
+    The names listed in the `__all__` of a module of `package` that no line
+    of `package` or `tests` reads outside the top-level statement defining
+    it, as 'module: name'. Both are maps from module name to source; the
+    package's `__init__` re-exports what it imports. A read is resolved to
+    its module: a bare name in the module itself, a name bound by `from
+    module import name` (directly or through `__init__`), or `module.name`
+    on a name bound to the module. So an attribute or method that happens to
+    share the exported name reads nothing.
     """
     trees = {module: ast.parse(source) for module, source in {**tests, **package}.items()}
-    sites = _sites(trees)
+    reads = _export_reads(trees, package)
     out = []
     for module in package:
         spans, exported = {}, []
@@ -82,9 +87,65 @@ def unread_exports(package: dict[str, str], tests: dict[str, str]) -> list[str]:
                         exported = ast.literal_eval(node.value)
         for name in exported:
             first, last = spans.get(name, (0, -1))
-            if all(m == module and first <= line <= last for m, line in sites.get(name, [])):
+            if all(m == module and first <= line <= last
+                   for m, line in reads.get((module, name), [])):
                 out.append(f"{module}: {name}")
     return sorted(out)
+
+
+def _export_reads(trees: dict[str, ast.Module],
+                  package: dict[str, str]) -> dict[tuple[str, str], list[tuple[str, int]]]:
+    """
+    (module, line) of every read of a package module's name, by (the
+    package module it resolves to, the name). The package itself, `grhecke`
+    or a relative `from . import`, is the module `__init__`, and a name it
+    imports from a package module resolves to that module.
+    """
+    def target(node: ast.ImportFrom) -> str | None:
+        dotted = node.module or ""
+        if not node.level:
+            dotted = dotted.removeprefix("grhecke").removeprefix(".")
+        return "__init__" if dotted == "" else dotted if dotted in package else None
+
+    origin = {}  # a name of `__init__` -> the package module it is imported from
+    if "__init__" in trees:
+        for node in ast.walk(trees["__init__"]):
+            if isinstance(node, ast.ImportFrom) and target(node) not in (None, "__init__"):
+                origin.update((alias.name, target(node)) for alias in node.names)
+
+    reads: dict[tuple[str, str], list[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        names: dict[str, tuple[str, str]] = {}  # a local name -> (module, name) it binds
+        modules: dict[str, str] = {}  # a local name -> the package module it binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.partition(".")[0] == "grhecke":
+                        # `import grhecke.x` binds grhecke, `import grhecke.x as y` binds x
+                        dotted = alias.name.removeprefix("grhecke").removeprefix(".")
+                        modules[alias.asname or "grhecke"] = alias.asname and dotted or "__init__"
+            elif isinstance(node, ast.ImportFrom) and (source := target(node)) is not None:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if source == "__init__" and alias.name in package:
+                        modules[local] = alias.name
+                    elif source == "__init__":
+                        names[local] = (origin.get(alias.name, source), alias.name)
+                    else:
+                        names[local] = (source, alias.name)
+        for node in ast.walk(tree):
+            key = None
+            if isinstance(node, ast.Name):
+                key = names.get(node.id, (module, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                source = modules[node.value.id]
+                if source == "__init__":
+                    source = origin.get(node.attr, source)
+                key = (source, node.attr)
+            if key is not None:
+                reads.setdefault(key, []).append((module, node.lineno))
+    return reads
 
 
 def _sites(trees: dict[str, ast.Module]) -> dict[str, list[tuple[str, int]]]:
@@ -144,7 +205,8 @@ def test_every_export_is_read():
 def test_the_check_sees_an_unread_export():
     package = {
         "a": (
-            "__all__ = ['Alias', 'CONST', 'called', 'orphan', 'recursive', 'Tested']\n"
+            "__all__ = ['Alias', 'CONST', 'called', 'orphan', 'recursive', 'Tested',\n"
+            "           'shadowed', 'renamed']\n"
             "Alias = tuple[int, ...]\n"
             "CONST: int = 3\n"
             "def called(x: Alias): return x\n"
@@ -152,8 +214,30 @@ def test_the_check_sees_an_unread_export():
             "def recursive(k): return recursive(k - 1) if k else 0\n"
             "class Tested:\n"
             "    pass\n"
+            "def shadowed(): return 0\n"
+            "def renamed(): return 1\n"
         ),
-        "b": "from .a import orphan\nfrom . import a\nprint(a.CONST)\n",
+        # a method, and an attribute of another object, named as a's exports
+        "b": (
+            "from .a import orphan, renamed as again\n"
+            "from . import a\n"
+            "class Holder:\n"
+            "    def shadowed(self): return self.recursive\n"
+            "print(a.CONST, Holder().shadowed(), again())\n"
+        ),
     }
     tests = {"tests/test_a": "from a import Tested\nTested()\n"}
-    assert unread_exports(package, tests) == ["a: orphan", "a: recursive"]
+    assert unread_exports(package, tests) == [
+        "a: orphan", "a: recursive", "a: shadowed"]
+
+
+def test_the_check_follows_the_package_root():
+    package = {
+        "__init__": "from .a import reexported, module_read\n",
+        "a": "__all__ = ['reexported', 'module_read', 'unread']\n"
+             "def reexported(): pass\ndef module_read(): pass\ndef unread(): pass\n",
+    }
+    tests = {"tests/test_a": (
+        "import grhecke\nfrom grhecke import reexported\n"
+        "reexported()\ngrhecke.module_read()\nunread = 1\n")}
+    assert unread_exports(package, tests) == ["a: unread"]

@@ -192,7 +192,7 @@ def assert_solves(A, b, y, d):
 
 def solution(A, b):
     """solve_linear's x = y / d, for systems whose solution is in Z[x]."""
-    y, d = solve_linear(A, b)
+    (y,), d = solve_linear(A, [b])
     return [divexact(v, d) for v in y]
 
 
@@ -215,13 +215,13 @@ class TestSolveLinear:
     def test_unitriangular_backsub(self):
         A = [[ONE, IntPoly((1, 1))], [ZERO, ONE]]
         b = [IntPoly((2, 1)), XI]
-        y, d = solve_linear(A, b)
+        (y,), d = solve_linear(A, [b])
         assert_solves(A, b, y, d)
 
     def test_singular_square_reports_rank(self):
         A = [[ONE, ONE], [ONE, ONE]]
         with pytest.raises(SingularSystemError) as exc:
-            solve_linear(A, [ONE, ZERO])
+            solve_linear(A, [[ONE, ZERO]])
         assert exc.value.rank == 1
 
     def test_underdetermined_allowed(self):
@@ -234,7 +234,7 @@ class TestSolveLinear:
         A = [[IntPoly.const(c) for c in row] for row in rows]
         b = [ONE, XI, IntPoly((1, 1))]
         try:
-            y, d = solve_linear(A, b)
+            (y,), d = solve_linear(A, [b])
         except SingularSystemError:
             return
         assert_solves(A, b, y, d)
@@ -242,7 +242,7 @@ class TestSolveLinear:
     @given(matrices(3, 3), st.lists(ipoly(2, 3), min_size=3, max_size=3))
     def test_random_polynomial_systems(self, A, b):
         try:
-            y, d = solve_linear(A, b)
+            (y,), d = solve_linear(A, [b])
         except SingularSystemError:
             assert determinant(A) == ZERO
             return
@@ -253,7 +253,7 @@ class TestSolveLinear:
     def test_random_underdetermined_systems(self, system):
         A, b = system
         try:
-            y, d = solve_linear(A, b)
+            (y,), d = solve_linear(A, [b])
         except SingularSystemError:
             # only a rank-deficient row space can make the system inconsistent
             assert determinant([row[:len(A)] for row in A]) == ZERO
@@ -261,6 +261,39 @@ class TestSolveLinear:
         assert_solves(A, b, y, d)
         # free variables stay zero, so at most rank(A) <= m entries are nonzero
         assert sum(1 for v in y if v) <= len(A)
+
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(lambda shape: st.tuples(
+        matrices(*shape),
+        st.lists(st.lists(ipoly(2, 3), min_size=shape[0], max_size=shape[0]),
+                 min_size=1, max_size=4))))
+    def test_several_columns_solve_as_each_alone(self, system):
+        # the pivots are chosen from A alone, so every column gets the (y, d)
+        # of its own solve, and an inconsistent one fails with the same rank
+        A, columns = system
+        alone = []
+        for b in columns:
+            try:
+                alone.append(solve_linear(A, [b]))
+            except SingularSystemError as exc:
+                alone.append(exc.rank)
+        ranks = [r for r in alone if isinstance(r, int)]
+        if ranks:
+            with pytest.raises(SingularSystemError) as exc:
+                solve_linear(A, columns)
+            assert {exc.value.rank} == set(ranks)
+            assert str(exc.value) == f"inconsistent linear system (rank {ranks[0]})"
+            return
+        ys, d = solve_linear(A, columns)
+        assert [([y], d) for y in ys] == alone
+
+    def test_an_inconsistent_column_fails_the_whole_solve(self):
+        A = [[ONE, ONE], [ONE, ONE]]
+        with pytest.raises(SingularSystemError) as exc:
+            solve_linear(A, [[ONE, ONE], [ONE, ZERO], [XI, XI]])
+        assert exc.value.rank == 1
+        ys, d = solve_linear(A, [[ONE, ONE], [XI, XI]])
+        assert (ys, d) == ([[ONE, ZERO], [XI, ZERO]], ONE)
+        assert solve_linear(A, []) == ([], ONE)
 
 
 def cofactor_determinant(A):

@@ -63,7 +63,7 @@ def test_above_the_dense_rank_the_solve_is_assembled():
     assert len(got) == 45
 
 
-def test_certificate_names_a_class_above_lam(monkeypatch):
+def test_certificate_names_a_class_above_lam(monkeypatch, fresh_memos):
     # e_(1) = gamma_(1) is changed at the rep of (2,) only, which the solve
     # for gamma_(1) does not read: only the certificate at (2,) can see it.
     # Below size 2 the e_rho are the m_mu, 1 and e_1 = m_1, and the message
@@ -81,7 +81,7 @@ def test_certificate_names_a_class_above_lam(monkeypatch):
         gamma_element((1,), 5)
 
 
-def test_certificate_runs_above_the_dense_rank(monkeypatch):
+def test_certificate_runs_above_the_dense_rank(monkeypatch, fresh_memos):
     # m_(1) + x gamma_(2) is central, odd, and equals m_(1) at x = 0 and on
     # every class of size at most 1: only the certificate at (2,) sees it
     n = 10
