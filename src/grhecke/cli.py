@@ -24,14 +24,16 @@ from .errors import (
 
 
 def _parse_partition(text: str) -> Partition:
+    # an argparse type raises ArgumentTypeError: argparse drops a ValueError's message
     text = text.strip()
     if not text:
         return ()
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return coxeter.check_partition(tuple(int(p) for p in text.split(",")))
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
     except ValueError:
-        raise InvalidInputError(f"cannot parse partition {text!r}")
-    return coxeter.check_partition(parts)
+        raise argparse.ArgumentTypeError(f"cannot parse partition {text!r}")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -39,7 +41,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = text.split(":")
         return int(lo), int(hi)
     except ValueError:
-        raise InvalidInputError(f"cannot parse range {text!r}, expected LO:HI")
+        raise argparse.ArgumentTypeError(f"cannot parse range {text!r}, expected LO:HI")
 
 
 def _int_at_least(low: int):

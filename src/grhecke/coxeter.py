@@ -283,7 +283,6 @@ def minimal_length_elements(lam: Partition, n: int) -> frozenset[Perm]:
     return out
 
 
-@lru_cache(maxsize=None)
 def min_rep(lam: Partition, n: int) -> Perm:
     """
     Canonical class representative: the lexicographically least one-line
@@ -625,7 +624,7 @@ def partitions_of(k: int) -> tuple[Partition, ...]:
     """
     if k < 0:
         raise InvalidInputError("k must be nonnegative")
-    return tuple(_partitions_rec(k, k)) if k else ((),)
+    return tuple(_partitions_rec(k, k))
 
 
 @lru_cache(maxsize=None)

@@ -412,14 +412,15 @@ def interpolate_in_n(points: Sequence[tuple[int, IntPoly]]) -> NPoly:
     """
     The unique polynomial in n of degree < len(points) through the given
     exact values: the Lagrange sum of v_i * prod_{m != i} (n - n_m) / (n_i - n_m)
-    over the points (n_i, v_i), computed in Q[x][n].
+    over the points (n_i, v_i), computed in Q[x][n]. One point gives its
+    value as a constant.
 
     >>> f = interpolate_in_n([(3, IntPoly((3,))), (4, IntPoly((6,))), (5, IntPoly((10,)))])
     >>> f.evaluate(6).coeffs
     (Fraction(15, 1),)
     """
-    if len(points) < 2:
-        raise InvalidInputError("need at least 2 interpolation points")
+    if not points:
+        raise InvalidInputError("need at least 1 interpolation point")
     ranks = [n for n, _ in points]
     if len(set(ranks)) != len(ranks):
         raise InvalidInputError(f"duplicate interpolation ranks: {ranks}")

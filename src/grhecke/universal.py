@@ -19,10 +19,9 @@ validation ranks, never a claim.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .center import _ordered_pair, _pairs_up_to, m_sym_in_gamma, structure_constants
+from .center import _pairs_up_to, m_sym_in_gamma, structure_constants
 from .coxeter import Partition, check_partition, fits_rank, partitions_of
 from .errors import InvalidInputError, InvariantViolationError
 from .polyring import IntPoly, NPoly, RatPoly, determinant, interpolate_in_n
@@ -50,11 +49,16 @@ def universal_constant(lam: Partition, mu: Partition, nu: Partition) -> IntPoly:
     return graded_product(lam, mu).get(nu, IntPoly())
 
 
-@lru_cache(maxsize=None)
-def _universal_row(lam: Partition, mu: Partition) -> dict[Partition, IntPoly]:
-    # callers pass the pair through _ordered_pair: one entry per unordered pair
+def _rank_fitting(size: int) -> int:
+    """A rank at which no class of size at most `size` vanishes: |nu| + len(nu) <= 2|nu|."""
+    return max(2 * size, 1)
+
+
+def graded_product(lam: Partition, mu: Partition) -> dict[Partition, IntPoly]:
+    """The product of two class symbols in the graded algebra, from the structure-constant memo."""
+    lam, mu = check_partition(lam), check_partition(mu)
     size = sum(lam) + sum(mu)
-    n0 = 2 * size  # every nu of size `size` satisfies |nu| + len(nu) <= 2|nu|
+    n0 = _rank_fitting(size)
     lo = structure_constants(lam, mu, n0)
     hi = structure_constants(lam, mu, n0 + 1)
     row: dict[Partition, IntPoly] = {}
@@ -68,14 +72,6 @@ def _universal_row(lam: Partition, mu: Partition) -> dict[Partition, IntPoly]:
         if a:
             row[nu] = a
     return row
-
-
-def graded_product(lam: Partition, mu: Partition) -> dict[Partition, IntPoly]:
-    """The product of two class symbols in the graded algebra."""
-    lam, mu = check_partition(lam), check_partition(mu)
-    if sum(lam) + sum(mu) == 0:
-        return {(): IntPoly.const(1)}
-    return dict(_universal_row(*_ordered_pair(lam, mu)))
 
 
 class GradedTable(NamedTuple):
@@ -97,12 +93,8 @@ def graded_table(max_grade: int) -> GradedTable:
     """
     if max_grade < 0:
         raise InvalidInputError("max_grade must be nonnegative")
-    if max_grade == 0:
-        # no pair of nonempty classes has grade 0
-        return GradedTable(max_grade=0, entries=[])
     entries = []
-    # every class of size at most max_grade fits rank 2 * max_grade
-    for lam, mu in _pairs_up_to(2 * max_grade, max_grade):
+    for lam, mu in _pairs_up_to(_rank_fitting(max_grade), max_grade):
         if not (lam and mu):
             continue
         row = graded_product(lam, mu)
@@ -280,8 +272,7 @@ def _fit_points(
     for deg in range(0, min(cap, len(samples) - 2) + 1):
         window = samples[: deg + 1]
         holdout = samples[deg + 1 :]
-        fit = (NPoly([RatPoly.from_intpoly(window[0][1])]) if deg == 0
-               else interpolate_in_n(window))
+        fit = interpolate_in_n(window)
         if all(fit.evaluate(n) == RatPoly.from_intpoly(v) for n, v in holdout):
             return FitResult(
                 lam=lam, mu=mu, nu=nu, status="validated", fit=fit,

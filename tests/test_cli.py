@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from grhecke import center
-from grhecke.errors import InvalidInputError
+from grhecke.errors import ConstructionError, InvalidInputError
 
 from conftest import child_env, run_cli, run_cli_json
 
@@ -113,6 +113,21 @@ class TestTable:
             if n != 5:
                 continue
             assert rows[(lam, mu)] == want
+
+
+# sha256 of `table --n 7 --max-size 12`, every product in the center of H_7,
+# with its line count: the pretty form prints coefficient 1 as a bare G[...]
+WHOLE_CENTER_N7 = {
+    "csv": (1488, "dc129b912443f5ccf0f821b2a151c77c29171fd6783083a22acef54938ddccf0"),
+    "pretty": (105, "ec7f485b04d6a31f1ee087be10bac9e6d6771863ce45e6368c4527768f230510"),
+}
+
+
+@pytest.mark.parametrize("fmt", list(WHOLE_CENTER_N7))
+def test_whole_center_n7_golden(fmt):
+    code, out = run_cli("table", "--n", "7", "--max-size", "12", "--format", fmt)
+    assert code == 0
+    assert (out.count("\n"), hashlib.sha256(out.encode()).hexdigest()) == WHOLE_CENTER_N7[fmt]
 
 
 class TestVerify:
@@ -248,6 +263,39 @@ class TestExitCodes:
     def test_nonmonotone_partition(self):
         code, _ = run_cli("gamma", "--n", "5", "--lambda", "1,2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (("gamma", "--n", "3", "--lambda", "1,x"),
+         "argument --lambda: cannot parse partition '1,x'"),
+        (("mult", "--n", "3", "--lambda", "2,3", "--mu", "1"),
+         "argument --lambda: parts must be weakly decreasing: (2, 3)"),
+        (("gamma", "--n", "3", "--lambda", "0"),
+         "argument --lambda: partition parts must be positive: (0,)"),
+        (("fit", "--lambda", "1", "--mu", "1", "--nu", "", "--range", "4:x"),
+         "argument --range: cannot parse range '4:x', expected LO:HI"),
+    ], ids=["unparsable", "increasing", "zero-part", "range"])
+    def test_malformed_argument_keeps_its_message(self, argv, message, capsys):
+        assert run_cli(*argv) == (2, "")
+        assert capsys.readouterr().err.endswith(f": error: {message}\n")
+
+    def test_verification_failure_exits_one(self, monkeypatch, fresh_memos, capsys):
+        def refuse(*args):
+            raise ConstructionError("injected certificate failure")
+
+        monkeypatch.setattr(center, "_certify", refuse)
+        assert run_cli("gamma", "--n", "4", "--lambda", "1") == (1, "")
+        assert capsys.readouterr().err == "verification failure: injected certificate failure\n"
+
+    def test_failed_cache_write_leaves_no_temporary_file(self, monkeypatch, fresh_memos,
+                                                         tmp_path, capsys):
+        def refuse(src, dst):
+            raise OSError(13, "injected", str(dst))
+
+        monkeypatch.setattr(center.os, "replace", refuse)
+        code, _ = run_cli("--cache", str(tmp_path), "gamma", "--n", "4", "--lambda", "1")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("io error: ")
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_missing_subcommand(self):
         code, _ = run_cli()

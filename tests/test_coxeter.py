@@ -362,6 +362,21 @@ def test_classes_read_no_tables():
             assert not used & {"_tables", "_sweep"}, f"{module}.{name}"
 
 
+def test_universal_keeps_no_state():
+    # a memo whose values depend on center belongs where clear_caches reaches it
+    tree = ast.parse((Path(coxeter.__file__).resolve().parent / "universal.py").read_text())
+    decorators = {ast.unparse(node.func if isinstance(node, ast.Call) else node)
+                  for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+                  for node in f.decorator_list}
+    assert not {name.rpartition(".")[2] for name in decorators} & {"lru_cache", "cache"}
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    held = [ast.unparse(node.targets[0] if isinstance(node, ast.Assign) else node.target)
+            for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            and (isinstance(node.value, containers) or isinstance(node.value, ast.Call)
+                 and ast.unparse(node.value.func) in {"dict", "list", "set"})]
+    assert held == ["__all__"]
+
+
 # products and expansions of certified central elements take one route at
 # every rank: only the dense tables and the fill arrays stop at that rank
 _ONE_ROUTE = {

@@ -313,6 +313,10 @@ class TestSerialization:
         ws = [t["w"] for t in h.to_json_dict()["terms"]]
         assert ws == [[1, 2, 3], [1, 3, 2], [2, 1, 3], [3, 2, 1]]
 
+    def test_repr(self):
+        h = HeckeElt(3, {S1: IntPoly((1, 0, 2)), identity(3): ONE})
+        assert repr(h) == "HeckeElt(n=3: (1)*T[1, 2, 3] + (1 + 2*x^2)*T[2, 1, 3])"
+
     @pytest.mark.parametrize("w", [(1, 1, 1), (0, 1, 2), (1, 2, 4), (2, 3, 3), (1, 2)])
     def test_constructor_rejects_non_permutations(self, w):
         with pytest.raises(InvalidInputError):

@@ -343,6 +343,15 @@ class TestInterpolation:
         assert f.evaluate(6) == RatPoly((0, 5))
         assert f.coeffs == (RatPoly((0, -1)), RatPoly((0, 1)))
 
+    def test_one_point_is_a_constant(self):
+        c = IntPoly((3, 0, 1))
+        assert interpolate_in_n([(5, c)]) == NPoly([RatPoly.from_intpoly(c)])
+        assert interpolate_in_n([(5, IntPoly())]) == NPoly()
+
+    def test_no_points_rejected(self):
+        with pytest.raises(InvalidInputError, match="^need at least 1 interpolation point$"):
+            interpolate_in_n([])
+
     def test_duplicate_ranks_rejected(self):
         with pytest.raises(InvalidInputError):
             interpolate_in_n([(3, ONE), (3, ONE)])

@@ -38,10 +38,8 @@ class TestUniversalConstant:
             return CentralCoords(n=n, coords={(2,): IntPoly.const(n)})
 
         monkeypatch.setattr(universal, "structure_constants", fake)
-        universal._universal_row.cache_clear()
         with pytest.raises(InvariantViolationError):
             universal_constant((1,), (1,), (2,))
-        universal._universal_row.cache_clear()
 
 
 class TestGradedProduct:
@@ -60,8 +58,8 @@ class TestGradedProduct:
         assert got[(2, 1)] == (3, 0, 2)
 
     def test_commutative(self):
-        # both orders read one cached row, so the swapped product is formed
-        # here: its top-degree part, at both ranks, is that row
+        # the swapped product is formed here: its top-degree part, at both
+        # ranks, is the graded row
         assert graded_product((1,), (2,)) == graded_product((2,), (1,))
         for n in (6, 7):
             basis = center.gamma_basis(n, 3)
@@ -70,14 +68,24 @@ class TestGradedProduct:
             top = {nu: c for nu, c in coords.coords.items() if sum(nu) == 3}
             assert graded_product((2,), (1,)) == top
 
-    def test_one_row_per_unordered_pair(self):
-        universal._universal_row.cache_clear()
+    def test_one_row_per_unordered_pair(self, monkeypatch, fresh_memos):
+        # both orders read the memo of structure_constants: one product per rank
+        formed = []
+        product_coords = center._product_coords
+
+        def counted(lam, mu, n):
+            formed.append(n)
+            return product_coords(lam, mu, n)
+
+        monkeypatch.setattr(center, "_product_coords", counted)
         a = graded_product((2,), (1,))
         b = graded_product((1,), (2,))
         c = universal_constant((2,), (1,), (3,))
-        info = universal._universal_row.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+        assert formed == [6, 7]
         assert a == b and c == a[(3,)]
+
+    def test_empty_pair_is_the_unit(self):
+        assert graded_product((), ()) == {(): IntPoly.const(1)}
 
     def test_constants_even_and_nonnegative(self):
         table = graded_table(3)
