@@ -60,19 +60,21 @@ in this basis: the coordinates c_nu are its values at the p(n) reps of
 elements by `_at_reps`, and the residual h - sum_nu c_nu gamma_nu must be
 zero. h and the class elements are marked central (see `hecke`), so the
 residual is too, and it is fixed by its values at one minimal-length
-element of each class (Geck-Pfeiffer 2000, 8.2): it is checked exactly at
-the same reps, and no element of n! terms is formed. h comes from the
-trace pairing at every rank, held at those values, so its terms are never
-filled in either. Only for unmarked input, or a residual that is not zero
-at the reps, is the whole residual formed, whose vanishing also proves h
-central.
-Each is computed on one memoized path, which the table builder, the
-verification suites and the rank-independent layer share. The center is
-commutative, and every class element passes the centrality test before it
-is used, so the memo holds one entry per unordered pair: the product is
-formed once, its factors in the order in which the table lists the pair,
-and the swapped request reads the same entry. Only `verify_structure_constants` forms the
-swapped product as well, since it checks that the two agree.
+element of each class (Geck-Pfeiffer 2000, 8.2). Each gamma_nu is 1 at its
+own rep and 0 at the others, so the residual is 0 there exactly when h is 0
+at every class above |lam| + |mu|: only the classes of the factors are
+built; the others rest on the basis theorem, which `verify` checks. h comes
+from the trace pairing at every rank, held at those values, so no element
+of n! terms is formed. Only for unmarked input, or a value above
+|lam| + |mu|, is the whole residual formed, on the basis through that size,
+whose vanishing also proves h central. Each is computed on one memoized path,
+which the table builder, the verification suites and the rank-independent
+layer share. The center is commutative, and every class element passes the
+centrality test before it is used, so the memo holds one entry per
+unordered pair: the product is formed once, its factors in the order in
+which the table lists the pair, and the swapped request reads the same
+entry. Only `verify_structure_constants` forms the swapped product as well,
+since it checks that the two agree.
 """
 
 from __future__ import annotations
@@ -490,23 +492,34 @@ def gamma_basis(n: int, up_to: int) -> GammaBasis:
     return GammaBasis(n=n, up_to=up_to, gamma=gamma)
 
 
-def expand_in_gamma(h: HeckeElt, basis: GammaBasis) -> CentralCoords:
+def expand_in_gamma(h: HeckeElt, basis: GammaBasis, up_to: Optional[int] = None) -> CentralCoords:
     """
-    Expand a central element in the class-element basis of `gamma_basis` by
-    reading its values c_nu at the p(n) reps of `coxeter._sweep`, then
-    verifying that the residual h - sum_nu c_nu gamma_nu is zero. If h and
-    every gamma_nu, all read there once by `_at_reps`, are marked central,
-    so is the residual, and at any rank its values there decide it.
-    Otherwise, or if one of them is not zero, the whole residual is formed:
-    its vanishing shows h central too, and the centrality test only tells a
-    non-central h from an incomplete basis.
+    Expand a central element in the class-element basis through size up_to
+    (basis.up_to if None) by reading its values c_nu at the p(n) reps of
+    `coxeter._sweep`, then verifying that the residual h - sum_nu c_nu
+    gamma_nu is zero. If h and every gamma_nu, all read there once by
+    `_at_reps`, are marked central, so is the residual, and at any rank its
+    values there decide it: they vanish exactly when h is 0 at every class
+    above up_to, so the classes above basis.up_to need not be built.
+    Otherwise, or if h is not 0 there, the whole residual is formed on
+    `gamma_basis(n, up_to)`: its vanishing shows h central too, and the
+    centrality test only tells a non-central h from an incomplete basis.
 
     >>> coords = expand_in_gamma(hecke.e_sym(1, 4), gamma_basis(4, 1))
     >>> {nu: str(c) for nu, c in coords.coords.items()}
     {(1,): '1'}
+    >>> g = gamma_basis(4, 1).gamma[(1,)]
+    >>> str(expand_in_gamma(mul(g, g), gamma_basis(4, 1), 2).coords[(2,)])
+    '3 + x^2'
     """
     if h.n != basis.n:
         raise InvalidInputError(f"rank mismatch: element in S_{h.n}, basis for S_{basis.n}")
+    if up_to is not None:
+        if up_to > basis.up_to and h._central and all(g._central for g in basis.gamma.values()):
+            values = dict(zip(coxeter._sweep(h.n).classes, h._at_reps()))
+            if not any(v for nu, v in values.items() if sum(nu) > up_to):
+                return CentralCoords(h.n, {nu: values[nu] for nu in _candidate_classes(up_to, h.n)})
+        basis = gamma_basis(h.n, up_to)
     partitions = basis.valid_partitions()
     elements = [h] + [basis.gamma[nu] for nu in partitions]
     rows = _at_reps(h.n, elements)
@@ -533,9 +546,9 @@ def _ordered_pair(lam: Partition, mu: Partition) -> tuple[Partition, Partition]:
 
 
 def _product_coords(lam: Partition, mu: Partition, n: int) -> CentralCoords:
-    """gamma_lam(n) * gamma_mu(n), formed in this order and expanded; not memoized."""
-    basis = gamma_basis(n, sum(lam) + sum(mu))
-    return expand_in_gamma(mul(basis.gamma[lam], basis.gamma[mu]), basis)
+    """gamma_lam(n) gamma_mu(n) in this order, expanded on its factors' basis; not memoized."""
+    basis = gamma_basis(n, max(sum(lam), sum(mu)))
+    return expand_in_gamma(mul(basis.gamma[lam], basis.gamma[mu]), basis, sum(lam) + sum(mu))
 
 
 def structure_constants(lam: Partition, mu: Partition, n: int) -> CentralCoords:
@@ -740,12 +753,13 @@ def _worker_init(basis: GammaBasis) -> None:
 def build_struct_table(n: int, max_size: int, jobs: int = 1) -> StructTable:
     """
     All products with |lam| + |mu| <= max_size (unordered pairs of nonempty
-    valid partitions). With jobs > 1 the pairs are computed in a process
-    pool seeded with the parent's basis; results are merged in canonical
-    order so output is identical regardless of parallelism.
+    valid partitions). Neither factor exceeds max_size - 1, so only the
+    basis through that size is built. With jobs > 1 the pairs are computed
+    in a process pool seeded with the parent's basis; results are merged in
+    canonical order so output is identical regardless of parallelism.
     """
     pairs = [(lam, mu) for lam, mu in _pairs_up_to(n, max_size) if lam and mu]
-    basis = gamma_basis(n, max_size)
+    basis = gamma_basis(n, max(max_size - 1, 0))
     if jobs > 1 and len(pairs) > 1:
         # imported here, so that a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -883,13 +883,15 @@ class TestStructTable:
             "from grhecke import center\n"
             "if __name__ == '__main__':\n"
             "    multiprocessing.set_start_method(sys.argv[1])\n"
-            "    table = center.build_struct_table(4, 3, jobs=2)\n"
+            "    table = center.build_struct_table(5, 4, jobs=2)\n"
             "    print(repr([(l, m, sorted((nu, c.coeffs) for nu, c in k.coords.items()))\n"
             "                for l, m, k in table.entries]))\n"
         )
         out = subprocess.run([sys.executable, "-c", script, method], env=child_env(),
                              capture_output=True, text=True, timeout=300, check=True)
-        serial = center.build_struct_table(4, 3, jobs=1)
+        # the workers' pickled basis stops at size 3; (4) is read at the reps
+        serial = center.build_struct_table(5, 4, jobs=1)
+        assert any((4,) in k.coords for _, _, k in serial.entries)
         assert out.stdout.strip() == repr([
             (l, m, sorted((nu, c.coeffs) for nu, c in k.coords.items()))
             for l, m, k in serial.entries])
