@@ -342,13 +342,15 @@ def _element_witnesses(lam: Partition, n: int, elt: HeckeElt, up_to: int) -> tup
     """
     The characterization of gamma_lam(n) through size up_to: centrality, the
     x=0 class sum, parity, and the pattern on every class of size at most
-    up_to.
+    up_to. The class sum is checked on the element's terms by index, whose
+    constant terms must be 1 on the indices of lam's class
+    (`coxeter._class_indices`) and 0 elsewhere.
     """
     witnesses = []
     if not is_central(elt):
         witnesses.append(f"gamma_{lam}(n={n}) is not central")
-    expected = {w: 1 for w in coxeter.conjugacy_class(lam, n)}
-    if elt.specialize_group() != expected:
+    at_zero = {k: v for k, c in elt._by_index().items() if (v := c.constant_term())}
+    if at_zero.keys() != coxeter._class_indices(lam, n) or any(v != 1 for v in at_zero.values()):
         witnesses.append(f"gamma_{lam}(n={n}) does not specialize to the class sum at x=0")
     if elt and elt.homogeneous_parity() != sum(lam) % 2:
         witnesses.append(f"gamma_{lam}(n={n}) is not homogeneous of parity |lam| mod 2")
@@ -361,20 +363,24 @@ def _pattern_witnesses(
 ) -> tuple[list[str], int]:
     """
     The minimal-element pattern on classes nu with above < |nu| <= up_to:
-    coefficient 1 on the minimal elements of lam's class, 0 on the others.
+    coefficient 1 on the minimal elements of lam's class, 0 on the others,
+    read from the element's terms at their indices
+    (`coxeter._minimal_indices`); a witness decodes its element.
     """
     witnesses = []
     checks = 0
+    terms, zero = elt._by_index(), IntPoly()
     for nu in _candidate_classes(up_to, n):
         if sum(nu) <= above:
             continue
-        want = _ONE if nu == lam else IntPoly()
-        for w in coxeter.minimal_length_elements(nu, n):
+        want = _ONE if nu == lam else zero
+        for k in coxeter._minimal_indices(nu, n):
             checks += 1
-            if elt.coeff(w) != want:
+            c = terms.get(k, zero)
+            if c != want:
                 witnesses.append(
-                    f"gamma_{lam}(n={n}) has coefficient {elt.coeff(w)} on the "
-                    f"minimal element {w} of class {nu} (expected {want})"
+                    f"gamma_{lam}(n={n}) has coefficient {c} on the minimal element "
+                    f"{coxeter._index_perm(k, n)} of class {nu} (expected {want})"
                 )
     return witnesses, checks
 
@@ -585,9 +591,12 @@ def m_sym_in_gamma(lam: Partition, n: int) -> CentralCoords:
 
 def class_sum_oracle(lam: Partition, mu: Partition, n: int) -> dict[Partition, int]:
     """
-    Multiply the literal class sums in Z S_n by plain convolution and read
-    off class-indicator coefficients. Entirely independent of the Hecke
-    code path; this is the x = 0 oracle.
+    Multiply the literal class sums in Z S_n by plain convolution
+    (`hecke.group_mul`, on byte-coded one-line words) and read off
+    class-indicator coefficients, classifying each distinct element of the
+    product once by `modified_cycle_type`. Entirely independent of the
+    Hecke code path: it reads no index table, sweep plan or permutation
+    codec of `coxeter`. This is the x = 0 oracle.
     """
     _check_rank(n)
     a = {w: 1 for w in coxeter.conjugacy_class(lam, n)}

@@ -858,21 +858,26 @@ def is_central(h: HeckeElt) -> bool:
 def group_mul(a: Mapping[Perm, int], b: Mapping[Perm, int]) -> dict[Perm, int]:
     """
     Convolution in the group algebra Z S_n, with no Hecke machinery at all.
-    Serves as the independent oracle for the x = 0 specialization.
+    Serves as the independent oracle for the x = 0 specialization, so it
+    reads no index table and no permutation codec. Each v of b is the bytes
+    of its one-line word and each u of a a 256-byte table (byte j to u(j)),
+    so u v is ``v.translate(table)``; sums are keyed by bytes and decoded
+    once. Keys of two lengths, or of a length above 255, raise.
     """
     if not a or not b:
         return {}
-    na = len(next(iter(a)))
-    nb = len(next(iter(b)))
-    if na != nb:
-        raise InvalidInputError(f"rank mismatch: {na} vs {nb}")
-    out: dict[Perm, int] = {}
+    n = len(next(iter(a)))
+    if n > 255:
+        raise InvalidInputError(f"group_mul handles ranks up to 255, got {n}")
+    for w in (*a, *b):
+        if len(w) != n:
+            raise InvalidInputError(f"rank mismatch: {n} vs {len(w)}")
+    right = [(bytes(v), cv) for v, cv in b.items()]
+    out: dict[bytes, int] = {}
+    get = out.get
     for u, cu in a.items():
-        for v, cv in b.items():
-            w = coxeter.compose(u, v)
-            s = out.get(w, 0) + cu * cv
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-    return out
+        table = bytes((0, *u)).ljust(256, b"\0")
+        for v, cv in right:
+            w = v.translate(table)
+            out[w] = get(w, 0) + cu * cv
+    return {tuple(w): c for w, c in out.items() if c}

@@ -22,7 +22,7 @@ from grhecke.center import (
 )
 from grhecke.coxeter import fits_rank, min_rep, partitions_up_to
 from grhecke.errors import (
-    BasisIncompleteError, ConstructionError, InvalidInputError,
+    BasisIncompleteError, ConstructionError, InvalidInputError, InvariantViolationError,
 )
 from grhecke.hecke import HeckeElt, e_sym, is_central, m_sym, mul, t_basis, unit
 from grhecke.polyring import IntPoly
@@ -745,6 +745,35 @@ class TestWitnessesFire:
         assert verify_zero_specialization(4, 2).witnesses == [want]
         code, out = run_cli("verify", "--n", "4", "--max-size", "2")
         assert code == 1 and f"WITNESS {want}\n" in out
+
+    @pytest.mark.parametrize("perturb", ["values", "support"])
+    def test_class_sum_witness(self, perturb):
+        # central and of parity 1 either way, and the pattern through size 0
+        # (the identity alone) holds; at x = 0 the class sum is doubled, or
+        # has the class sum of (3) added
+        basis = gamma_basis(4, 3)
+        g1 = basis.gamma[(1,)]
+        bad = g1.scale(2) if perturb == "values" else g1 + basis.gamma[(3,)]
+        witnesses, _ = center._element_witnesses((1,), 4, bad, 0)
+        assert witnesses == ["gamma_(1,)(n=4) does not specialize to the class sum at x=0"]
+
+    def test_oracle_not_constant_witness(self, monkeypatch):
+        # a 3-cycle of (1)(1) in S_4 counted once more than its class
+        group_mul = center.group_mul
+        monkeypatch.setattr(center, "group_mul", lambda a, b: {
+            w: c + (w == (2, 3, 1, 4)) for w, c in group_mul(a, b).items()})
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                "class sum product not constant on class (2,) in S_4")):
+            class_sum_oracle((1,), (1,), 4)
+
+    def test_oracle_partial_class_witness(self, monkeypatch):
+        # that 3-cycle dropped: the rest of its class keeps one value
+        group_mul = center.group_mul
+        monkeypatch.setattr(center, "group_mul", lambda a, b: {
+            w: c for w, c in group_mul(a, b).items() if w != (2, 3, 1, 4)})
+        with pytest.raises(InvariantViolationError, match=re.escape(
+                "class sum product covers class (2,) only partially in S_4")):
+            class_sum_oracle((1,), (1,), 4)
 
     def test_elementary_sum_witness(self, monkeypatch):
         e_sym = hecke.e_sym

@@ -346,6 +346,7 @@ def test_tables_are_read_through_one_record():
 _TABLE_FREE = {
     "coxeter": {"conjugacy_class", "_moving_every_point", "minimal_length_elements", "min_rep"},
     "center": {"class_sum_oracle"},
+    "hecke": {"group_mul"},
 }
 
 
@@ -360,6 +361,26 @@ def test_classes_read_no_tables():
             used |= {node.attr for node in ast.walk(functions[name])
                      if isinstance(node, ast.Attribute)}
             assert not used & {"_tables", "_sweep"}, f"{module}.{name}"
+
+
+# the x = 0 oracle checks the engine's encoding of permutations, so it
+# names neither half of the codec nor the index sets encoded by it
+_CODEC_FREE = {"hecke": {"group_mul"}, "center": {"class_sum_oracle"}}
+
+
+def test_oracle_names_no_codec():
+    codec = {"_index_perm", "_perm_index", "_class_indices", "_minimal_indices"}
+    assert all(callable(getattr(coxeter, name)) for name in codec)
+    src = Path(coxeter.__file__).resolve().parent
+    for module, names in _CODEC_FREE.items():
+        tree = ast.parse((src / f"{module}.py").read_text())
+        functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert names <= functions.keys(), module
+        for name in names:
+            used = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+            used |= {node.attr for node in ast.walk(functions[name])
+                     if isinstance(node, ast.Attribute)}
+            assert not used & codec, f"{module}.{name}"
 
 
 def test_universal_keeps_no_state():

@@ -289,6 +289,23 @@ class TestGroupMul:
         with pytest.raises(InvalidInputError):
             group_mul({S1: 1}, {(2, 1, 3, 4): 1})
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("place", [0, 1, 2])
+    def test_key_of_another_rank_anywhere(self, side, place):
+        # past place 0 the first keys of a and b agree, so only a check of
+        # every key sees the odd one
+        keys = [identity(3), S1, S2]
+        keys[place] = (2, 1, 3, 4)
+        odd, plain = dict.fromkeys(keys, 1), {identity(3): 1, W0: 1}
+        a, b = (odd, plain) if side == "a" else (plain, odd)
+        with pytest.raises(InvalidInputError, match="rank mismatch"):
+            group_mul(a, b)
+
+    def test_rank_above_a_byte(self):
+        w = tuple(range(1, 257))
+        with pytest.raises(InvalidInputError, match="group_mul handles ranks up to 255, got 256"):
+            group_mul({w: 1}, {w: 1})
+
     def test_cancelling_product_is_empty(self):
         # (s_1 + e)(s_1 - e) = s_1^2 - e = 0: every sum cancels
         e = identity(3)
