@@ -62,10 +62,12 @@ zero. h and the class elements are marked central (see `hecke`), so the
 residual is too, and it is fixed by its values at one minimal-length
 element of each class (Geck-Pfeiffer 2000, 8.2). Each gamma_nu is 1 at its
 own rep and 0 at the others, so the residual is 0 there exactly when h is 0
-at every class above |lam| + |mu|: only the classes of the factors are
-built; the others rest on the basis theorem, which `verify` checks. h comes
-from the trace pairing at every rank, held at those values, so no element
-of n! terms is formed. Only for unmarked input, or a value above
+at every class above |lam| + |mu|, and then h's values are its coordinates,
+read with no row of the residual, for a pair with the unit too: only the
+classes of the factors are built; the others rest on the basis theorem,
+which `verify` checks. h comes from the trace pairing at every rank, held
+at those values (a product with the unit at the other factor's), so no
+element of n! terms is formed. Only for unmarked input, or a value above
 |lam| + |mu|, is the whole residual formed, on the basis through that size,
 whose vanishing also proves h central. Each is computed on one memoized path,
 which the table builder, the verification suites and the rank-independent
@@ -87,7 +89,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 from . import coxeter, hecke
-from .coxeter import _DENSE_MAX_RANK, Partition, check_partition, fits_rank, partition_key
+from .coxeter import _DENSE_MAX_RANK, Partition, Perm, check_partition, fits_rank, partition_key
 from .errors import (
     BasisIncompleteError, ConstructionError, InvalidInputError,
     InvariantViolationError, SingularSystemError,
@@ -198,6 +200,8 @@ _bases: dict[int, GammaBasis] = {}
 _e_products: dict[int, dict[Partition, HeckeElt]] = {}
 # the solve of each size level of each rank, by `_level_solve`
 _level_solves: dict[int, dict[int, tuple]] = {}
+# the modified cycle type of each permutation of each rank, read by `class_sum_oracle` alone
+_oracle_types: dict[int, dict[Perm, Partition]] = {}
 _disk_cache_dir: Optional[Path] = None
 
 
@@ -213,6 +217,7 @@ def clear_caches() -> None:
     _struct_memo.clear()
     _e_products.clear()
     _level_solves.clear()
+    _oracle_types.clear()
 
 
 def _check_rank(n: int) -> None:
@@ -506,7 +511,8 @@ def expand_in_gamma(h: HeckeElt, basis: GammaBasis, up_to: Optional[int] = None)
     gamma_nu is zero. If h and every gamma_nu, all read there once by
     `_at_reps`, are marked central, so is the residual, and at any rank its
     values there decide it: they vanish exactly when h is 0 at every class
-    above up_to, so the classes above basis.up_to need not be built.
+    above up_to. So with a bound up_to, whatever basis.up_to is, h's values
+    are its coordinates, and no class above basis.up_to is built.
     Otherwise, or if h is not 0 there, the whole residual is formed on
     `gamma_basis(n, up_to)`: its vanishing shows h central too, and the
     centrality test only tells a non-central h from an incomplete basis.
@@ -521,7 +527,7 @@ def expand_in_gamma(h: HeckeElt, basis: GammaBasis, up_to: Optional[int] = None)
     if h.n != basis.n:
         raise InvalidInputError(f"rank mismatch: element in S_{h.n}, basis for S_{basis.n}")
     if up_to is not None:
-        if up_to > basis.up_to and h._central and all(g._central for g in basis.gamma.values()):
+        if h._central and all(g._central for g in basis.gamma.values()):
             values = dict(zip(coxeter._sweep(h.n).classes, h._at_reps()))
             if not any(v for nu, v in values.items() if sum(nu) > up_to):
                 return CentralCoords(h.n, {nu: values[nu] for nu in _candidate_classes(up_to, h.n)})
@@ -593,19 +599,22 @@ def class_sum_oracle(lam: Partition, mu: Partition, n: int) -> dict[Partition, i
     """
     Multiply the literal class sums in Z S_n by plain convolution
     (`hecke.group_mul`, on byte-coded one-line words) and read off
-    class-indicator coefficients, classifying each distinct element of the
-    product once by `modified_cycle_type`. Entirely independent of the
-    Hecke code path: it reads no index table, sweep plan or permutation
-    codec of `coxeter`. This is the x = 0 oracle.
+    class-indicator coefficients, classifying each permutation once per
+    rank by `modified_cycle_type`, in a memo of its own. Entirely
+    independent of the Hecke code path: it reads no index table, sweep
+    plan or permutation codec of `coxeter`. This is the x = 0 oracle.
     """
     _check_rank(n)
     a = {w: 1 for w in coxeter.conjugacy_class(lam, n)}
     b = {w: 1 for w in coxeter.conjugacy_class(mu, n)}
     product = group_mul(a, b)
+    types = _oracle_types.setdefault(n, {})
     out: dict[Partition, int] = {}
     counts: dict[Partition, int] = {}
     for w, c in product.items():
-        nu = coxeter.modified_cycle_type(w)
+        nu = types.get(w)
+        if nu is None:
+            nu = types[w] = coxeter.modified_cycle_type(w)
         prev = out.get(nu)
         if prev is None:
             out[nu] = c
@@ -674,7 +683,9 @@ def verify_structure_constants(n: int, max_size: int) -> CheckReport:
     swapped product is a different evaluation, not a relabeling of the
     first: `hecke.mul` pairs the steps of its left factor with its right
     one, so gamma_lam gamma_mu steps gamma_lam and gamma_mu gamma_lam
-    steps gamma_mu.
+    steps gamma_mu. A pair with the unit gamma_() forms both orders from
+    the other factor's values, so only pairs of nonempty classes are
+    checked by two independent evaluations; 1 h = h 1 = h is the unit axiom.
     """
     report = CheckReport(name=f"structure-constants n={n} max_size={max_size}")
     for lam, mu in _pairs_up_to(n, max_size):

@@ -81,8 +81,9 @@ and 0 otherwise, so h[u] = tau(h T_{u^{-1}}) for every h, and for central
 A and B [T_u](AB) = tau(A T_{u^{-1}} B) = sum_v (A T_{u^{-1}})[v] B[v^{-1}]:
 l(u) steps of A and one dot product. This is read at one minimal-length u
 of each class; the words of these u^{-1} form a trie in which each class
-is one letter past another, so each class costs one step. The pairing
-reads only this trie of `coxeter._sweep`, the step rows and the inverse,
+is one letter past another, so each class costs one step, and none when A
+or B is the unit: AB's values are then the other's own. The pairing reads
+only this trie of `coxeter._sweep`, the step rows and the inverse,
 which `_tables` computes per entry above `coxeter._DENSE_MAX_RANK`. AB is
 central, and a central h satisfies the class-polynomial recurrence
 h[w] = h[sws] + x h[sw] when the simple reflection s is a descent of w on
@@ -704,14 +705,18 @@ def _central_mul(left: HeckeElt, right: HeckeElt) -> HeckeElt:
     held at these values and filled in when its terms are read. left is
     stepped along the trie of the classes' words, so each class costs one
     `_step` and one dot product, on the tables of `_tables(n)`, tabulated
-    or per entry.
+    or per entry. When either factor is the unit, the values are the other
+    factor's at the reps, packed at the same width: no step, no dot product.
     """
     n = left.n
-    tables, plan = _tables(n), _sweep(n)
-    inverse, steps = tables.inverse, tables.steps
     # left * right = right * left, so both orders' bounds hold
     width = min(_product_width(left, right), _product_width(right, left))
     pack = _Memo(_pack, width)
+    for one, other in ((left, right), (right, left)):
+        if one._terms == {0: _ONE}:
+            return HeckeElt._held(n, [pack[c.coeffs] for c in other._at_reps()], width, left, right)
+    tables, plan = _tables(n), _sweep(n)
+    inverse, steps = tables.inverse, tables.steps
     flipped = {inverse[k]: v for k, v in _packed(right, pack).items()}  # w -> right[w^{-1}]
     last = {p: c for c, p in enumerate(plan.parents)}  # each class's last child
     live: dict[int, dict[int, int]] = {}  # left T_{w_c}, for classes c with children to come

@@ -265,6 +265,8 @@ def _echelon(mat: list[list[IntPoly]], ncols: int):
     Fraction-free Bareiss elimination in place over the first `ncols`
     columns (any extra columns ride along as right-hand sides). Every
     division is exact: after step k each remaining entry is a (k+1)-minor.
+    A product with a zero factor is skipped, and so is the division by a
+    previous pivot of 1: the level matrices of `center` are mostly zeros.
 
     Returns (pivots, sign) where pivots is a list of (row, col) and sign is
     the parity of the row swaps made.
@@ -294,11 +296,19 @@ def _echelon(mat: list[list[IntPoly]], ncols: int):
             sign = -sign
         piv = mat[pr][pc]
         prow = mat[pr]
+        by_one = prev == 1
         for rr in range(pr + 1, nrows):
             row = mat[rr]
             head = row[pc]
             for cc in range(pc + 1, width):
-                row[cc] = divexact(piv * row[cc] - head * prow[cc], prev)
+                a, b = row[cc], prow[cc]
+                if head and b:
+                    e = piv * a - head * b if a else -(head * b)
+                elif a:
+                    e = piv * a
+                else:
+                    continue
+                row[cc] = e if by_one else divexact(e, prev)
             row[pc] = _ZERO
         pivots.append((pr, pc))
         prev = piv

@@ -1,8 +1,9 @@
 """
 Products built from their factors only: `expand_in_gamma` with a size bound
-above its basis reads a marked product's coordinates at the class reps,
-without the class elements of the larger sizes. The oracle is the expansion
-on the whole basis through the bound, the path every other input takes.
+reads a marked product's coordinates at the class reps, at every bound,
+without the class elements of the larger sizes and without the residual's
+rows. The oracle is the expansion on the whole basis through the bound, the
+path every other input takes.
 """
 
 import pytest
@@ -21,8 +22,10 @@ from conftest import run_cli
 ONE = IntPoly.const(1)
 
 
-def no_basis(n, up_to):
-    raise AssertionError(f"gamma_basis({n}, {up_to}) was built")
+def fails(name):
+    def call(*args):
+        raise AssertionError(f"{name} was called")
+    return call
 
 
 def ordered_pairs(n, size):
@@ -39,19 +42,13 @@ def assert_bounded_matches_full(n, pairs, monkeypatch):
         product = mul(gamma[lam], gamma[mu])
         want = expand_in_gamma(product, gamma_basis(n, bound))
         cases.append((lam, mu, product, gamma_basis(n, max(sum(lam), sum(mu))), want))
-    calls = []
-    linear_combination = hecke.linear_combination
-    monkeypatch.setattr(hecke, "linear_combination",
-                        lambda n, summands: calls.append(n) or linear_combination(n, summands))
+    for name in ("gamma_basis", "_at_reps"):
+        monkeypatch.setattr(center, name, fails(name))
+    monkeypatch.setattr(hecke, "linear_combination", fails("linear_combination"))
     for lam, mu, product, factors, want in cases:
-        bound = sum(lam) + sum(mu)
-        with monkeypatch.context() as patch:
-            if bound > factors.up_to:
-                patch.setattr(center, "gamma_basis", no_basis)
-            got = expand_in_gamma(product, factors, bound)
+        got = expand_in_gamma(product, factors, sum(lam) + sum(mu))
         assert got == want, (lam, mu, n)
         assert list(got.coords) == list(want.coords), (lam, mu, n)
-    assert not calls
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -111,27 +108,37 @@ def test_an_unmarked_product_forms_the_whole_residual(monkeypatch):
     assert len(calls) == len(pairs)
 
 
-def test_a_marked_product_outside_the_bound_raises_todays_message(monkeypatch):
-    # gamma_(1) gamma_(1) + gamma_(3), marked central, is 1 at the rep of
-    # (3): the bounded read falls through to the whole basis through size 2
+def assert_forged_product_raises(lam, monkeypatch):
+    # gamma_lam gamma_(1) + gamma_(3), marked central, is 1 at the rep of
+    # (3): the bounded read falls through to the whole basis through the
+    # bound, above the factors' basis for lam = (1,) and at it for the unit
     basis = gamma_basis(4, 3)
-    g1, extra = basis.gamma[(1,)], basis.gamma[(3,)]
+    g, g1, extra = basis.gamma[lam], basis.gamma[(1,)], basis.gamma[(3,)]
+    bound = sum(lam) + 1
 
     def forged(h1, h2):
         h = mul(h1, h2)
-        if h1 is g1 and h2 is g1:
+        if h1 is g and h2 is g1:
             h = h + extra
             assert is_central(h)
         return h
 
     monkeypatch.setattr(center, "_struct_memo", {})
     monkeypatch.setattr(center, "mul", forged)
-    message = "element is not in the span of the basis through size 2 (residual has 13 terms)"
+    message = f"element is not in the span of the basis through size {bound} (residual has 13 terms)"
     with pytest.raises(BasisIncompleteError) as raised:
-        center._product_coords((1,), (1,), 4)
+        center._product_coords(lam, (1,), 4)
     assert str(raised.value) == message
-    assert verify_structure_constants(4, 2).witnesses == [
-        f"support of gamma_(1,) gamma_(1,) exceeds size 2 at n=4: {message}"]
+    assert verify_structure_constants(4, bound).witnesses == [
+        f"support of gamma_{lam} gamma_(1,) exceeds size {bound} at n=4: {message}"]
+
+
+def test_a_marked_product_outside_the_bound_raises_todays_message(monkeypatch):
+    assert_forged_product_raises((1,), monkeypatch)
+
+
+def test_a_marked_unit_product_outside_the_bound_raises_todays_message(monkeypatch):
+    assert_forged_product_raises((), monkeypatch)
 
 
 def test_callers_cannot_alter_memoized_values(fresh_memos):

@@ -381,6 +381,17 @@ def test_oracle_names_no_codec():
             used |= {node.attr for node in ast.walk(functions[name])
                      if isinstance(node, ast.Attribute)}
             assert not used & codec, f"{module}.{name}"
+    # the oracle's memo of classes stays its own: no engine path may lean on it
+    readers = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for f in ast.walk(tree):
+            if isinstance(f, ast.FunctionDef):
+                names = {node.id for node in ast.walk(f) if isinstance(node, ast.Name)}
+                names |= {node.attr for node in ast.walk(f) if isinstance(node, ast.Attribute)}
+                if "_oracle_types" in names:
+                    readers.add(f"{path.stem}.{f.name}")
+    assert readers == {"center.class_sum_oracle", "center.clear_caches"}
 
 
 def test_universal_keeps_no_state():

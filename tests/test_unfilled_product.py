@@ -51,6 +51,31 @@ def test_coefficients_at_minimal_elements_need_no_fill(n):
             assert at_minimal == [product.terms.get(w, IntPoly()) for w in minimal], (lam, mu, n)
 
 
+def no_step(*args):
+    raise AssertionError("a generator step was taken")
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_a_unit_factor_takes_no_step(n, monkeypatch):
+    # 1 h = h 1 = h: the product is held at h's values at the reps
+    gamma = center.gamma_basis(n, 4).gamma
+    one = hecke.unit(n)
+    assert hecke.is_central(one) and gamma[()] == one
+    minimal = minimal_elements(n)
+    fills = count_fills(monkeypatch)
+    for mu, g in gamma.items():
+        for a, b in [(one, g), (g, one), (gamma[()], g), (g, gamma[()])]:
+            fills.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(hecke, "_step", no_step)
+                product = mul(a, b)
+                assert product._central and not filled(product), (mu, n)
+                at_minimal = [product.coeff(w) for w in minimal]
+                assert not filled(product) and fills == [], (mu, n)
+            assert product.terms == g.terms == hecke._fold_right(a, b, False).terms, (mu, n)
+            assert at_minimal == [g.coeff(w) for w in minimal], (mu, n)
+
+
 def test_table_products_fill_nothing(monkeypatch):
     center.gamma_basis(7, 4)
     monkeypatch.setattr(center, "_struct_memo", {})

@@ -26,6 +26,24 @@ def test_class_sum_oracle_matches_tuple_reference(n):
         assert class_sum_oracle(lam, mu, n) == tuple_oracle.class_sum_oracle(lam, mu, n)
 
 
+def test_oracle_calls_interleaved_across_ranks(fresh_memos):
+    # the oracle's memo of classes is per rank: ranks 4 to 7 in turn, twice
+    calls = [(lam, mu, n) for lam, mu in [((1,), (1,)), ((2,), (1,)), ((1, 1), (2,)), ((3,), (1,))]
+             for n in (4, 7, 5, 6)]
+    for lam, mu, n in calls + calls:
+        assert class_sum_oracle(lam, mu, n) == tuple_oracle.class_sum_oracle(lam, mu, n), (lam, mu, n)
+    assert sorted(center._oracle_types) == [4, 5, 6, 7]
+    for n, types in center._oracle_types.items():
+        assert all(len(w) == n and nu == coxeter.modified_cycle_type(w) for w, nu in types.items())
+
+
+def test_clear_caches_empties_the_oracle_memo(fresh_memos):
+    class_sum_oracle((1,), (1,), 5)
+    assert center._oracle_types[5]
+    center.clear_caches()
+    assert center._oracle_types == {}
+
+
 def _forged():
     """(lam, n, element, up_to): each check of `_element_witnesses` failing at least once."""
     basis = gamma_basis(4, 3).gamma
